@@ -1,6 +1,6 @@
 .PHONY: all build test check bench bench-diff fmt exec-smoke trace-smoke \
   telemetry-smoke fault-smoke profile-smoke fleet-smoke \
-  interference-smoke clean
+  interference-smoke e2e-smoke clean
 
 all: build
 
@@ -110,6 +110,23 @@ interference-smoke:
 	dune build test/interference_smoke.exe
 	dune exec test/interference_smoke.exe -- \
 	  examples/configs/leo_satellite.air CAMERA
+
+# End-to-end benchmark pass: one round of each shipped workload through
+# the benchmark harness (bench/e2e), whose adaptive run must reproduce
+# its per-tick or sequential-cluster fingerprint (campaigns: contained
+# and reproducible). Fails unless every result line reads
+# "correct": true.
+e2e-smoke:
+	dune build bench/e2e/e2e.exe
+	@for w in leo leo-observed-2core constellation campaign-sweep; do \
+	  line=$$(dune exec --display=quiet bench/e2e/e2e.exe -- \
+	    --workload $$w --seconds 0 | tail -n 1); \
+	  echo "$$w: $$line"; \
+	  case "$$line" in \
+	    *'"correct": true'*) ;; \
+	    *) echo "e2e-smoke: $$w failed"; exit 1 ;; \
+	  esac; \
+	done
 
 clean:
 	dune clean

@@ -695,12 +695,9 @@ let profiler_tests =
       Test.make ~name:"note_batch" (note ()) ]
 
 let exec_tests =
-  let beacon_config ~mtf ~work =
+  (* One process owning the whole MTF. *)
+  let solo_config ~mtf spec script =
     let pid = Air_model.Ident.Partition_id.make 0 in
-    let spec =
-      Air_model.Process.spec ~periodicity:(Air_model.Process.Periodic mtf)
-        ~time_capacity:mtf ~wcet:(work + 1) ~base_priority:5 "beacon"
-    in
     let p = Air_model.Partition.make ~id:pid ~name:"BCN" [ spec ] in
     let schedule =
       Air_model.Schedule.make
@@ -711,10 +708,14 @@ let exec_tests =
         [ { Air_model.Schedule.partition = pid; offset = 0; duration = mtf } ]
     in
     Air.System.config
-      ~partitions:
-        [ Air.System.partition_setup p
-            [ Air_pos.Script.periodic_body [ Air_pos.Script.Compute work ] ] ]
+      ~partitions:[ Air.System.partition_setup p [ script ] ]
       ~schedules:[ schedule ] ()
+  in
+  let beacon_config ~mtf ~work =
+    solo_config ~mtf
+      (Air_model.Process.spec ~periodicity:(Air_model.Process.Periodic mtf)
+         ~time_capacity:mtf ~wcet:(work + 1) ~base_priority:5 "beacon")
+      (Air_pos.Script.periodic_body [ Air_pos.Script.Compute work ])
   in
   let taskgen_config ~utilization seed =
     let rng = Air_sim.Rng.create seed in
@@ -763,18 +764,40 @@ let exec_tests =
         (advance ~mode:Air_exec.Engine.Adaptive config ~ticks) ]
   in
   let beacon = beacon_config ~mtf:10_000 ~work:50 in
-  (* Fully dense: the beacon computes on every tick of every frame, so no
-     span is ever skippable and any skip-ahead overhead is pure loss. *)
+  (* Full duty as one long compute per frame: the beacon computes on all
+     but one tick of each frame, but only the release and the tick that
+     ends the compute are events, so skip-ahead collapses the rest. *)
   let dense_beacon = beacon_config ~mtf:10_000 ~work:9_999 in
+  (* Truly dense: the process ends a compute, and so runs its script on,
+     every tick; no span is ever skippable and any skip-ahead overhead is
+     pure loss. *)
+  let every_tick =
+    solo_config ~mtf:10_000
+      (Air_model.Process.spec ~base_priority:5 "spin")
+      { Air_pos.Script.body = [| Air_pos.Script.Compute 1 |];
+        on_end = Air_pos.Script.Repeat }
+  in
   let sparse, sparse_mtf = taskgen_config ~utilization:0.1 7 in
   let dense, dense_mtf = taskgen_config ~utilization:0.9 7 in
+  (* The shipped document, resolved from the directory holding
+     dune-project so the row measures the same workload wherever the
+     benchmark is started below the repository root. *)
   let leo =
-    match Air_config.Loader.load_file "examples/configs/leo_satellite.air" with
+    let rec root dir =
+      if Sys.file_exists (Filename.concat dir "dune-project") then dir
+      else
+        let parent = Filename.dirname dir in
+        if parent = dir then
+          failwith "exec/leo_satellite: no dune-project above the cwd"
+        else root parent
+    in
+    let path =
+      List.fold_left Filename.concat (root (Sys.getcwd ()))
+        [ "examples"; "configs"; "leo_satellite.air" ]
+    in
+    match Air_config.Loader.load_file path with
     | Ok config -> config
-    | Error _ ->
-      (* Benchmarks may run from a different cwd; fall back to the
-         equivalent built-in Fig. 8 workload. *)
-      Air_workload.Satellite.config ()
+    | Error e -> failwith ("exec/leo_satellite: " ^ e)
   in
   let fig8 =
     { (Air_workload.Satellite.config ()) with Air.System.cores = Some 2 }
@@ -782,11 +805,12 @@ let exec_tests =
   let beacon_ticks = 10 * 10_000
   and sparse_ticks = 10 * sparse_mtf
   and dense_ticks = 10 * dense_mtf
-  and leo_ticks = 10 * 1300
+  and leo_ticks = 10 * 2000
   and fig8_ticks = 10 * 1300 in
   Test.make_grouped ~name:"exec"
     (modes "beacon 1% duty, 10 MTFs" beacon beacon_ticks
     @ modes "beacon 100% duty, 10 MTFs" dense_beacon beacon_ticks
+    @ modes "compute ends every tick, 10 MTFs" every_tick beacon_ticks
     @ modes "taskgen 10%, 10 MTFs" sparse sparse_ticks
     @ modes "taskgen 90%, 10 MTFs" dense dense_ticks
     @ modes "leo_satellite, 10 MTFs" leo leo_ticks

@@ -153,7 +153,7 @@ let rec exec_loop t prt q task body on_end consumed actions =
           task.compute_left <- task.compute_left - 1;
           (* Cache pressure of a busy core: charged per consumed compute
              tick when the contention model prices computation. *)
-          charge_compute_tick t prt;
+          charge_compute t prt ~ticks:1;
           if task.compute_left = 0 then begin
             task.pc <- task.pc + 1;
             exec_loop t prt q task body on_end true actions
@@ -178,10 +178,41 @@ let rec exec_loop t prt q task body on_end consumed actions =
     end
   end
 
-let run_task_tick t prt q =
-  (* A message delivered while the process was blocked is consumed here. *)
+(* A tick of [q] first consumes its wakeup flags: a message delivered
+   while the process was blocked, and the timed-out flag. *)
+let consume_wakeup prt q =
   ignore (Intra.take_delivery prt.intra ~process:q);
-  ignore (Kernel.take_timed_out prt.kernel q);
+  ignore (Kernel.take_timed_out prt.kernel q)
+
+let run_task_tick t prt q =
+  consume_wakeup prt q;
   let task = prt.tasks.(q) in
   let script = prt.setup.scripts.(q) in
   exec_loop t prt q task script.Script.body script.Script.on_end false 0
+
+(* --- Compute spans (the executive's skip-ahead) -------------------------- *)
+
+(* Ticks left in the [Compute] action [q]'s script sits on, counting the
+   tick that ends it; 0 when the next tick would not start by computing. *)
+let compute_remaining prt q =
+  let task = prt.tasks.(q) in
+  let body = prt.setup.scripts.(q).Script.body in
+  if task.pc >= Array.length body then 0
+  else
+    match body.(task.pc) with
+    | Script.Compute n when n > 0 ->
+      if task.compute_left = 0 then n else task.compute_left
+    | _ -> 0
+
+(* Ticks [q] would spend purely computing before the tick that ends its
+   [Compute] action. That last tick runs the actions after it, so it is
+   never part of a span. *)
+let compute_run prt q = Stdlib.max 0 (compute_remaining prt q - 1)
+
+(* [ticks] <= [compute_run] ticks of [run_task_tick] in one update: the
+   first tick's wakeup consumption, the compute progress and one charge
+   for all the ticks. *)
+let skip_compute t prt q ~ticks =
+  consume_wakeup prt q;
+  prt.tasks.(q).compute_left <- compute_remaining prt q - ticks;
+  charge_compute t prt ~ticks

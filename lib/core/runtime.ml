@@ -357,12 +357,15 @@ let charge_shared_access t prt ~cost =
              "memory-bandwidth budget blown: window demand %d > budget %d"
              (Contention.demand c pi) (Contention.budget c pi))
 
-let charge_compute_tick t prt =
+(* [ticks] consumed compute ticks in one charge: the executive's compute
+   skip charges a whole span at once, which equals [ticks] single charges
+   because the span ends before any threshold. *)
+let charge_compute t prt ~ticks =
   match t.contention with
   | None -> ()
   | Some c ->
     let cost = (Contention.configuration c).Contention.compute_cost in
-    if cost > 0 then charge_shared_access t prt ~cost
+    if cost > 0 then charge_shared_access t prt ~cost:(cost * ticks)
 
 let report_module_error t code ~detail =
   emit t

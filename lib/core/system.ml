@@ -5,7 +5,7 @@
    (Algorithm 3), runs the heir process, and exposes observation,
    intervention and fault-injection surfaces. It also provides the
    quiescence and next-event probes the [Air_exec] executive uses for O(1)
-   idle skip-ahead. *)
+   skip-ahead across idle and steady-compute spans. *)
 
 open Air_sim
 open Air_model
@@ -272,23 +272,36 @@ let halted t = t.halt_reason
 
 (* --- Quiescence and skip-ahead (the [Air_exec] executive) --------------- *)
 
+(* Ticks the heir of a normal-mode partition would spend purely computing
+   from the next tick on: the POS re-elects it without any state change
+   and it sits inside a [Compute] action, whose last tick is excluded.
+   0 when there is no such heir. *)
+let steady_run prt =
+  match prt.mode with
+  | Partition.Normal ->
+    let q = Kernel.steady_heir prt.kernel in
+    if q < 0 then 0 else Interp.compute_run prt q
+  | Partition.Idle | Partition.Cold_start | Partition.Warm_start -> 0
+
 (* A span of ticks is quiet — skippable without observable difference —
-   when every partition currently holding a core would do nothing under
-   per-tick execution: normal mode with no schedulable process, no
-   pending clock-jitter bookkeeping and no owed interference stall, or
-   parked in idle mode. Partitions not holding a core are never driven
-   per-tick, so they cannot constrain the span; starting modes initialize
-   at the dispatch tick itself, which is always an event tick. The stall
-   conjunct keeps a partition in slowdown interesting to the executive's
-   clock ([Exec.Clock.next_interesting]); it is trivially true when no
-   contention model is configured, preserving bit-identity. *)
+   when every partition currently holding a core would only let time pass
+   under per-tick execution: parked in idle mode, or in normal mode with
+   no pending clock-jitter bookkeeping, no owed interference stall, and
+   either no schedulable process or a steady computing heir
+   ([steady_run]). A computing heir's ticks change only its compute
+   counter, the first tick's wakeup flags and its bandwidth account;
+   [skip] applies all three. Partitions not holding a core are never
+   driven per-tick, so they cannot constrain the span; starting modes
+   initialize at the dispatch tick itself, which is always an event
+   tick. The stall conjunct keeps a partition in slowdown interesting to
+   the executive's clock; it is trivially true when no contention model
+   is configured. *)
 let prt_quiescent t prt =
   match prt.mode with
   | Partition.Idle -> true
   | Partition.Cold_start | Partition.Warm_start -> false
   | Partition.Normal ->
     prt.jitter_left = 0 && prt.jitter_deferred = 0
-    && (not (Kernel.has_schedulable prt.kernel))
     && (match t.contention with
        | None -> true
        | Some c ->
@@ -296,6 +309,7 @@ let prt_quiescent t prt =
            (Contention.stall_pending c
               ~partition:
                 (Partition_id.index prt.setup.partition.Partition.id)))
+    && ((not (Kernel.has_schedulable prt.kernel)) || steady_run prt > 0)
 
 let rec lanes_quiescent t actives n i =
   i >= n
@@ -308,59 +322,115 @@ let quiescent t =
   (* Probed once per executive tick while skip-ahead hunts for a span, so
      it must not allocate: the single-core case reads the scheduler's
      field directly and the multicore case scans the reused actives
-     buffer via a top-level loop. *)
+     buffer via a top-level loop. A module that has not run its first
+     tick is not quiescent: that tick dispatches the first windows. *)
   match t.lane with
   | Lane.Single pmk -> (
     match Pmk.active_partition pmk with
-    | None -> true
+    | None -> Pmk.ticks pmk >= 0
     | Some pid -> prt_quiescent t (prt_of t pid))
   | Lane.Multi mc ->
     let actives = Pmk_mc.active_partitions mc in
-    lanes_quiescent t actives (Array.length actives) 0
+    Pmk_mc.ticks mc >= 0 && lanes_quiescent t actives (Array.length actives) 0
 
 (* The next tick at which a currently-active partition becomes interesting
-   again: a blocked process' wake/release instant, or the tick after its
+   again: a blocked process' wake/release instant, the tick after its
    earliest PAL deadline (verification pops deadlines strictly before
-   [now], so a deadline [d] first raises a violation at [d + 1]).
-   Inactive partitions report through their next dispatch, which the
-   lane's preemption table already bounds. [Time.add] saturates at
-   infinity, so an empty deadline store contributes no bound. *)
-let prt_event_bound t pid acc =
+   [now], so a deadline [d] first raises a violation at [d + 1]), and for
+   a steady computing heir the tick that ends its action or the first
+   tick whose compute charge would cross a contention threshold (budget
+   blow or stall arming; [charging] heirs compute side by side). Inactive
+   partitions report through their next dispatch, which the lane's
+   preemption table already bounds. [Time.add] saturates at infinity, so
+   an empty deadline store contributes no bound. *)
+let prt_event_bound t pid ~lane ~charging acc =
   let prt = prt_of t pid in
   match prt.mode with
   | Partition.Idle | Partition.Cold_start | Partition.Warm_start -> acc
   | Partition.Normal ->
-    Time.min
-      (Time.min acc (Time.add (Pal.min_deadline prt.pal) 1))
-      (Kernel.next_wake prt.kernel)
+    let acc =
+      Time.min
+        (Time.min acc (Time.add (Pal.min_deadline prt.pal) 1))
+        (Kernel.next_wake prt.kernel)
+    in
+    let run = steady_run prt in
+    if run = 0 then acc
+    else
+      let run =
+        match t.contention with
+        | None -> run
+        | Some c ->
+          Stdlib.min run
+            (Contention.compute_headroom c
+               ~partition:(Partition_id.index pid) ~lane ~charging)
+      in
+      Time.min acc (now t + run + 1)
 
-let rec lanes_event_bound t actives n i acc =
+let rec lanes_charging t actives n i acc =
+  if i >= n then acc
+  else
+    lanes_charging t actives n (i + 1)
+      (match actives.(i) with
+      | Some pid when steady_run (prt_of t pid) > 0 -> acc + 1
+      | Some _ | None -> acc)
+
+let rec lanes_event_bound t actives ~charging n i acc =
   if i >= n then acc
   else
     let acc =
       match actives.(i) with
       | None -> acc
-      | Some pid -> prt_event_bound t pid acc
+      | Some pid -> prt_event_bound t pid ~lane:i ~charging acc
     in
-    lanes_event_bound t actives n (i + 1) acc
+    lanes_event_bound t actives ~charging n (i + 1) acc
 
 let next_partition_event t =
   match t.lane with
   | Lane.Single pmk -> (
     match Pmk.active_partition pmk with
     | None -> Time.infinity
-    | Some pid -> prt_event_bound t pid Time.infinity)
+    | Some pid -> prt_event_bound t pid ~lane:0 ~charging:1 Time.infinity)
   | Lane.Multi mc ->
     let actives = Pmk_mc.active_partitions mc in
-    lanes_event_bound t actives (Array.length actives) 0 Time.infinity
+    let n = Array.length actives in
+    lanes_event_bound t actives
+      ~charging:(lanes_charging t actives n 0 0)
+      n 0 Time.infinity
 
-(* Batch-advance the global clock across a quiet span. The caller (the
-   executive) guarantees [quiescent] holds and that no lane preemption,
-   partition event, telemetry frame boundary or injection falls inside the
-   span; under that contract the lane skip is bit-identical to [ticks]
-   per-tick steps. *)
+(* A steady computing heir's share of a skipped span, charged to the lane
+   its partition holds. *)
+let skip_partition t pid ~lane ~ticks =
+  let prt = prt_of t pid in
+  if steady_run prt > 0 then begin
+    (match t.contention with
+    | Some c -> Contention.set_lane c lane
+    | None -> ());
+    Interp.skip_compute t prt (Kernel.steady_heir prt.kernel) ~ticks
+  end
+
+let rec lanes_skip t actives n i ~ticks =
+  if i < n then begin
+    (match actives.(i) with
+    | Some pid -> skip_partition t pid ~lane:i ~ticks
+    | None -> ());
+    lanes_skip t actives n (i + 1) ~ticks
+  end
+
+(* Batch-advance the global clock across a quiet span, applying each
+   steady heir's compute progress. The caller (the executive) guarantees
+   [quiescent] holds and that no lane preemption, partition event,
+   telemetry frame boundary or injection falls inside the span; under
+   that contract the result is bit-identical to [ticks] per-tick steps. *)
 let skip t ~ticks =
   if ticks > 0 then begin
+    (match t.lane with
+    | Lane.Single pmk -> (
+      match Pmk.active_partition pmk with
+      | Some pid -> skip_partition t pid ~lane:0 ~ticks
+      | None -> ())
+    | Lane.Multi mc ->
+      let actives = Pmk_mc.active_partitions mc in
+      lanes_skip t actives (Array.length actives) 0 ~ticks);
     Lane.skip t.lane ~ticks;
     match t.lane with
     | Lane.Multi _ -> (

@@ -171,30 +171,43 @@ val halted : t -> string option
 
     The probes the [Air_exec] executive combines with
     {!Lane.next_preemption_tick} to advance the module across quiet spans
-    in O(1) while staying bit-identical to per-tick execution. *)
+    in O(1) while staying bit-identical to per-tick execution. A span is
+    quiet when the partitions holding cores are idle or when their heirs
+    only compute. *)
 
 val quiescent : t -> bool
-(** Whether per-tick execution would be a pure clock advance right now:
-    every partition currently holding a core is either idle or in normal
-    mode with no schedulable process, no pending clock-jitter bookkeeping
-    and no owed interference stall. Partitions not holding a core are
-    never driven per-tick and cannot break quiescence. The stall conjunct
-    keeps a partition in contention slowdown interesting to the
-    executive's clock; without a contention model it is trivially true. *)
+(** Whether per-tick execution would only let time pass right now: every
+    partition currently holding a core is either idle, or in normal mode
+    with no pending clock-jitter bookkeeping, no owed interference stall,
+    and either no schedulable process or a {e steady} heir. A steady heir
+    is re-elected by its POS without any state change
+    ({!Air_pos.Kernel.steady_heir}) and sits inside a [Compute] action
+    that outlasts the next tick. Round-robin partitions never have one.
+    Partitions not holding a core are never driven per-tick and cannot
+    break quiescence. Without a contention model the stall conjunct is
+    trivially true. A module that has not run its first tick is not
+    quiescent: that tick dispatches the first windows. *)
 
 val next_partition_event : t -> Time.t
 (** The earliest future tick at which a currently-active partition becomes
     interesting again: a blocked process' wake, timeout or release
     instant, or the tick after its earliest PAL deadline (a deadline [d]
-    first raises a violation at [d + 1]). {!Air_sim.Time.infinity} when
-    nothing is pending. *)
+    first raises a violation at [d + 1]). For a steady heir it is also
+    the tick that ends its [Compute] action, since that tick runs the
+    actions after it, and the first tick whose compute charge would blow
+    the partition's bandwidth budget or arm contention stall
+    ({!Air_spatial.Contention.compute_headroom}). {!Air_sim.Time.infinity}
+    when nothing is pending. *)
 
 val skip : t -> ticks:int -> unit
-(** Batch-advance the global clock by [ticks]. Only sound across a span
-    where {!quiescent} holds and no lane preemption, partition event,
-    telemetry frame boundary or fault injection falls strictly inside;
-    under that contract the result is bit-identical to [ticks] calls of
-    {!step}. *)
+(** Batch-advance the global clock by [ticks]. Each steady heir's compute
+    progress is applied in O(1): its compute counter drops by [ticks],
+    its mailbox and timeout flag are consumed as the first of those ticks
+    would consume them, and the [ticks] compute charges land as one. Only
+    sound across a span where {!quiescent} holds and no lane preemption,
+    partition event, telemetry frame boundary or fault injection falls
+    strictly inside; under that contract the result is bit-identical to
+    [ticks] calls of {!step}. *)
 
 (** {1 Observation} *)
 

@@ -2,8 +2,9 @@ open Air_sim
 open Air
 
 (* The next *interesting* tick of a module: the earliest future instant at
-   which per-tick execution could do anything beyond advancing the clock.
-   Everything the per-tick executive reacts to is covered by three
+   which per-tick execution could do anything beyond advancing the clock
+   and the running heirs' compute progress (which [System.skip] applies in
+   one step). Everything the per-tick executive reacts to is covered by three
    sources:
 
    - the lane's preemption table ({!Air.Lane.next_preemption_tick}): the
@@ -13,8 +14,10 @@ open Air
      boundary;
    - the active partitions' own pending events
      ({!Air.System.next_partition_event}): a blocked process' wake,
-     timeout or periodic release, or the tick after the earliest PAL
-     deadline;
+     timeout or periodic release, the tick after the earliest PAL
+     deadline, and for a heir that only computes the tick that ends its
+     [Compute] action or whose charge would cross a contention
+     threshold;
    - the caller's horizon [until] (end of run, next fault injection, next
      watch refresh), which bounds the span externally.
 
@@ -34,11 +37,3 @@ let next_interesting system ~until =
 let horizon ~now ~remaining =
   if remaining >= Time.infinity - now then Time.infinity
   else now + remaining + 1
-
-(* Whether the instants strictly between now and [next] can be skipped:
-   nothing is due in the open interval, and the module is quiescent (no
-   schedulable process, no jitter bookkeeping, no partition initializing
-   on a held core, and no contention stall debt left to serve — a
-   partition in interference slowdown is burning real window ticks, so
-   its span is interesting and must run per-tick). *)
-let span_quiet system = System.quiescent system

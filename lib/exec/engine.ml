@@ -142,11 +142,14 @@ let sample_density t =
   | Some p -> Profiler.note_density p t.density
 
 (* Always-skip: execute every interesting tick through the per-tick path
-   and probe for a quiet span after each one. Maximal skipping, but each
-   executed tick pays the probe — the dense-workload regression the
-   adaptive mode exists to avoid. *)
+   and probe for a quiet span after each one, and before the first when
+   the module is already quiescent. Maximal skipping, but each executed
+   tick pays the probe — the dense-workload regression the adaptive mode
+   exists to avoid. *)
 let advance_skip t ~ticks =
   let remaining = ref ticks in
+  if (not (halted t)) && System.quiescent t.system then
+    remaining := !remaining - probe t ~remaining:!remaining;
   while !remaining > 0 && not (halted t) do
     step_one t;
     decr remaining;
@@ -181,6 +184,9 @@ let advance_skip t ~ticks =
    quiescent ticks at worst, and the estimate saturates dense again
    after the first empty probe anyway.
 
+   An advance that starts quiescent treats its start like a quiescent
+   tick, so it may probe before its first step.
+
    Blind batches reuse [System.run] — exactly the per-tick reference
    path — and skips are guarded by the same quiescence proof as
    always-skip mode, so traces, telemetry, metrics and campaign
@@ -192,35 +198,36 @@ let note_skip t ~skipped =
   end
   else t.density <- t.density + ((scale - t.density) / 8)
 
+(* A quiescent tick under the adaptive policy: probe when sparse, right
+   after a blind batch, or on the second quiescent tick in a row; else
+   only decay the estimate. Returns the ticks skipped. *)
+let adaptive_quiet t ~remaining =
+  let overshot = t.just_batched in
+  t.just_batched <- false;
+  if overshot || t.density < dense_threshold || t.streak >= 1 then begin
+    t.streak <- 0;
+    let skipped = probe t ~remaining in
+    note_skip t ~skipped;
+    sample_density t;
+    skipped
+  end
+  else begin
+    t.streak <- t.streak + 1;
+    t.density <- t.density - (t.density / 8);
+    0
+  end
+
 let advance_adaptive t ~ticks =
   let remaining = ref ticks in
+  if (not (halted t)) && System.quiescent t.system then
+    remaining := !remaining - adaptive_quiet t ~remaining:!remaining;
   while !remaining > 0 && not (halted t) do
     step_one t;
     decr remaining;
     t.stats.stepped <- t.stats.stepped + 1;
     if !remaining > 0 && not (halted t) then begin
-      if System.quiescent t.system then begin
-        let overshot = t.just_batched in
-        t.just_batched <- false;
-        if overshot || t.density < dense_threshold then begin
-          t.streak <- 0;
-          let skipped = probe t ~remaining:!remaining in
-          remaining := !remaining - skipped;
-          note_skip t ~skipped;
-          sample_density t
-        end
-        else begin
-          t.streak <- t.streak + 1;
-          if t.streak >= 2 then begin
-            t.streak <- 0;
-            let skipped = probe t ~remaining:!remaining in
-            remaining := !remaining - skipped;
-            note_skip t ~skipped;
-            sample_density t
-          end
-          else t.density <- t.density - (t.density / 8)
-        end
-      end
+      if System.quiescent t.system then
+        remaining := !remaining - adaptive_quiet t ~remaining:!remaining
       else begin
         t.streak <- 0;
         t.just_batched <- false;

@@ -3,15 +3,19 @@
     execution.
 
     The per-tick executive pays one {!Air.System.step} per clock tick even
-    when nothing can happen — no schedulable process, no pending wake or
+    when nothing can happen — no schedulable process, or only a running
+    heir in the middle of a [Compute] action, and no pending wake or
     deadline, no window edge. [Engine] executes every interesting tick
     through the unchanged per-tick path and collapses each provably-quiet
-    span in between into a single batch clock update
-    ({!Air.System.skip}), so sparse workloads advance at the cost of their
-    event density rather than their horizon.
+    span in between into a single batch update ({!Air.System.skip}), so
+    workloads advance at the cost of their event density rather than
+    their horizon. In the probing modes an advance probes before its
+    first step when the module is already quiescent, so a short advance
+    (a fleet window, a fault-injection gap) may step no tick at all.
 
-    Always-on skipping has a dual cost: on a {e dense} workload (some
-    process runnable nearly every tick) the per-tick probe of
+    Always-on skipping has a dual cost: on a {e dense} workload (an event
+    due nearly every tick — e.g. a script that ends a [Compute] action and
+    runs further actions on every tick) the per-tick probe of
     {!Clock.next_interesting} buys nothing and is pure overhead. The
     default {!Adaptive} mode tracks an EWMA estimate of interesting-tick
     density, probes only while the workload looks sparse, and runs blind
@@ -25,8 +29,9 @@
 type mode =
   | Per_tick  (** Plain {!Air.System.run} — the reference behaviour. *)
   | Skip
-      (** Probe for a quiet span after every executed tick. Maximal
-          skipping; each executed tick pays the probe. *)
+      (** Probe for a quiet span at the start of an advance and after
+          every executed tick. Maximal skipping; each executed tick pays
+          the probe. *)
   | Adaptive
       (** Density-gated skipping: probe while sparse, blind per-tick
           batches while dense. Never slower than [Per_tick] by more than
@@ -59,7 +64,9 @@ val create :
     {e every} executed tick — including inside blind batches — and never
     across a skipped span (skips are quiescence-proved, so nothing the
     observer could see happens in them); the fleet engine hangs its
-    per-module gateway pump here. *)
+    per-module gateway pump here. Since an advance may skip even its
+    first tick, work due at a given instant is done explicitly after
+    advancing to it (the fleet's forced drains). *)
 
 val system : t -> Air.System.t
 val mode : t -> mode

@@ -74,8 +74,9 @@ let stats t = t.stats
 (* Drain module [mi]'s gateways into its shard's outbox, recording the
    sequential drain position [(clock, link, fifo)]. Called from the
    engine's per-tick hook (clock = the module's own clock, which tracks
-   the global one) and, for halted modules whose clock froze, explicitly
-   with the global instant the sequential pump would have used. *)
+   the global one) and explicitly at forced drain instants, with the
+   global instant the sequential pump would have used (a halted module's
+   own clock froze). *)
 let drain_module t si mi ~clock =
   let sys = (Cluster.systems t.cluster).(mi) in
   let sh = Air_obs.Fleet_stats.shard t.stats si in
@@ -108,12 +109,13 @@ let hook t si mi () =
 (* Advance module [mi] across the window (from, upto], interleaving its
    private engine with the window's due arrivals exactly as the
    sequential cluster would: execute up to an arrival instant, deliver,
-   and force the next tick onto the per-tick path so a message delivered
-   into a forwarding gateway is pumped at [arrival+1] — the sequential
-   drain instant — even though the module itself may be quiescent. A
-   halted module's engine freezes its clock (as per-tick execution does);
-   deliveries still land in its ports, and forced drains fall back to the
-   explicit pump with the global instant. *)
+   and force a drain at [arrival+1] — the sequential drain instant — so a
+   message delivered into a forwarding gateway is pumped then, even
+   though the module itself may skip that tick. A forced drain advances
+   the engine to the instant and pumps explicitly, whether the tick was
+   stepped (its hook already emptied the gateways) or skipped; a halted
+   module's engine freezes its clock (as per-tick execution does), and
+   deliveries still land in its ports. *)
 let run_module t si mi ~from ~upto =
   let eng = t.engines.(mi) in
   let sys = (Cluster.systems t.cluster).(mi) in
@@ -124,9 +126,8 @@ let run_module t si mi ~from ~upto =
     (match !force with
     | Some f when Time.(f <= target) ->
       sh.sh_forced <- sh.sh_forced + 1;
-      if Option.is_some (System.halted sys) then
-        drain_module t si mi ~clock:f
-      else Air_exec.Engine.advance eng ~ticks:(f - !cur);
+      Air_exec.Engine.advance eng ~ticks:(f - !cur);
+      drain_module t si mi ~clock:f;
       force := None;
       cur := f
     | Some _ | None -> ());

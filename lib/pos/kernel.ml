@@ -467,6 +467,25 @@ let schedule_idx t ~now:_ =
 let schedule t ~now =
   match schedule_idx t ~now with -1 -> None | q -> Some q
 
+(* [schedule_idx]'s choice when electing it would change no state: the
+   choice is already running (so nothing is demoted or promoted). A
+   round-robin election spends quantum on every call, so it is never
+   steady. *)
+let steady_heir t =
+  match t.policy with
+  | Round_robin _ -> -1
+  | Priority_preemptive -> (
+    let choice =
+      match t.lock_holder with
+      | Some h when schedulable t h -> h
+      | Some _ | None -> heir_priority t
+    in
+    if choice < 0 then -1
+    else
+      match t.pcbs.(choice).state with
+      | Process.Running -> choice
+      | Process.Dormant | Process.Ready | Process.Waiting -> -1)
+
 let stop_all t =
   t.lock_holder <- None;
   t.lock_level <- 0;

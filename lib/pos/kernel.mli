@@ -147,6 +147,14 @@ val schedule : t -> now:Time.t -> int option
 (** {!schedule_idx} with the heir boxed as an option ([None] = no
     schedulable process). *)
 
+val steady_heir : t -> int
+(** The heir {!schedule_idx} would elect right now if that election
+    changes no state: the heir is already running, so nobody is demoted
+    or promoted. [-1] otherwise, and always [-1] under round-robin, whose
+    every election spends quantum. Non-destructive and allocation-free.
+    The executive uses it to prove a computing heir steady across a
+    skipped span. *)
+
 (** {1 Preemption locking (ARINC 653 LOCK_PREEMPTION / UNLOCK_PREEMPTION)}
 
     The running process may lock preemption; until it unlocks (the lock

@@ -140,6 +140,29 @@ let charge t ~partition ~cost =
     else false
   end
 
+(* Compute ticks [partition] can charge on [lane] before a charge crosses
+   a threshold of [charge]. Its own budget: [demand + k * cost <= budget]
+   unless already blown. The aggregate: [total + k * charging * cost <=
+   aggregate budget] whenever two lanes will have charged this window;
+   with [charging] lanes charging per tick that is always the case. *)
+let compute_headroom t ~partition ~lane ~charging =
+  let cost = t.cfg.compute_cost in
+  if cost <= 0 then max_int
+  else begin
+    let own =
+      if t.blown.(partition) then max_int
+      else (t.budgets.(partition) - t.demand.(partition)) / cost
+    in
+    let busy =
+      if t.lane_demand.(lane) = 0 then t.busy_lanes + 1 else t.busy_lanes
+    in
+    if busy < 2 && charging < 2 then own
+    else
+      Stdlib.min own
+        (Stdlib.max 0 (t.aggregate_budget - t.total_demand)
+        / (cost * Stdlib.max 1 charging))
+  end
+
 let stall_pending t ~partition = t.stall.(partition) > 0
 
 let consume_stall t ~partition =

@@ -94,6 +94,16 @@ val charge : t -> partition:int -> cost:int -> bool
     account over its budget (the executive's cue to escalate through the
     Health Monitor). *)
 
+val compute_headroom : t -> partition:int -> lane:int -> charging:int -> int
+(** How many further compute ticks the partition can charge on [lane]
+    (each costing [compute_cost]) before one of those charges crosses a
+    threshold of {!charge}: the charge that would blow its own budget
+    (none once blown this window), or, once two lanes will have charged
+    this window, the charge that would take the aggregate account over
+    the aggregate budget and arm stall. [charging] is the number of
+    lanes charging compute ticks side by side in the span; they share
+    the aggregate headroom. [max_int] when computation is free. *)
+
 val stall_pending : t -> partition:int -> bool
 val consume_stall : t -> partition:int -> unit
 (** Consumes one owed stall tick (the executive calls it in place of a

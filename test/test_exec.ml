@@ -147,18 +147,14 @@ let modes_agree_dense =
 
 (* --- Dense workloads ----------------------------------------------------- *)
 
-(* A fully dense module: one partition owns the whole 50-tick MTF and its
-   single process computes on every tick, so no tick is ever quiescent and
-   skip-ahead can never engage. *)
-let dense_system ?causal () =
+(* One partition owns the whole 50-tick MTF and runs a single process with
+   [body] on repeat. *)
+let dense_system ?causal body () =
   let p =
     Partition.make ~id:(pid 0) ~name:"dense"
       [ Process.spec ~base_priority:1 "spin" ]
   in
-  let script =
-    { Script.body = [| Script.Compute 1_000_000_000 |];
-      on_end = Script.Repeat }
-  in
+  let script = { Script.body; on_end = Script.Repeat } in
   let schedule =
     Schedule.make ~id:(sid 0) ~name:"S" ~mtf:50
       ~requirements:[ q (pid 0) 50 50 ]
@@ -169,15 +165,23 @@ let dense_system ?causal () =
        ~partitions:[ System.partition_setup p [ script ] ]
        ~schedules:[ schedule ] ())
 
-(* The BENCH_5 regression this PR fixes: always-skip paid a
-   [Clock.next_interesting] probe per executed tick on dense workloads.
-   The adaptive default must pay none here — every tick is non-quiescent,
-   so it runs blind batches and never consults the probe — while staying
-   bit-identical to the per-tick reference. *)
+(* Ends a compute, and so runs the script on, every tick: nothing is ever
+   skippable. *)
+let every_tick_body = [| Script.Compute 1 |]
+
+(* One compute that never ends: every tick but the MTF boundary is a pure
+   compute tick. *)
+let long_compute_body = [| Script.Compute 1_000_000_000 |]
+
+(* The BENCH_5 regression: always-skip paid a [Clock.next_interesting]
+   probe per executed tick on dense workloads. The adaptive default must
+   pay none when no tick is quiescent — it runs blind batches and never
+   consults the probe — while staying bit-identical to the per-tick
+   reference. *)
 let adaptive_never_probes_when_dense () =
-  let reference = dense_system () in
+  let reference = dense_system every_tick_body () in
   System.run reference ~ticks:10_000;
-  let engine = Engine.create (dense_system ()) in
+  let engine = Engine.create (dense_system every_tick_body ()) in
   check Alcotest.bool "create defaults to adaptive" true
     (Engine.mode engine = Engine.Adaptive);
   Engine.advance engine ~ticks:10_000;
@@ -186,6 +190,20 @@ let adaptive_never_probes_when_dense () =
   check Alcotest.int "nothing skipped" 0 stats.Engine.skipped;
   check Alcotest.int "no probes paid" 0 stats.Engine.probes;
   check Alcotest.int "all ticks stepped" 10_000 stats.Engine.stepped
+
+(* A heir inside one long compute is quiescent: only the MTF boundary
+   tick (a preemption point) is stepped, the 49 compute ticks after it
+   are one skip, and the run stays bit-identical to per-tick. *)
+let long_compute_steps_once_per_mtf () =
+  let reference = dense_system long_compute_body () in
+  System.run reference ~ticks:10_000;
+  let engine = Engine.create (dense_system long_compute_body ()) in
+  Engine.advance engine ~ticks:10_000;
+  assert_equivalent ~what:"long compute" reference (Engine.system engine);
+  let stats = Engine.stats engine in
+  check Alcotest.int "one stepped tick per MTF" (10_000 / 50)
+    stats.Engine.stepped;
+  check Alcotest.int "the rest skipped" 9_800 stats.Engine.skipped
 
 (* Tentpole acceptance: the steady-state per-tick path allocates nothing.
    After the boot transient, [System.step] on the dense module must not
@@ -197,7 +215,9 @@ let steady_state_tick_is_allocation_free () =
   (* The causal tracker rides along: its presence on the config must not
      put anything on the tick path (stamping itself is pinned
      allocation-free in [test_causal.ml]). *)
-  let s = dense_system ~causal:(Air_obs.Causal.create ()) () in
+  let s =
+    dense_system ~causal:(Air_obs.Causal.create ()) long_compute_body ()
+  in
   System.run s ~ticks:200;
   let calibration =
     let a = Gc.minor_words () in
@@ -209,6 +229,273 @@ let steady_state_tick_is_allocation_free () =
   let after = Gc.minor_words () in
   check (Alcotest.float 0.) "minor words across 5000 steady ticks"
     calibration (after -. before)
+
+(* --- Compute-span boundaries ---------------------------------------------- *)
+
+(* Each row pins one cause that must end a compute span on its exact
+   per-tick instant: a two-partition document (A first, so on two cores A
+   holds lane 0 and B lane 1) under one 500-tick MTF, interventions
+   applied between ticks, and a witness that the cause really occurs in
+   the per-tick reference. Skip and Adaptive must reproduce Per_tick's
+   trace, metrics JSON and telemetry frames on one and two cores. *)
+type span_row = {
+  cause : string;
+  cores : int list;
+  document : string;
+  interventions : (int * (System.t -> unit)) list;
+      (* (ticks executed, action), in order. *)
+  witness : cores:int -> System.t -> bool;
+}
+
+(* [windows]: (partition, offset, duration); requirements are derived. *)
+let span_document ?(a_policy = "") ?(ports = "") ?(extra = "") ~a ~b windows =
+  let duration p =
+    List.fold_left (fun acc (q, _, d) -> if q = p then acc + d else acc) 0
+      windows
+  in
+  Printf.sprintf
+    {|(air-system
+  (partitions
+    (partition (name A) %s (processes %s))
+    (partition (name B) (processes %s)))
+  %s
+  (schedules
+    (schedule (name s) (mtf 500)
+      (requirements (req (partition A) (cycle 500) (duration %d))
+                    (req (partition B) (cycle 500) (duration %d)))
+      (windows %s)))
+  (telemetry (retention 16))
+  %s)|}
+    a_policy a b ports (duration "A") (duration "B")
+    (String.concat " "
+       (List.map
+          (fun (p, o, d) ->
+            Printf.sprintf "(window (partition %s) (offset %d) (duration %d))"
+              p o d)
+          windows))
+    extra
+
+let halves = [ ("A", 0, 250); ("B", 250, 250) ]
+
+let periodic ?(priority = 5) ?(capacity = 500) name body =
+  Printf.sprintf
+    "(process (name %s) (period 500) (capacity %d) (priority %d) (script %s \
+     (periodic-wait)))"
+    name capacity priority body
+
+let idle_b = periodic "io" "(compute 20)"
+let events sys = Trace.to_list (System.trace sys)
+
+let output_at sys line =
+  List.filter_map
+    (function
+      | t, Event.Application_output { line = l; _ } when l = line -> Some t
+      | _ -> None)
+    (events sys)
+
+let some_partition_frame sys f =
+  List.exists
+    (fun (fr : Air_obs.Telemetry.frame) ->
+      Array.exists f fr.Air_obs.Telemetry.f_partitions)
+    (System.telemetry_frames sys)
+
+(* Frame indices of the temporal-degradation errors raised against
+   partition [p]. *)
+let degradation_frames sys p =
+  List.filter_map
+    (function
+      | ( t,
+          Event.Hm_error
+            { code = Error.Temporal_degradation; partition = Some q; _ } )
+        when Ident.Partition_id.index q = p ->
+        Some (t / 500)
+      | _ -> None)
+    (events sys)
+
+let once_per_frame sys p =
+  let fs = degradation_frames sys p in
+  fs <> [] && List.length (List.sort_uniq Int.compare fs) = List.length fs
+
+(* Budgets below the compute demand: A computes 300 and B 150 ticks per
+   MTF against budgets of 200 and 120 (aggregate 320), over interleaved
+   windows so both lanes charge every window. *)
+let contention_document curve =
+  span_document
+    ~a:(periodic "hungry" "(compute 300)")
+    ~b:(periodic "light" "(compute 150)")
+    ~extra:
+      (Printf.sprintf
+         "(contention (budget (default 120) (A 200)) %s (compute-cost 1))"
+         curve)
+    [ ("A", 0, 150); ("B", 150, 100); ("A", 250, 150); ("B", 400, 100) ]
+
+let span_rows =
+  [ { cause = "window edge mid-compute, PAL catch-up at redispatch";
+      cores = [ 1; 2 ];
+      document =
+        span_document
+          ~a:(periodic "bulk" "(compute 180) (log \"bulk done\")")
+          ~b:idle_b
+          [ ("A", 0, 100); ("B", 100, 200); ("A", 300, 200) ];
+      interventions = [];
+      witness =
+        (fun ~cores:_ sys ->
+          output_at sys "bulk done" = [ 379; 879; 1379; 1879 ]
+          && some_partition_frame sys (fun pf ->
+                 pf.Air_obs.Telemetry.pf_catch_up_max >= 200)) };
+    { cause = "higher-priority release mid-compute";
+      cores = [ 1; 2 ];
+      document =
+        span_document
+          ~a:
+            (periodic ~priority:9 "bulk" "(compute 200)"
+            ^ Printf.sprintf
+                "(process (name ctl) (period 100) (capacity 100) (priority \
+                 1) (script (compute 5) (log \"ctl\") (periodic-wait)))")
+          ~b:idle_b halves;
+      interventions = [];
+      witness =
+        (fun ~cores:_ sys ->
+          List.mem 104 (output_at sys "ctl")
+          && List.mem 204 (output_at sys "ctl")) };
+    { cause = "overrun: violation at deadline + 1";
+      cores = [ 1; 2 ];
+      document =
+        span_document
+          ~a:(periodic ~capacity:100 "late" "(compute 150)")
+          ~b:idle_b halves;
+      interventions = [];
+      witness =
+        (fun ~cores:_ sys ->
+          List.exists
+            (function
+              | 101, Event.Deadline_violation { deadline = 100; _ } -> true
+              | _ -> false)
+            (events sys)) };
+    { cause = "contention budget blow mid-compute, HM once per frame";
+      cores = [ 1; 2 ];
+      document = contention_document "(curve)";
+      interventions = [];
+      witness =
+        (fun ~cores:_ sys -> once_per_frame sys 0 && once_per_frame sys 1) };
+    { cause = "stall arming once two lanes have charged";
+      cores = [ 1; 2 ];
+      document = contention_document "(curve (0 1))";
+      interventions = [];
+      witness =
+        (fun ~cores sys ->
+          once_per_frame sys 0 && once_per_frame sys 1
+          && (cores = 1
+             || some_partition_frame sys (fun pf ->
+                    pf.Air_obs.Telemetry.pf_throttled > 0))) };
+    { cause = "injected clock jitter mid-compute";
+      cores = [ 1; 2 ];
+      document =
+        span_document ~a:(periodic "bulk" "(compute 200)") ~b:idle_b halves;
+      interventions =
+        [ (60, fun sys -> System.inject_clock_jitter sys (pid 0) ~ticks:20) ];
+      witness =
+        (fun ~cores:_ sys ->
+          some_partition_frame sys (fun pf ->
+              pf.Air_obs.Telemetry.pf_catch_up_max >= 20)) };
+    { cause = "remote delivery wakes a higher-priority receiver";
+      cores = [ 1; 2 ];
+      document =
+        span_document
+          ~a:
+            (periodic ~priority:9 "bulk" "(compute 200)"
+            ^ "(process (name rx) (priority 1) (script (receive-queuing CMD \
+               infinite) (compute 3) (log \"cmd\")))")
+          ~b:idle_b
+          ~ports:
+            "(ports (queuing-port (name CMD) (partition A) (direction \
+             destination) (depth 4) (max-size 16)))"
+          halves;
+      interventions =
+        [ ( 61,
+            fun sys ->
+              ignore
+                (System.deliver_remote sys ~port:"CMD" (Bytes.of_string "go"))
+          ) ];
+      witness = (fun ~cores:_ sys -> output_at sys "cmd" = [ 63 ]) };
+    { cause = "round-robin partition and preemption-locked heir";
+      cores = [ 1; 2 ];
+      document =
+        span_document ~a_policy:"(policy (round-robin 4))"
+          ~a:
+            (periodic "p1" "(compute 50)" ^ periodic "p2" "(compute 50)")
+          ~b:
+            (periodic ~priority:9 "holder"
+               "(lock-preemption) (compute 100) (unlock-preemption)"
+            ^ "(process (name urgent) (priority 1) (script (timed-wait 30) \
+               (compute 5) (log \"urgent\")))")
+          halves;
+      interventions = [];
+      witness =
+        (fun ~cores:_ sys ->
+          match output_at sys "urgent" with
+          | first :: _ -> first = 355
+          | [] -> false) };
+    { cause = "two lanes computing side by side share the aggregate";
+      (* Overlapping windows are only valid sharded over two lanes. *)
+      cores = [ 2 ];
+      document =
+        span_document
+          ~a:(periodic "hungry" "(compute 300)")
+          ~b:(periodic "light" "(compute 250)")
+          ~extra:
+            "(contention (budget (default 120) (A 200)) (compute-cost 1))"
+          [ ("A", 0, 400); ("B", 0, 400) ];
+      interventions = [];
+      witness =
+        (fun ~cores:_ sys ->
+          some_partition_frame sys (fun pf ->
+              pf.Air_obs.Telemetry.pf_throttled > 0)) } ]
+
+let span_horizon = (4 * 500) + 137
+
+let run_span_row row ~cores mode =
+  let config =
+    match Air_config.Loader.load row.document with
+    | Ok c -> { c with System.cores = Some cores }
+    | Error e -> Alcotest.failf "%s: %s" row.cause e
+  in
+  let engine = Engine.create ~mode (System.create config) in
+  let sys = Engine.system engine in
+  let executed =
+    List.fold_left
+      (fun executed (at, act) ->
+        Engine.advance engine ~ticks:(at - executed);
+        act sys;
+        at)
+      0 row.interventions
+  in
+  Engine.advance engine ~ticks:(span_horizon - executed);
+  engine
+
+let compute_span_boundaries () =
+  List.iter
+    (fun row ->
+      List.iter
+        (fun cores ->
+          let what = Printf.sprintf "%s (%d core)" row.cause cores in
+          let reference =
+            Engine.system (run_span_row row ~cores Engine.Per_tick)
+          in
+          check Alcotest.bool (what ^ ": cause occurs") true
+            (row.witness ~cores reference);
+          List.iter
+            (fun (label, mode) ->
+              let engine = run_span_row row ~cores mode in
+              assert_equivalent ~what:(what ^ ", " ^ label) reference
+                (Engine.system engine);
+              check Alcotest.bool
+                (what ^ ", " ^ label ^ ": spans skipped")
+                true
+                ((Engine.stats engine).Engine.skipped > 0))
+            [ ("skip", Engine.Skip); ("adaptive", Engine.Adaptive) ])
+        row.cores)
+    span_rows
 
 (* --- Self-profiler -------------------------------------------------------- *)
 
@@ -459,6 +746,10 @@ let suite =
     qcheck modes_agree_dense;
     Alcotest.test_case "dense module: adaptive never probes" `Quick
       adaptive_never_probes_when_dense;
+    Alcotest.test_case "long compute: one stepped tick per MTF" `Quick
+      long_compute_steps_once_per_mtf;
+    Alcotest.test_case "compute spans end on their per-tick instant" `Quick
+      compute_span_boundaries;
     Alcotest.test_case "dense module: steady tick is allocation-free" `Quick
       steady_state_tick_is_allocation_free;
     Alcotest.test_case "profiler: buckets partition the horizon" `Quick
