@@ -1,6 +1,6 @@
 .PHONY: all build test check bench bench-diff fmt exec-smoke trace-smoke \
   telemetry-smoke fault-smoke profile-smoke fleet-smoke \
-  interference-smoke e2e-smoke clean
+  interference-smoke e2e-smoke artifacts clean
 
 all: build
 
@@ -127,6 +127,56 @@ e2e-smoke:
 	    *) echo "e2e-smoke: $$w failed"; exit 1 ;; \
 	  esac; \
 	done
+
+# Byte-identity artifact set: every deterministic air_run export of the
+# shipped documents, written under OUT, so two checkouts can be compared:
+#   make artifacts OUT=/path/a      (in the first checkout)
+#   make artifacts OUT=/path/b      (in the second)
+#   diff -r /path/a /path/b
+# Module documents: the event trace, metrics, Chrome trace and telemetry
+# JSON/CSV at the default core count, --cores 1 and --cores 2, each with
+# and without --no-skip. Documents with (faults …): the campaign report at
+# 1 and 2 cores. Cluster and fleet documents: the Chrome trace (the only
+# file export they take). Each run's stdout is kept too, minus the fleet's
+# wall-clock blocked time; runs start inside OUT with relative file names,
+# so stdout does not depend on where OUT is.
+# Exit 2 (module halted, campaign not contained) is a result, not an error.
+OUT ?= _build/artifacts
+AIR_RUN = $(CURDIR)/_build/default/bin/air_run.exe
+CONFIGS = $(CURDIR)/examples/configs
+
+artifacts:
+	dune build bin/air_run.exe
+	mkdir -p $(OUT)
+	cd $(OUT) && for doc in leo_satellite payload platform constellation_node; do \
+	  for cores in default 1 2; do \
+	    for skip in skip no-skip; do \
+	      tag=$$doc.$$cores.$$skip; \
+	      $(AIR_RUN) $(CONFIGS)/$$doc.air -t 20000 \
+	        $$(test $$cores = default || echo --cores $$cores) \
+	        $$(test $$skip = skip || echo --no-skip) \
+	        --export $$tag.trace --metrics-json $$tag.metrics.json \
+	        --trace-json $$tag.chrome.json \
+	        --telemetry-json $$tag.telemetry.json \
+	        --telemetry-csv $$tag.telemetry.csv \
+	        > $$tag.stdout || test $$? -eq 2 || exit 1; \
+	    done; \
+	  done; \
+	done
+	cd $(OUT) && for doc in leo_satellite constellation_node; do \
+	  for cores in 1 2; do \
+	    $(AIR_RUN) $(CONFIGS)/$$doc.air --faults --cores $$cores \
+	      --campaign-json $$doc.$$cores.campaign.json \
+	      > $$doc.$$cores.campaign.stdout || test $$? -eq 2 || exit 1; \
+	  done; \
+	done
+	cd $(OUT) && for doc in constellation crosslink; do \
+	  $(AIR_RUN) $(CONFIGS)/$$doc.air -t 20000 --trace-json $$doc.chrome.json \
+	    > $$doc.out || test $$? -eq 2 || exit 1; \
+	  sed 's/blocked [0-9.]*s/blocked -/' $$doc.out > $$doc.stdout; \
+	  rm $$doc.out; \
+	done
+	@echo "artifacts: $$(ls $(OUT) | wc -l) files in $(OUT)"
 
 clean:
 	dune clean

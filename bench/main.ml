@@ -435,8 +435,10 @@ let telemetry_tests =
              ~next_allotted:[| 650; 650; 650; 650 |]))
   in
   (* Instrumentation overhead in situ, to be read against the scheduler/*
-     and system/"prototype tick" baselines (and the recorder/* rows from
-     the flight-recorder PR). *)
+     and system/"prototype tick" baselines (and the recorder/* rows).
+     The pmk row prices frame close and the dispatch-jitter sample only:
+     the per-tick busy/idle occupancy sample belongs to the executive
+     (System.step), so it is in the prototype row, not here. *)
   let pmk_tick_telemetry () =
     let tel = Air_obs.Telemetry.create ~partition_count:4 () in
     let pmk =

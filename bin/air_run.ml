@@ -325,7 +325,9 @@ let run_file path ticks show_trace show_gantt export metrics_json trace_json
       else None
     in
     let engine =
-      Air_exec.Engine.create ?profiler ~skip_ahead:turbo system
+      Air_exec.Engine.create ?profiler
+        ~mode:(if turbo then Air_exec.Engine.Adaptive else Per_tick)
+        system
     in
     let wall_start = Unix.gettimeofday () in
     (match watch with

@@ -44,8 +44,8 @@ type env = {
   kernel : Kernel.t;
   intra : Intra.t;
   router : Router.t;
-  lane : Lane.t;
-      (** The PMK lane(s) driving this module — SET_MODULE_SCHEDULE
+  lane : Pmk_mc.t;
+      (** The PMK lanes driving this module — SET_MODULE_SCHEDULE
           broadcasts the switch request to every lane. *)
   now : unit -> Time.t;
   emit : Event.t -> unit;

@@ -1,13 +1,14 @@
 (* Module construction — builds the [Runtime.t] record from a [config]:
-   shared observability registries, the PMK lane(s), the Health Monitor,
+   shared observability registries, the PMK lanes, the Health Monitor,
    the interpartition router, the spatial-protection tables and one
    (POS kernel, PAL, APEX environment) triple per partition.
 
-   Multicore: [cores = Some n] (n > 1) shards every scheduling table over
-   [n] lanes with {!Air_model.Multicore.shard} and drives them through a
-   {!Pmk_mc} behind the [Lane.Multi] constructor; window offsets are
-   preserved, so the sharded module is time-faithful to the single-core
-   one and mode-based switches are broadcast to every lane. *)
+   Every module runs on a {!Pmk_mc}. A single-core module is one lane over
+   a {!Pmk} built from the configured tables themselves. Multicore
+   ([cores = Some n], n > 1) shards every scheduling table over [n] lanes
+   with {!Air_model.Multicore.shard}; window offsets are preserved, so the
+   sharded module is time-faithful to the single-core one and mode-based
+   switches are broadcast to every lane. *)
 
 open Air_sim
 open Air_model
@@ -39,11 +40,10 @@ let create (cfg : config) =
     match cfg.cores with
     | Some n when n > 1 ->
       let tables = List.map (Multicore.shard ~cores:n) cfg.schedules in
-      Lane.Multi
-        (Pmk_mc.create ~metrics ?recorder:cfg.recorder ?telemetry
-           ?initial_schedule:cfg.initial_schedule ~partition_count tables)
+      Pmk_mc.create ~metrics ?recorder:cfg.recorder ?telemetry
+        ?initial_schedule:cfg.initial_schedule ~partition_count tables
     | Some _ | None ->
-      Lane.Single
+      Pmk_mc.of_pmk
         (Pmk.create ~metrics ?recorder:cfg.recorder ?telemetry
            ?initial_schedule:cfg.initial_schedule ~partition_count
            cfg.schedules)
@@ -56,7 +56,7 @@ let create (cfg : config) =
     Option.map
       (fun c ->
         Contention.create ~partitions:partition_count
-          ~lanes:(Lane.core_count lane) c)
+          ~lanes:(Pmk_mc.core_count lane) c)
       cfg.contention
   in
   (match (contention, telemetry) with
@@ -88,7 +88,7 @@ let create (cfg : config) =
     Protection.create ~metrics ~contexts:(partition_count + 1) maps
   in
   let trace = Trace.create ?capacity:cfg.trace_capacity () in
-  let events = Air_obs.Event.create () in
+  let events = Array.make (Array.length Event.labels) 0 in
   (* The system record is knotted with the per-partition closures through
      this forward reference. *)
   let system_ref = ref None in

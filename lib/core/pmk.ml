@@ -53,28 +53,23 @@ type t = {
       (* Flight recorder: partition-window spans opened/closed by the
          dispatcher, schedule-switch and change-action instants. *)
   telemetry : Air_obs.Telemetry.t option;
-      (* Telemetry accumulator: fed one occupancy sample per tick plus a
-         dispatch-jitter sample per context switch; its frame is closed at
-         every MTF boundary. *)
+      (* Telemetry accumulator: fed a dispatch-jitter sample per context
+         switch; its frame is closed at every MTF boundary. Busy/idle
+         occupancy is sampled by the executive, once per global tick. *)
   allotted : int array array;
       (* Per schedule: each partition's total window time per MTF —
          precomputed so frame close stays off the window lists. *)
   frame_owner : bool;
       (* Whether this scheduler closes telemetry frames at MTF boundaries.
          Exactly one lane of a multicore executive owns the frame. *)
-  occupancy : bool;
-      (* Whether this scheduler feeds the per-tick busy/idle occupancy
-         sample. A multicore executive disables per-lane occupancy and
-         records one combined sample per global tick instead. *)
   lane : int;
       (* Lane index within a multicore executive; the sub-lane of every
          partition-window span this scheduler records, so the timeline can
          tell which core ran the window. 0 for a single-core module. *)
 }
 
-let create ?metrics ?recorder ?telemetry ?(frame_owner = true)
-    ?(occupancy = true) ?(lane = 0) ?window_allotment ?initial_schedule
-    ~partition_count schedules_list =
+let create ?metrics ?recorder ?telemetry ?(frame_owner = true) ?(lane = 0)
+    ?window_allotment ?initial_schedule ~partition_count schedules_list =
   (match Validate.validate_set schedules_list with
   | [] -> ()
   | d :: _ ->
@@ -160,7 +155,6 @@ let create ?metrics ?recorder ?telemetry ?(frame_owner = true)
     telemetry;
     allotted;
     frame_owner;
-    occupancy;
     lane }
 
 let schedule_count t = Array.length t.schedules
@@ -362,7 +356,8 @@ let tick t =
   (* Telemetry frame close at the MTF boundary: the boundary tick opens the
      new frame, so the close runs after the scheduler (which may have made
      a pending schedule switch effective — the new frame runs under the new
-     schedule) and before this tick's occupancy is accumulated. *)
+     schedule) and before the executive accumulates this tick's
+     occupancy. *)
   let frame_closed =
     match t.telemetry with
     | None -> None
@@ -376,14 +371,6 @@ let tick t =
       else None
   in
   partition_dispatcher t;
-  (match t.telemetry with
-  | Some tel when t.occupancy ->
-    Air_obs.Telemetry.on_tick_idx tel
-      ~active:
-        (match t.active_partition with
-        | Some p -> Partition_id.index p
-        | None -> -1)
-  | Some _ | None -> ());
   let out = t.out in
   out.schedule_switched <- switched;
   out.frame_closed <- frame_closed;
@@ -414,18 +401,9 @@ let skip t ~ticks:n =
        the running position in one step instead of n increments. *)
     t.offset <- (t.offset + n) mod t.cur_mtf;
     Air_obs.Metrics.add t.m_ticks n;
-    (match t.active_partition with
+    match t.active_partition with
     | Some p -> t.last_tick.(Partition_id.index p) <- t.ticks
-    | None -> ());
-    match t.telemetry with
-    | Some tel when t.occupancy ->
-      Air_obs.Telemetry.on_ticks_idx tel
-        ~active:
-          (match t.active_partition with
-          | Some p -> Partition_id.index p
-          | None -> -1)
-        ~count:n
-    | Some _ | None -> ()
+    | None -> ()
   end
 
 let pp ppf t =

@@ -23,7 +23,6 @@ val create :
   ?recorder:Air_obs.Span.t ->
   ?telemetry:Air_obs.Telemetry.t ->
   ?frame_owner:bool ->
-  ?occupancy:bool ->
   ?lane:int ->
   ?window_allotment:int array array ->
   ?initial_schedule:Schedule_id.t ->
@@ -41,21 +40,20 @@ val create :
     effective mode switch, and a [schedule-change-action] instant when a
     pending action is delivered at first dispatch. [telemetry], when
     given, is primed with the initial schedule's per-partition window
-    allotments and then fed one occupancy sample per {!tick} plus a
-    dispatch-jitter sample per context switch; its frame is closed at
-    every MTF boundary (see {!tick_outcome.frame_closed}).
+    allotments and then fed a dispatch-jitter sample per context switch;
+    its frame is closed at every MTF boundary (see
+    {!tick_outcome.frame_closed}). The scheduler records no busy/idle
+    occupancy: the executive driving it ({!System.step}) records one
+    sample per global tick, whatever its lane count.
 
     [frame_owner] (default [true]) controls whether this scheduler closes
-    telemetry frames at MTF boundaries; [occupancy] (default [true])
-    whether it feeds the per-tick busy/idle sample. A multicore executive
-    shares one accumulator between its lanes: lane 0 owns the frame, all
-    lanes disable per-lane occupancy and the executive records one
-    combined sample per global tick instead. [lane] (default 0) is this
-    scheduler's core index within a multicore executive: every
-    [partition-window] span it records carries the lane as its sub-lane,
-    so the timeline can attribute windows to cores; module-track
-    [schedule-switch] instants are only recorded by the frame owner, one
-    per effective switch cluster-wide. [window_allotment] overrides
+    telemetry frames at MTF boundaries. A multicore executive shares one
+    accumulator between its lanes and lane 0 owns the frame. [lane]
+    (default 0) is this scheduler's core index within a multicore
+    executive: every [partition-window] span it records carries the lane
+    as its sub-lane, so the timeline can attribute windows to cores;
+    module-track [schedule-switch] instants are only recorded by the frame
+    owner, one per effective switch cluster-wide. [window_allotment] overrides
     the per-schedule per-partition allotted window time used to prime
     telemetry frames (indexed by schedule id, then partition) — a
     multicore frame owner passes the cross-core totals, since its own
@@ -131,9 +129,10 @@ val skip : t -> ticks:Time.t -> unit
 (** [skip t ~ticks:n] batch-advances the clock by [n] ticks in O(1),
     equivalent to [n] calls of {!tick} across a span the caller has proven
     quiescent: [ticks t + n < next_preemption_tick t] and no
-    partition-level work pending. Updates the tick counter and metrics,
-    the active partition's lastTick bookkeeping, and replays the span into
-    the telemetry occupancy accumulator. No-op for [n <= 0]. *)
+    partition-level work pending. Updates the tick counter and metrics and
+    the active partition's lastTick bookkeeping; the executive replays the
+    span into the telemetry occupancy accumulator ({!System.skip}). No-op
+    for [n <= 0]. *)
 
 val mtf_position : t -> Time.t
 (** Offset of the current tick within the running MTF:

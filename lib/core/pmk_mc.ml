@@ -53,25 +53,24 @@ let create ?metrics ?recorder ?telemetry ?initial_schedule ~partition_count
        partition-window spans with its lane index as the sub-lane, and
        only the frame owner records module-track schedule-switch instants.
        The telemetry accumulator is shared by all lanes for
-       dispatch-jitter samples, lane 0 owns frame close, and per-lane
-       occupancy is disabled — the executive records one combined
-       busy/idle sample per global tick (the tables' no-self-overlap rule
-       guarantees at most one busy lane per tick for sharded schedules). *)
+       dispatch-jitter samples and lane 0 owns frame close. *)
     Array.init cores_n (fun core ->
         Pmk.create
           ?metrics:(if core = 0 then metrics else None)
-          ?recorder ?telemetry ~frame_owner:(core = 0) ~occupancy:false
-          ~lane:core ~window_allotment:allotment ?initial_schedule
+          ?recorder ?telemetry ~frame_owner:(core = 0) ~lane:core
+          ~window_allotment:allotment ?initial_schedule
           ~partition_count
           (List.map (fun mc -> Multicore.core_view mc ~core) tables))
   in
   { cores; outs = [||]; actives = Array.make cores_n None }
 
+let of_pmk pmk = { cores = [| pmk |]; outs = [||]; actives = [| None |] }
 let core_count t = Array.length t.cores
 let schedule_count t = Pmk.schedule_count t.cores.(0)
 let ticks t = Pmk.ticks t.cores.(0)
 let current_schedule t = Pmk.current_schedule t.cores.(0)
 let next_schedule t = Pmk.next_schedule t.cores.(0)
+let last_schedule_switch t = Pmk.last_schedule_switch t.cores.(0)
 
 let request_schedule_switch t id =
   (* Broadcast; every core holds the same schedule set, so the outcomes
@@ -98,6 +97,33 @@ let active_partitions t =
   done;
   t.actives
 
+(* Sharded tables keep partitions mutually exclusive in time (validated
+   no-self-overlap plus non-overlapping source windows), so at most one
+   lane is busy; should several be, lane order breaks the tie. The scans
+   are top-level loops, not local closures, so the executive's per-tick
+   occupancy sample stays allocation-free. *)
+let rec first_active actives n i =
+  if i >= n then None
+  else
+    match actives.(i) with
+    | Some _ as p -> p
+    | None -> first_active actives n (i + 1)
+
+let combined_active t =
+  let actives = active_partitions t in
+  first_active actives (Array.length actives) 0
+
+let rec find_lane actives pid n i =
+  if i >= n then None
+  else
+    match actives.(i) with
+    | Some p when Ident.Partition_id.equal p pid -> Some i
+    | Some _ | None -> find_lane actives pid n (i + 1)
+
+let active_lane_of t pid =
+  let actives = active_partitions t in
+  find_lane actives pid (Array.length actives) 0
+
 let next_preemption_tick t =
   Array.fold_left
     (fun acc pmk -> Stdlib.min acc (Pmk.next_preemption_tick pmk))
@@ -108,3 +134,12 @@ let skip t ~ticks = Array.iter (fun pmk -> Pmk.skip pmk ~ticks) t.cores
 let core t i =
   if i < 0 || i >= core_count t then invalid_arg "Pmk_mc.core: out of range";
   t.cores.(i)
+
+let pp ppf t =
+  Format.fprintf ppf "@[<v>";
+  Array.iteri
+    (fun i pmk ->
+      if i > 0 then Format.fprintf ppf "@,";
+      Format.fprintf ppf "lane %d: %a" i Pmk.pp pmk)
+    t.cores;
+  Format.fprintf ppf "@]"

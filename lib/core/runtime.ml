@@ -1,6 +1,6 @@
 (* Module runtime state and lifecycle — the bottom layer of the executive
    decomposition. [Runtime] owns the static configuration types, the live
-   system record (PMK lane, router, protection, trace, per-partition POS +
+   system record (PMK lanes, router, protection, trace, per-partition POS +
    PAL + APEX state), partition lifecycle (mode changes, restarts,
    initialization), Health Monitor error reporting and the queuing-port
    delivery notification. Script interpretation lives in [Interp],
@@ -135,24 +135,27 @@ type prt = {
 
 type t = {
   cfg : config;
-  lane : Lane.t;
+  lane : Pmk_mc.t;
   hm : Hm.t;
   router : Router.t;
   protection : Protection.t;
   trace : Event.t Trace.t;
   metrics : Air_obs.Metrics.t;
-  events : Event.t Air_obs.Event.t;
+  events : int array;
+      (* Per-kind totals of every emitted event, indexed by [Event.kind];
+         unlike the (possibly bounded) trace they never decay. *)
   telemetry : Air_obs.Telemetry.t option;
   contention : Contention.t option;
   partitions : prt array;
   mutable halt_reason : string option;
 }
 
-let now t = Stdlib.max 0 (Lane.ticks t.lane)
+let now t = Stdlib.max 0 (Pmk_mc.ticks t.lane)
 
 let emit t ev =
   Trace.record t.trace (now t) ev;
-  Air_obs.Event.record t.events ~time:(now t) ~kind:(Event.label ev) ev
+  let k = Event.kind ev in
+  t.events.(k) <- t.events.(k) + 1
 
 (* Flight recorder: a Health Monitor handler invocation becomes a span on
    the affected track (simulated time does not advance during handling, so

@@ -1,6 +1,6 @@
 (* The clock-tick executive — top layer of the decomposed system. State
    and lifecycle live in [Runtime], construction in [Boot], script
-   interpretation in [Interp]; this module drives the PMK lane(s) off the
+   interpretation in [Interp]; this module drives the PMK lanes off the
    global clock, announces elapsed time to the active partitions' PALs
    (Algorithm 3), runs the heir process, and exposes observation,
    intervention and fault-injection surfaces. It also provides the
@@ -62,10 +62,9 @@ let handle_closed_frame t (frame : Air_obs.Telemetry.frame) =
               ~detail:(detail mine))
         t.partitions)
 
-(* First-level outcome bookkeeping shared by the single- and multicore
-   paths. Under a broadcast switch every lane switches at the same
-   boundary; the module-level Schedule_switch event is emitted once, from
-   the primary lane. *)
+(* First-level outcome bookkeeping for one lane's tick. Under a broadcast
+   switch every lane switches at the same boundary; the module-level
+   Schedule_switch event is emitted once, from the primary lane. *)
 let apply_outcome t ~primary (o : Pmk.tick_outcome) =
   (match o.Pmk.schedule_switched with
   | Some (from, to_) when primary -> emit t (Event.Schedule_switch { from; to_ })
@@ -174,7 +173,7 @@ let drive_partition t prt ~elapsed =
    window's budgets and co-runner pressure are pushed into the frame
    accumulator here. *)
 let contention_rollover t c =
-  if Pmk.mtf_position (Lane.primary t.lane) = 0 then begin
+  if Pmk.mtf_position (Pmk_mc.core t.lane 0) = 0 then begin
     let tnow = now t in
     if tnow > Contention.window_start c then begin
       Contention.rollover c ~now:tnow;
@@ -189,84 +188,75 @@ let contention_rollover t c =
     end
   end
 
-let step_single t pmk =
-  let outcome = Pmk.tick pmk in
-  apply_outcome t ~primary:true outcome;
-  (match t.contention with
-  | Some c -> contention_rollover t c
-  | None -> ());
-  match Pmk.active_partition pmk with
-  | None -> ()
-  | Some pid -> drive_partition t (prt_of t pid) ~elapsed:outcome.Pmk.elapsed
+(* Busy/idle occupancy is one combined sample per global tick (validated
+   tables keep at most one lane busy under sharded schedules); no lane's
+   scheduler samples it. *)
+let combined_active_index t =
+  match Pmk_mc.combined_active t.lane with
+  | Some p -> Partition_id.index p
+  | None -> -1
 
-let step_multi t mc =
-  let outcomes = Pmk_mc.tick mc in
-  for core = 0 to Array.length outcomes - 1 do
-    apply_outcome t ~primary:(core = 0) outcomes.(core)
-  done;
-  (* Per-lane occupancy sampling is disabled in Pmk_mc; record one
-     combined busy/idle sample per global tick (validated tables keep at
-     most one lane busy under sharded schedules). *)
-  (match t.telemetry with
-  | Some tel ->
-    Air_obs.Telemetry.on_tick_idx tel
-      ~active:
-        (match Lane.combined_active t.lane with
-        | Some p -> Partition_id.index p
-        | None -> -1)
-  | None -> ());
-  (match t.contention with
-  | Some c -> contention_rollover t c
-  | None -> ());
-  let actives = Pmk_mc.active_partitions mc in
-  for core = 0 to Array.length actives - 1 do
-    match actives.(core) with
-    | Some pid when Option.is_none t.halt_reason ->
-      (* Lane-local charging: every shared-resource touch made while this
-         core's partition is driven debits this lane's account. *)
-      (match t.contention with
-      | Some c -> Contention.set_lane c core
-      | None -> ());
-      drive_partition t (prt_of t pid) ~elapsed:outcomes.(core).Pmk.elapsed
-    | Some _ | None -> ()
-  done
-
+(* A module halted by an HM action raised earlier in this tick — from any
+   lane's outcome or from a partition driven on a lower lane — drives no
+   further partition. *)
 let step t =
   match t.halt_reason with
   | Some _ -> ()
-  | None -> (
-    match t.lane with
-    | Lane.Single pmk -> step_single t pmk
-    | Lane.Multi mc -> step_multi t mc)
+  | None ->
+    let outcomes = Pmk_mc.tick t.lane in
+    for core = 0 to Array.length outcomes - 1 do
+      apply_outcome t ~primary:(core = 0) outcomes.(core)
+    done;
+    (match t.telemetry with
+    | Some tel ->
+      Air_obs.Telemetry.on_tick_idx tel ~active:(combined_active_index t)
+    | None -> ());
+    (match t.contention with
+    | Some c -> contention_rollover t c
+    | None -> ());
+    let actives = Pmk_mc.active_partitions t.lane in
+    for core = 0 to Array.length actives - 1 do
+      match actives.(core) with
+      | Some pid when Option.is_none t.halt_reason ->
+        (* Lane-local charging: every shared-resource touch made while
+           this core's partition is driven debits this lane's account. *)
+        (match t.contention with
+        | Some c -> Contention.set_lane c core
+        | None -> ());
+        drive_partition t (prt_of t pid) ~elapsed:outcomes.(core).Pmk.elapsed
+      | Some _ | None -> ()
+    done
 
 let run t ~ticks =
   for _ = 1 to ticks do
     step t
   done
 
-let run_mtfs t n =
+(* The MTF of the schedule running now and the ticks executed within its
+   frame; 0 exactly at a boundary. *)
+let frame_position t =
+  let pmk = Pmk_mc.core t.lane 0 in
+  let mtf = (Pmk.schedule pmk (Pmk.current_schedule pmk)).Schedule.mtf in
+  let executed = Pmk.ticks pmk - Pmk.last_schedule_switch pmk + 1 in
+  (mtf, ((executed mod mtf) + mtf) mod mtf)
+
+let run_mtfs_with ~advance t n =
   for _ = 1 to n do
-    let pmk = Lane.primary t.lane in
-    let current = Pmk.schedule pmk (Pmk.current_schedule pmk) in
-    let mtf = current.Schedule.mtf in
-    (* Ticks executed within the running MTF; 0 exactly at a boundary. *)
-    let executed = Pmk.ticks pmk - Pmk.last_schedule_switch pmk + 1 in
-    let into = ((executed mod mtf) + mtf) mod mtf in
+    let mtf, into = frame_position t in
     if into = 0 then begin
       (* Exactly at a boundary a pending mode-based switch becomes
          effective on the next tick, possibly to a schedule with a
          different MTF: execute the boundary tick first, then finish the
          frame under the schedule that is actually running (running the
          old [mtf] blindly would mis-size the frame). *)
-      run t ~ticks:1;
-      let current = Pmk.schedule pmk (Pmk.current_schedule pmk) in
-      let mtf = current.Schedule.mtf in
-      let executed = Pmk.ticks pmk - Pmk.last_schedule_switch pmk + 1 in
-      let into = ((executed mod mtf) + mtf) mod mtf in
-      if into > 0 then run t ~ticks:(mtf - into)
+      advance 1;
+      let mtf, into = frame_position t in
+      if into > 0 then advance (mtf - into)
     end
-    else run t ~ticks:(mtf - into)
+    else advance (mtf - into)
   done
+
+let run_mtfs t n = run_mtfs_with ~advance:(fun ticks -> run t ~ticks) t n
 
 let halted t = t.halt_reason
 
@@ -320,18 +310,11 @@ let rec lanes_quiescent t actives n i =
 
 let quiescent t =
   (* Probed once per executive tick while skip-ahead hunts for a span, so
-     it must not allocate: the single-core case reads the scheduler's
-     field directly and the multicore case scans the reused actives
-     buffer via a top-level loop. A module that has not run its first
-     tick is not quiescent: that tick dispatches the first windows. *)
-  match t.lane with
-  | Lane.Single pmk -> (
-    match Pmk.active_partition pmk with
-    | None -> Pmk.ticks pmk >= 0
-    | Some pid -> prt_quiescent t (prt_of t pid))
-  | Lane.Multi mc ->
-    let actives = Pmk_mc.active_partitions mc in
-    Pmk_mc.ticks mc >= 0 && lanes_quiescent t actives (Array.length actives) 0
+     it must not allocate: it scans the reused actives buffer via a
+     top-level loop. A module that has not run its first tick is not
+     quiescent: that tick dispatches the first windows. *)
+  let actives = Pmk_mc.active_partitions t.lane in
+  Pmk_mc.ticks t.lane >= 0 && lanes_quiescent t actives (Array.length actives) 0
 
 (* The next tick at which a currently-active partition becomes interesting
    again: a blocked process' wake/release instant, the tick after its
@@ -385,17 +368,11 @@ let rec lanes_event_bound t actives ~charging n i acc =
     lanes_event_bound t actives ~charging n (i + 1) acc
 
 let next_partition_event t =
-  match t.lane with
-  | Lane.Single pmk -> (
-    match Pmk.active_partition pmk with
-    | None -> Time.infinity
-    | Some pid -> prt_event_bound t pid ~lane:0 ~charging:1 Time.infinity)
-  | Lane.Multi mc ->
-    let actives = Pmk_mc.active_partitions mc in
-    let n = Array.length actives in
-    lanes_event_bound t actives
-      ~charging:(lanes_charging t actives n 0 0)
-      n 0 Time.infinity
+  let actives = Pmk_mc.active_partitions t.lane in
+  let n = Array.length actives in
+  lanes_event_bound t actives
+    ~charging:(lanes_charging t actives n 0 0)
+    n 0 Time.infinity
 
 (* A steady computing heir's share of a skipped span, charged to the lane
    its partition holds. *)
@@ -423,36 +400,23 @@ let rec lanes_skip t actives n i ~ticks =
    that contract the result is bit-identical to [ticks] per-tick steps. *)
 let skip t ~ticks =
   if ticks > 0 then begin
-    (match t.lane with
-    | Lane.Single pmk -> (
-      match Pmk.active_partition pmk with
-      | Some pid -> skip_partition t pid ~lane:0 ~ticks
-      | None -> ())
-    | Lane.Multi mc ->
-      let actives = Pmk_mc.active_partitions mc in
-      lanes_skip t actives (Array.length actives) 0 ~ticks);
-    Lane.skip t.lane ~ticks;
-    match t.lane with
-    | Lane.Multi _ -> (
-      (* Mirror of the combined occupancy sample in [step_multi]. *)
-      match t.telemetry with
-      | Some tel ->
-        Air_obs.Telemetry.on_ticks_idx tel
-          ~active:
-            (match Lane.combined_active t.lane with
-            | Some p -> Partition_id.index p
-            | None -> -1)
-          ~count:ticks
-      | None -> ())
-    | Lane.Single _ -> ()
+    let actives = Pmk_mc.active_partitions t.lane in
+    lanes_skip t actives (Array.length actives) 0 ~ticks;
+    Pmk_mc.skip t.lane ~ticks;
+    (* The span's share of the combined occupancy sample of [step]. *)
+    match t.telemetry with
+    | Some tel ->
+      Air_obs.Telemetry.on_ticks_idx tel ~active:(combined_active_index t)
+        ~count:ticks
+    | None -> ()
   end
 
 (* --- Observation -------------------------------------------------------- *)
 
 let trace t = t.trace
 let lane t = t.lane
-let pmk t = Lane.primary t.lane
-let cores t = Lane.core_count t.lane
+let pmk t = Pmk_mc.core t.lane 0
+let cores t = Pmk_mc.core_count t.lane
 let hm t = t.hm
 let router t = t.router
 let protection t = t.protection
@@ -476,7 +440,11 @@ let metrics_snapshot t =
       (Air_obs.Metrics.gauge t.metrics "causal.dropped_records")
       (Air_obs.Causal.dropped c));
   Air_obs.Metrics.snapshot t.metrics
-let event_counts t = Air_obs.Event.counts t.events
+
+let event_counts t =
+  Array.to_list (Array.mapi (fun k n -> (Event.labels.(k), n)) t.events)
+  |> List.filter (fun (_, n) -> n > 0)
+  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
 let metrics_report t =
   Air_obs.Report.to_string ~events:(event_counts t) (metrics_snapshot t)
@@ -608,7 +576,7 @@ let stop_process t pid ~name =
       | Error e -> Error (Format.asprintf "%a" Kernel.pp_op_error e))
 
 let request_schedule t id =
-  match Lane.request_schedule_switch t.lane id with
+  match Pmk_mc.request_schedule_switch t.lane id with
   | Ok () ->
     emit t (Event.Schedule_switch_request { by = None; target = id });
     Ok ()
@@ -667,7 +635,7 @@ let inject_memory_access t pid ~access ~address =
     (* Attribute the injected touch to the lane the partition currently
        occupies (lane 0 if it is not holding a core). *)
     Contention.set_lane c
-      (match Lane.active_lane_of t.lane pid with Some l -> l | None -> 0);
+      (match Pmk_mc.active_lane_of t.lane pid with Some l -> l | None -> 0);
     charge_shared_access t prt ~cost);
   let granted = match result with Ok () -> true | Error _ -> false in
   emit t (Event.Memory_access { partition = pid; address; granted });
@@ -695,7 +663,7 @@ let inject_bandwidth_hog t pid ~permille =
       let pi = Partition_id.index pid in
       let cost = Stdlib.max 1 (Contention.budget c pi * permille / 1000) in
       Contention.set_lane c
-        (match Lane.active_lane_of t.lane pid with Some l -> l | None -> 0);
+        (match Pmk_mc.active_lane_of t.lane pid with Some l -> l | None -> 0);
       charge_shared_access t prt ~cost;
       Some cost
     end

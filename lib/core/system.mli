@@ -112,9 +112,10 @@ type config = Runtime.config = {
       (** [Some n] with [n > 1] shards every scheduling table over [n]
           processor cores ({!Air_model.Multicore.shard}, original window
           offsets preserved) and drives one PMK lane per core off the
-          global clock ({!Pmk_mc}); mode-based schedule switches are
-          broadcast to every lane. [None] or [Some 1] keeps the
-          single-core executive. *)
+          global clock; mode-based schedule switches are broadcast to
+          every lane. [None] or [Some 1] runs the configured tables
+          themselves on one lane ({!Pmk_mc.of_pmk}). Either way the
+          executive drives the lanes through one {!Pmk_mc} path. *)
   contention : Contention.config option;
       (** Shared-resource contention model: per-partition memory-bandwidth
           budgets per MTF window, a decayed cache-pressure score and a
@@ -164,13 +165,21 @@ val run : t -> ticks:int -> unit
 val run_mtfs : t -> int -> unit
 (** Run whole major time frames of the schedule current at each boundary. *)
 
+val run_mtfs_with : advance:(int -> unit) -> t -> int -> unit
+(** [run_mtfs_with ~advance t n] is {!run_mtfs} with [advance ticks] in
+    place of [run t ~ticks], for an executive that advances the module its
+    own way. Exactly at a boundary a pending mode-based switch becomes
+    effective on the next tick, possibly changing the MTF, so the boundary
+    tick is advanced first and the frame finished under the schedule
+    actually running. *)
+
 val now : t -> Time.t
 val halted : t -> string option
 
 (** {1 Quiescence and skip-ahead}
 
     The probes the [Air_exec] executive combines with
-    {!Lane.next_preemption_tick} to advance the module across quiet spans
+    {!Pmk_mc.next_preemption_tick} to advance the module across quiet spans
     in O(1) while staying bit-identical to per-tick execution. A span is
     quiet when the partitions holding cores are idle or when their heirs
     only compute. *)
@@ -213,15 +222,16 @@ val skip : t -> ticks:int -> unit
 
 val trace : t -> Event.t Trace.t
 
-val lane : t -> Lane.t
-(** The PMK lane(s) driving the module — single- or multicore. *)
+val lane : t -> Pmk_mc.t
+(** The PMK lanes driving the module: one per processor core, a single
+    lane for a single-core module. *)
 
 val pmk : t -> Pmk.t
 (** The primary lane's scheduler (lane 0 under multicore) — the one that
     owns metrics, recorder spans and telemetry frames. *)
 
 val cores : t -> int
-(** Number of processor cores (lanes); 1 for the single-core executive. *)
+(** Number of processor cores (lanes); 1 for a single-core module. *)
 
 val hm : t -> Hm.t
 val router : t -> Router.t

@@ -7,7 +7,7 @@ open Air
    one step). Everything the per-tick executive reacts to is covered by three
    sources:
 
-   - the lane's preemption table ({!Air.Lane.next_preemption_tick}): the
+   - the lanes' preemption tables ({!Air.Pmk_mc.next_preemption_tick}): the
      next context switch, MTF boundary (telemetry frame close + pending
      mode-based schedule switch + change actions) or window edge — all
      preemption-point entries, and entry 0 coincides with the frame
@@ -26,7 +26,7 @@ open Air
    preemption-table entry. *)
 
 let next_interesting system ~until =
-  let lane_next = Lane.next_preemption_tick (System.lane system) in
+  let lane_next = Pmk_mc.next_preemption_tick (System.lane system) in
   Time.min until (Time.min lane_next (System.next_partition_event system))
 
 (* Exclusive upper bound on the span a caller with [remaining] budget may

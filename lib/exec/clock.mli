@@ -13,7 +13,7 @@ open Air_sim
 val next_interesting : Air.System.t -> until:Time.t -> Time.t
 (** The earliest future tick at which per-tick execution could do anything
     beyond advancing the clock and the running heirs' compute progress:
-    the minimum of the lane's next preemption
+    the minimum of the lanes' next preemption
     instant (context switches, window edges, MTF boundaries — which carry
     telemetry frame closes, mode-based schedule switches and change
     actions), the active partitions' pending events (blocked-process

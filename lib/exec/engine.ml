@@ -46,13 +46,7 @@ let dense_threshold = 192
 let blind_init = 16
 let blind_max = 4096
 
-let create ?profiler ?on_tick ?skip_ahead ?mode system =
-  let mode =
-    match (mode, skip_ahead) with
-    | Some m, _ -> m
-    | None, Some false -> Per_tick
-    | None, (Some true | None) -> Adaptive
-  in
+let create ?profiler ?on_tick ?(mode = Adaptive) system =
   { system;
     mode;
     stats = { stepped = 0; skipped = 0; probes = 0 };
@@ -76,7 +70,7 @@ let halted t = Option.is_some (System.halted t.system)
    established quiescence. *)
 let probe_raw t ~remaining =
   t.stats.probes <- t.stats.probes + 1;
-  let now = Lane.ticks (System.lane t.system) in
+  let now = Pmk_mc.ticks (System.lane t.system) in
   let until = Clock.horizon ~now ~remaining in
   let next = Clock.next_interesting t.system ~until in
   let span = Stdlib.min (next - 1 - now) remaining in
@@ -260,23 +254,4 @@ let advance t ~ticks =
     | Adaptive -> advance_adaptive t ~ticks
 
 let run_mtfs t n =
-  for _ = 1 to n do
-    let pmk = System.pmk t.system in
-    let current = Pmk.schedule pmk (Pmk.current_schedule pmk) in
-    let mtf = current.Air_model.Schedule.mtf in
-    let executed = Pmk.ticks pmk - Pmk.last_schedule_switch pmk + 1 in
-    let into = ((executed mod mtf) + mtf) mod mtf in
-    if into = 0 then begin
-      (* Mirror of [System.run_mtfs]: at a boundary a pending mode-based
-         switch takes effect on the next tick, possibly changing the MTF —
-         execute the boundary tick first, then finish the frame under the
-         schedule actually running. *)
-      advance t ~ticks:1;
-      let current = Pmk.schedule pmk (Pmk.current_schedule pmk) in
-      let mtf = current.Air_model.Schedule.mtf in
-      let executed = Pmk.ticks pmk - Pmk.last_schedule_switch pmk + 1 in
-      let into = ((executed mod mtf) + mtf) mod mtf in
-      if into > 0 then advance t ~ticks:(mtf - into)
-    end
-    else advance t ~ticks:(mtf - into)
-  done
+  System.run_mtfs_with ~advance:(fun ticks -> advance t ~ticks) t.system n

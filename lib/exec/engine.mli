@@ -51,13 +51,10 @@ type t
 val create :
   ?profiler:Profiler.t ->
   ?on_tick:(unit -> unit) ->
-  ?skip_ahead:bool ->
   ?mode:mode ->
   Air.System.t ->
   t
-(** [mode] selects the strategy and wins over [skip_ahead] when both are
-    given. Without [mode], [~skip_ahead:false] maps to {!Per_tick} and
-    [~skip_ahead:true] (or nothing) to {!Adaptive}. [profiler], when
+(** [mode] selects the strategy (default {!Adaptive}). [profiler], when
     given, receives wall-clock and tick attribution for every engine
     operation ({!Profiler}); without one the engine takes the original
     uninstrumented paths and reads no clocks. [on_tick] is fired after
@@ -83,5 +80,4 @@ val advance : t -> ticks:int -> unit
 
 val run_mtfs : t -> int -> unit
 (** Advance by whole major time frames of the schedule current at each
-    boundary (mirror of {!Air.System.run_mtfs}, including its handling of
-    a different-MTF schedule switch at the boundary). *)
+    boundary: {!Air.System.run_mtfs_with} over {!advance}. *)

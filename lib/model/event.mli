@@ -80,9 +80,15 @@ type t =
 
 val pp : Format.formatter -> t -> unit
 
+val kind : t -> int
+(** Dense index of the constructor, in [\[0, Array.length labels)]. *)
+
+val labels : string array
+(** Stable kebab-case kind names (e.g. "context-switch"), indexed by
+    {!kind} — the event-kind keys of observability reports. *)
+
 val label : t -> string
-(** Stable kebab-case kind name of the constructor (e.g. "context-switch"),
-    used as the event-kind key in observability reports. *)
+(** [labels.(kind ev)]. *)
 
 (** {1 Trace queries used by experiments} *)
 

@@ -3,7 +3,8 @@
     dashboards.
 
     The optional [events] argument appends per-kind event totals (as
-    produced by {!Event.counts}) to the report. *)
+    produced by [Air.System.event_counts]: nonzero kinds, sorted by kind
+    name) to the report. *)
 
 val pp :
   ?events:(string * int) list ->

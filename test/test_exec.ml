@@ -86,7 +86,7 @@ let skip_matches_per_tick_on_random_modules =
         (* A few MTFs plus a ragged tail so runs end mid-frame too. *)
         let ticks = (3 * mtf) + (seed mod 997) in
         System.run reference ~ticks;
-        let engine = Engine.create ~skip_ahead:true candidate in
+        let engine = Engine.create candidate in
         Engine.advance engine ~ticks;
         assert_equivalent ~what:(Printf.sprintf "seed %d" seed) reference
           candidate;
@@ -594,7 +594,7 @@ let satellite_skip_equivalence () =
   let reference = Air_workload.Satellite.make () in
   System.run reference ~ticks:satellite_ticks;
   let engine =
-    Engine.create ~skip_ahead:true (Air_workload.Satellite.make ())
+    Engine.create (Air_workload.Satellite.make ())
   in
   Engine.advance engine ~ticks:satellite_ticks;
   assert_equivalent ~what:"satellite" reference (Engine.system engine);
@@ -612,7 +612,7 @@ let multicore_skip_equivalence () =
   in
   let reference = make () in
   System.run reference ~ticks:satellite_ticks;
-  let engine = Engine.create ~skip_ahead:true (make ()) in
+  let engine = Engine.create (make ()) in
   Engine.advance engine ~ticks:satellite_ticks;
   check Alcotest.int "2 cores" 2 (System.cores (Engine.system engine));
   assert_equivalent ~what:"satellite --cores 2" reference
@@ -622,7 +622,7 @@ let run_mtfs_equivalence () =
   let reference = Air_workload.Satellite.make () in
   System.run_mtfs reference 7;
   let engine =
-    Engine.create ~skip_ahead:true (Air_workload.Satellite.make ())
+    Engine.create (Air_workload.Satellite.make ())
   in
   Engine.run_mtfs engine 7;
   assert_equivalent ~what:"run_mtfs" reference (Engine.system engine)
@@ -740,6 +740,49 @@ let leo_turbo_reproducible () =
           (E.reproducible ~turbo:true ~make spec))
       specs
 
+(* --- Golden exports ------------------------------------------------------ *)
+
+(* Every harness above compares engine modes or lane counts against each
+   other over the same lane code, so a change that altered all of them
+   alike would pass. These digests pin the exports themselves: the MD5 of
+   the Chrome trace, metrics JSON and telemetry frames of leo_satellite.air
+   with a 4096-entry flight recorder and causal tracker, over 20 000 ticks,
+   on one and two cores under Per_tick and Adaptive. *)
+let golden_digests =
+  [ (1, Engine.Per_tick, "b41eee2f8493a883ecd95951c4b35b59");
+    (1, Engine.Adaptive, "b41eee2f8493a883ecd95951c4b35b59");
+    (2, Engine.Per_tick, "014d9ba75527307387333fa67daf2b2d");
+    (2, Engine.Adaptive, "014d9ba75527307387333fa67daf2b2d") ]
+
+let golden_exports () =
+  let config =
+    match Air_config.Loader.load_file leo_path with
+    | Ok config -> config
+    | Error msg -> Alcotest.failf "load %s: %s" leo_path msg
+  in
+  List.iter
+    (fun (cores, mode, expected) ->
+      let system =
+        System.create
+          { config with
+            System.cores = Some cores;
+            recorder = Some (Air_obs.Span.create ~capacity:4096 ());
+            causal = Some (Air_obs.Causal.create ~capacity:4096 ()) }
+      in
+      Engine.advance (Engine.create ~mode system) ~ticks:20_000;
+      ignore (System.telemetry_flush system);
+      let exports =
+        System.chrome_trace system
+        ^ System.metrics_json system
+        ^ Air_obs.Telemetry.to_json (System.telemetry_frames system)
+      in
+      check Alcotest.string
+        (Printf.sprintf "%d core(s), %s" cores
+           (if mode = Engine.Per_tick then "per-tick" else "adaptive"))
+        expected
+        (Digest.to_hex (Digest.string exports)))
+    golden_digests
+
 let suite =
   [ qcheck skip_matches_per_tick_on_random_modules;
     qcheck modes_agree_sparse;
@@ -769,4 +812,5 @@ let suite =
     Alcotest.test_case "leo_satellite: campaigns identical under turbo" `Slow
       leo_campaigns_turbo_identical;
     Alcotest.test_case "leo_satellite: turbo runs reproducible" `Slow
-      leo_turbo_reproducible ]
+      leo_turbo_reproducible;
+    Alcotest.test_case "leo_satellite: golden exports" `Quick golden_exports ]

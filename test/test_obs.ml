@@ -1,5 +1,5 @@
-(* Tests for the observability layer: metrics registry semantics, event
-   sink, report rendering, and the end-to-end System integration. *)
+(* Tests for the observability layer: metrics registry semantics, report
+   rendering, and the end-to-end System integration. *)
 
 open Air_model
 open Air_pos
@@ -94,28 +94,6 @@ let snapshot_is_sorted () =
   ignore (Metrics.counter reg "c");
   let names = List.map fst (Metrics.snapshot reg) in
   check Alcotest.(list string) "sorted by name" [ "a"; "b"; "c" ] names
-
-(* --- Event sink ------------------------------------------------------------ *)
-
-let event_sink_counts_and_ring () =
-  let sink = Event.create ~capacity:4 () in
-  for i = 1 to 6 do
-    Event.record sink ~time:i ~kind:(if i mod 2 = 0 then "even" else "odd") i
-  done;
-  check Alcotest.int "total" 6 (Event.total sink);
-  check Alcotest.int "evens" 3 (Event.count sink "even");
-  check Alcotest.int "odds" 3 (Event.count sink "odd");
-  check
-    Alcotest.(list (pair string int))
-    "per-kind counts sorted"
-    [ ("even", 3); ("odd", 3) ]
-    (Event.counts sink);
-  (* The ring keeps only the last [capacity] entries, oldest first. *)
-  check
-    Alcotest.(list int)
-    "ring holds the tail"
-    [ 3; 4; 5; 6 ]
-    (List.map (fun e -> e.Event.payload) (Event.recent sink))
 
 (* --- Report rendering ------------------------------------------------------ *)
 
@@ -274,8 +252,6 @@ let suite =
       empty_view_quantile_is_zero;
     Alcotest.test_case "metrics: kind mismatch" `Quick kind_mismatch_rejected;
     Alcotest.test_case "metrics: snapshot order" `Quick snapshot_is_sorted;
-    Alcotest.test_case "events: ring and counts" `Quick
-      event_sink_counts_and_ring;
     Alcotest.test_case "report: text, sexp, json" `Quick
       report_renders_all_kinds;
     Alcotest.test_case "report: control chars escaped" `Quick

@@ -267,6 +267,52 @@ let hm_module_shutdown () =
   System.run s ~ticks:50;
   check Alcotest.int "clock frozen after halt" before (System.now s)
 
+(* A module shutdown raised inside a tick ends partition activity in that
+   tick on every lane count: the prototype with P1's faulty process and a
+   watchdog demanding slack the PSTs never leave halts at the first frame
+   close (tick 1300), and nothing may follow the halt but the lanes'
+   context switches of that same tick — no PAL announcement, no process
+   release, no further HM error. *)
+let hm_halt_stops_partitions () =
+  let tables =
+    { Hm.default_tables with
+      Hm.module_actions =
+        [ (Error.Temporal_degradation, Error.Module_shutdown) ] }
+  in
+  let telemetry =
+    Air_obs.Telemetry.config
+      ~default_watchdog:(Air_obs.Telemetry.watchdog ~min_slack:1 ())
+      ()
+  in
+  List.iter
+    (fun cores ->
+      let cfg = Air_workload.Satellite.config ~hm_tables:tables () in
+      let s =
+        System.create
+          { cfg with System.telemetry = Some telemetry; cores = Some cores }
+      in
+      Air_workload.Satellite.inject_fault s;
+      System.run s ~ticks:2000;
+      let what = Printf.sprintf "%d core(s)" cores in
+      check Alcotest.bool (what ^ ": halted") true (System.halted s <> None);
+      let rec after_halt = function
+        | [] -> Alcotest.failf "%s: no module-halt event" what
+        | (time, Event.Module_halt _) :: rest -> (time, rest)
+        | _ :: rest -> after_halt rest
+      in
+      let halt_tick, rest = after_halt (Trace.to_list (System.trace s)) in
+      check Alcotest.int (what ^ ": halt tick") 1300 halt_tick;
+      List.iter
+        (fun (time, ev) ->
+          let ok =
+            time = halt_tick
+            && match ev with Event.Context_switch _ -> true | _ -> false
+          in
+          if not ok then
+            Alcotest.failf "%s: [%d] %a after the halt" what time Event.pp ev)
+        rest)
+    [ 1; 2 ]
+
 (* --- Memory access through scripts --------------------------------------- *)
 
 let legitimate_memory_access_granted () =
@@ -515,6 +561,8 @@ let suite =
     Alcotest.test_case "hm: partition restart on memory violation" `Quick
       hm_partition_restart_on_memory_violation;
     Alcotest.test_case "hm: module shutdown" `Quick hm_module_shutdown;
+    Alcotest.test_case "hm: halted module drives no partition" `Quick
+      hm_halt_stops_partitions;
     Alcotest.test_case "memory: legitimate access granted" `Quick
       legitimate_memory_access_granted;
     Alcotest.test_case "generic partition coexists" `Quick
