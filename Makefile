@@ -1,6 +1,6 @@
 .PHONY: all build test check bench bench-diff fmt exec-smoke trace-smoke \
   telemetry-smoke fault-smoke profile-smoke fleet-smoke \
-  interference-smoke e2e-smoke artifacts clean
+  interference-smoke e2e-smoke config-smoke artifacts clean
 
 all: build
 
@@ -127,6 +127,45 @@ e2e-smoke:
 	    *) echo "e2e-smoke: $$w failed"; exit 1 ;; \
 	  esac; \
 	done
+
+# Configuration robustness pass: air_validate accepts the four shipped
+# module documents. Three broken copies of leo_satellite.air (a zero MTF,
+# a zero queue depth, two overlapping windows against eq. (21)) make both
+# air_validate and air_run exit 1 with a "PATH: …" diagnostic and no
+# escaped exception. A --domains below 1 is a usage error (exit 124).
+SMOKE = _build/config-smoke
+AIR_VALIDATE = $(CURDIR)/_build/default/bin/air_validate.exe
+LEO = $(CONFIGS)/leo_satellite.air
+
+config-smoke:
+	dune build bin/air_validate.exe bin/air_run.exe
+	@for doc in leo_satellite payload platform constellation_node; do \
+	  $(AIR_VALIDATE) $(CONFIGS)/$$doc.air > /dev/null || exit 1; \
+	done
+	@mkdir -p $(SMOKE)
+	@sed 's/(mtf 2000)/(mtf 0)/' $(LEO) > $(SMOKE)/mtf0.air
+	@sed 's/(depth 8)/(depth 0)/' $(LEO) > $(SMOKE)/depth0.air
+	@sed 's/(offset 150) (duration 350)/(offset 100) (duration 350)/' \
+	  $(LEO) > $(SMOKE)/overlap.air
+	@for doc in mtf0 depth0 overlap; do \
+	  for tool in $(AIR_VALIDATE) $(AIR_RUN); do \
+	    $$tool $(SMOKE)/$$doc.air > $(SMOKE)/out 2>&1; code=$$?; \
+	    if [ $$code -ne 1 ] \
+	      || ! grep -q "^$(SMOKE)/$$doc.air: " $(SMOKE)/out \
+	      || grep -q 'uncaught exception' $(SMOKE)/out; then \
+	      echo "config-smoke: $$(basename $$tool) $$doc.air exited $$code:"; \
+	      cat $(SMOKE)/out; exit 1; \
+	    fi; \
+	    echo "$$(basename $$tool) $$doc.air: $$(grep -m1 "^$(SMOKE)/" $(SMOKE)/out)"; \
+	  done; \
+	done
+	@$(AIR_RUN) $(CONFIGS)/constellation.air --domains 0 > $(SMOKE)/out 2>&1; \
+	  code=$$?; \
+	  if [ $$code -ne 124 ] || ! grep -q -- "'--domains'" $(SMOKE)/out; then \
+	    echo "config-smoke: --domains 0 exited $$code:"; \
+	    cat $(SMOKE)/out; exit 1; \
+	  fi
+	@echo "config-smoke: ok"
 
 # Byte-identity artifact set: every deterministic air_run export of the
 # shipped documents, written under OUT, so two checkouts can be compared:

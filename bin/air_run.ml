@@ -16,6 +16,17 @@ let export_trace trace path =
         trace;
       Format.pp_print_flush ppf ())
 
+(* System.create and Fleet.create reject a configuration they cannot run
+   (overlapping windows, a fleet link with no lookahead) with
+   Invalid_argument: report it against the document and exit 1, else
+   continue with the built value. *)
+let created path create k =
+  match create () with
+  | v -> k v
+  | exception Invalid_argument e ->
+    Format.eprintf "%s: %s@." path e;
+    1
+
 (* Resolve a flow's origin (module, port index) to the declared port name
    through the module's router, for the flows table. *)
 let port_name_of systems ~module_id ~port =
@@ -108,7 +119,8 @@ let run_fleet path ticks domains trace_json flows speed =
     1
   | Ok { Air_config.Loader.fleet_cluster = cluster; fleet_domains } ->
     let domains = Option.value domains ~default:fleet_domains in
-    let fleet = Air_fleet.Fleet.create ~domains cluster in
+    created path (fun () -> Air_fleet.Fleet.create ~domains cluster)
+    @@ fun fleet ->
     let wall_start = Unix.gettimeofday () in
     Air_fleet.Fleet.run fleet ~ticks;
     let wall = Unix.gettimeofday () -. wall_start in
@@ -181,7 +193,9 @@ let run_campaigns path campaign_json ~turbo ~cores =
           | Some n -> { cfg with Air.System.cores = Some n }
           | None -> cfg
         in
-        Air_faults.Engine.Module (Air.System.create cfg)
+        (match Air.System.create cfg with
+        | system -> Air_faults.Engine.Module system
+        | exception Invalid_argument e -> failwith e)
       | Error e -> failwith e
     in
     match
@@ -289,7 +303,7 @@ let run_file path ticks show_trace show_gantt export metrics_json trace_json
         { cfg with Air.System.causal = Some (Air_obs.Causal.create ()) }
       else cfg
     in
-    let system = Air.System.create cfg in
+    created path (fun () -> Air.System.create cfg) @@ fun system ->
     let partition_names =
       List.filter (fun (i, _) -> i >= 0) (Air.System.track_names system)
     in
@@ -567,9 +581,20 @@ let path_arg =
   let doc = "Configuration document (.air) to run." in
   Arg.(required & pos 0 (some file) None & info [] ~docv:"CONFIG" ~doc)
 
+(* An integer flag with a lower bound: a smaller value is a usage error
+   naming the flag. *)
+let int_at_least lo =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= lo -> Ok n
+    | Some _ | None ->
+      Error (`Msg (Printf.sprintf "expected an integer >= %d, got %s" lo s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
 let ticks_arg =
   let doc = "Number of system clock ticks to simulate." in
-  Arg.(value & opt int 10_000 & info [ "t"; "ticks" ] ~doc)
+  Arg.(value & opt (int_at_least 0) 10_000 & info [ "t"; "ticks" ] ~doc)
 
 let trace_flag =
   let doc = "Print the last 30 trace events." in
@@ -658,7 +683,8 @@ let cores_arg =
      time-faithful to the single-core one; mode-based schedule switches \
      are broadcast to every lane."
   in
-  Arg.(value & opt (some int) None & info [ "cores" ] ~docv:"N" ~doc)
+  Arg.(
+    value & opt (some (int_at_least 1)) None & info [ "cores" ] ~docv:"N" ~doc)
 
 let no_skip_flag =
   let doc =
@@ -725,7 +751,10 @@ let domains_arg =
      window granted by the minimum link latency, and cross-shard messages \
      are replayed in the sequential drain order at every window barrier."
   in
-  Arg.(value & opt (some int) None & info [ "domains" ] ~docv:"N" ~doc)
+  Arg.(
+    value
+    & opt (some (int_at_least 1)) None
+    & info [ "domains" ] ~docv:"N" ~doc)
 
 let cmd =
   let doc = "run an AIR module from its integration configuration" in

@@ -55,7 +55,11 @@ let validate_file path show_gantt explain report =
         (List.length cfg.Air.System.network.Air_ipc.Port.ports);
       0
     end
-    else 1
+    else begin
+      Format.printf "%s: invalid — %d schedule and %d port diagnostics@."
+        path (List.length diags) (List.length port_diags);
+      1
+    end
 
 let path_arg =
   let doc = "Configuration document (.air) to validate." in

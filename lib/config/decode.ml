@@ -92,12 +92,12 @@ let int s =
   | Some n -> Ok n
   | None -> error "expected an integer, got %s" a
 
-let bool s =
+let keyword table s =
   let* a = atom s in
-  match a with
-  | "true" | "yes" -> Ok true
-  | "false" | "no" -> Ok false
-  | _ -> error "expected a boolean, got %s" a
+  match List.assoc_opt a table with
+  | Some v -> Ok v
+  | None ->
+    error "expected %s, got %s" (String.concat " | " (List.map fst table)) a
 
 let time s =
   let* a = atom s in

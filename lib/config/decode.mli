@@ -36,7 +36,10 @@ val one : (Sexp.t -> 'a t) -> Sexp.t list -> 'a t
 val many : (Sexp.t -> 'a t) -> Sexp.t list -> 'a list t
 val atom : Sexp.t -> string t
 val int : Sexp.t -> int t
-val bool : Sexp.t -> bool t
+val keyword : (string * 'a) list -> Sexp.t -> 'a t
+(** An atom looked up in a keyword table ({!Keywords}); the error lists
+    the table's keywords. *)
+
 val time : Sexp.t -> Air_sim.Time.t t
 (** An integer tick count, or the atom [infinite]. *)
 

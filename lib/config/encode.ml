@@ -8,19 +8,32 @@ let list l = Sexp.List l
 let field name args = list (atom name :: args)
 let int n = atom (string_of_int n)
 
+(* A list-valued field, omitted when empty. *)
+let non_empty name = function [] -> None | items -> Some (field name items)
+
 let time t = if Time.is_infinite t then atom "infinite" else int t
 
 let timeout t = if t = Time.zero then atom "poll" else time t
+
+(* A value's keyword: the first entry of its table that maps to it. *)
+let keyword table v =
+  match List.find_opt (fun (_, x) -> x = v) table with
+  | Some (k, _) -> atom k
+  | None -> invalid_arg "Encode: value has no keyword"
 
 (* Names are positional: partition index i refers to the i-th declared
    partition, schedule index likewise. *)
 type names = { partitions : string array; schedules : string array }
 
+let name_at what names i =
+  if i < 0 || i >= Array.length names then
+    invalid_arg ("Encode: " ^ what ^ " index out of range")
+  else atom names.(i)
+
 let partition_name names pid =
-  let i = Ident.Partition_id.index pid in
-  if i >= Array.length names.partitions then
-    invalid_arg "Encode: partition index out of range"
-  else names.partitions.(i)
+  name_at "partition" names.partitions (Ident.Partition_id.index pid)
+
+let schedule_name names i = name_at "schedule" names.schedules i
 
 let encode_action names = function
   | Script.Compute n -> field "compute" [ int n ]
@@ -55,9 +68,7 @@ let encode_action names = function
   | Script.Log msg -> field "log" [ atom msg ]
   | Script.Raise_application_error msg -> field "raise-error" [ atom msg ]
   | Script.Request_schedule i ->
-    if i >= Array.length names.schedules then
-      invalid_arg "Encode: schedule index out of range"
-    else field "request-schedule" [ atom names.schedules.(i) ]
+    field "request-schedule" [ schedule_name names i ]
   | Script.Log_schedule_status -> list [ atom "log-schedule-status" ]
   | Script.Suspend_self tmo -> field "suspend-self" [ timeout tmo ]
   | Script.Resume_process name -> field "resume" [ atom name ]
@@ -74,36 +85,24 @@ let encode_periodicity = function
   | Process.Sporadic t -> list [ atom "sporadic"; time t ]
 
 let encode_process names (spec : Process.spec) (script : Script.t) autostart =
-  let fields =
-    [ field "name" [ atom spec.Process.name ];
-      field "period" [ encode_periodicity spec.Process.periodicity ];
-      field "capacity" [ time spec.Process.time_capacity ];
-      field "wcet" [ time spec.Process.wcet ];
-      field "priority" [ int spec.Process.base_priority ];
-      field "autostart" [ atom (if autostart then "true" else "false") ];
-      field "script"
-        (List.map (encode_action names) (Array.to_list script.Script.body)) ]
-  in
-  let fields =
-    match script.Script.on_end with
-    | Script.Repeat -> fields
-    | Script.Stop -> fields @ [ field "on-end" [ atom "stop" ] ]
-  in
-  list (atom "process" :: fields)
+  list
+    (atom "process"
+    :: field "name" [ atom spec.Process.name ]
+    :: field "period" [ encode_periodicity spec.Process.periodicity ]
+    :: field "capacity" [ time spec.Process.time_capacity ]
+    :: field "wcet" [ time spec.Process.wcet ]
+    :: field "priority" [ int spec.Process.base_priority ]
+    :: field "autostart" [ keyword Keywords.booleans autostart ]
+    :: field "script"
+         (List.map (encode_action names) (Array.to_list script.Script.body))
+    :: [ field "on-end" [ keyword Keywords.on_end script.Script.on_end ] ])
 
 let encode_policy = function
   | Kernel.Priority_preemptive -> atom "priority"
   | Kernel.Round_robin { quantum } ->
     list [ atom "round-robin"; int quantum ]
 
-let encode_store = function
-  | Air.Deadline_store.Linked_list_impl -> atom "linked-list"
-  | Air.Deadline_store.Avl_impl -> atom "avl-tree"
-  | Air.Deadline_store.Pairing_impl -> atom "pairing-heap"
-
-let encode_discipline = function
-  | Intra.Fifo -> atom "fifo"
-  | Intra.Priority -> atom "priority"
+let encode_discipline = keyword Keywords.discipline
 
 let encode_intra_object = function
   | Air.System.Semaphore_object { name; initial; maximum; discipline } ->
@@ -127,75 +126,54 @@ let encode_partition names (setup : Air.System.partition_setup) =
           setup.Air.System.scripts.(q)
           setup.Air.System.autostart.(q))
   in
-  let fields =
-    [ field "name" [ atom p.Partition.name ];
-      field "kind"
-        [ atom
-            (match p.Partition.kind with
-            | Partition.Application -> "application"
-            | Partition.System -> "system") ];
-      field "policy" [ encode_policy setup.Air.System.policy ];
-      field "deadline-store" [ encode_store setup.Air.System.store ];
-      field "processes" processes ]
-  in
-  let fields =
-    match setup.Air.System.intra_objects with
-    | [] -> fields
-    | objects ->
-      fields @ [ field "objects" (List.map encode_intra_object objects) ]
-  in
-  let fields =
-    match setup.Air.System.error_handler with
-    | None -> fields
-    | Some name -> fields @ [ field "error-handler" [ atom name ] ]
-  in
-  list (atom "partition" :: fields)
+  list
+    (atom "partition"
+    :: field "name" [ atom p.Partition.name ]
+    :: field "kind" [ keyword Keywords.partition_kind p.Partition.kind ]
+    :: field "policy" [ encode_policy setup.Air.System.policy ]
+    :: field "deadline-store"
+         [ keyword Keywords.deadline_store setup.Air.System.store ]
+    :: field "processes" processes
+    :: List.filter_map Fun.id
+         [ non_empty "objects"
+             (List.map encode_intra_object setup.Air.System.intra_objects);
+           Option.map
+             (fun name -> field "error-handler" [ atom name ])
+             setup.Air.System.error_handler ])
 
 let encode_schedule names (s : Schedule.t) =
   let req (r : Schedule.requirement) =
     list
       (atom "req"
-      :: [ field "partition" [ atom (partition_name names r.partition) ];
+      :: [ field "partition" [ partition_name names r.partition ];
            field "cycle" [ time r.cycle ];
            field "duration" [ time r.duration ] ])
   in
   let win (w : Schedule.window) =
     list
       (atom "window"
-      :: [ field "partition" [ atom (partition_name names w.partition) ];
+      :: [ field "partition" [ partition_name names w.partition ];
            field "offset" [ time w.offset ];
            field "duration" [ time w.duration ] ])
   in
   let action (p, a) =
-    list
-      [ atom (partition_name names p);
-        atom
-          (match a with
-          | Schedule.No_action -> "no-action"
-          | Schedule.Warm_restart_partition -> "warm-restart"
-          | Schedule.Cold_restart_partition -> "cold-restart") ]
+    list [ partition_name names p; keyword Keywords.change_action a ]
   in
-  let fields =
-    [ field "name" [ atom s.Schedule.name ];
-      field "mtf" [ time s.Schedule.mtf ];
-      field "requirements" (List.map req s.Schedule.requirements);
-      field "windows" (List.map win s.Schedule.windows) ]
-  in
-  let fields =
-    if s.Schedule.change_actions = [] then fields
-    else fields @ [ field "change-actions" (List.map action s.Schedule.change_actions) ]
-  in
-  list (atom "schedule" :: fields)
+  list
+    (atom "schedule"
+    :: field "name" [ atom s.Schedule.name ]
+    :: field "mtf" [ time s.Schedule.mtf ]
+    :: field "requirements" (List.map req s.Schedule.requirements)
+    :: field "windows" (List.map win s.Schedule.windows)
+    :: Option.to_list
+         (non_empty "change-actions"
+            (List.map action s.Schedule.change_actions)))
 
 let encode_port names (c : Port.config) =
   let common =
     [ field "name" [ atom c.Port.name ];
-      field "partition" [ atom (partition_name names c.Port.partition) ];
-      field "direction"
-        [ atom
-            (match c.Port.direction with
-            | Port.Source -> "source"
-            | Port.Destination -> "destination") ];
+      field "partition" [ partition_name names c.Port.partition ];
+      field "direction" [ keyword Keywords.direction c.Port.direction ];
       field "max-size" [ int c.Port.max_message_size ] ]
   in
   match c.Port.kind with
@@ -210,90 +188,50 @@ let encode_channel (ch : Port.channel) =
     :: [ field "source" [ atom ch.Port.source ];
          field "destinations" (List.map atom ch.Port.destinations) ])
 
-let encode_error_code (c : Error.code) =
-  atom (Format.asprintf "%a" Error.pp_code c)
-
 let rec encode_process_action = function
-  | Error.Ignore_error -> atom "ignore"
-  | Error.Restart_process -> atom "restart-process"
-  | Error.Stop_process -> atom "stop-process"
-  | Error.Stop_partition_of_process -> atom "stop-partition"
   | Error.Restart_partition_of_process mode ->
-    list
-      [ atom "restart-partition";
-        atom
-          (match mode with
-          | Partition.Warm_start -> "warm"
-          | Partition.Cold_start | Partition.Normal | Partition.Idle -> "cold") ]
+    list [ atom "restart-partition"; keyword Keywords.restart_mode mode ]
   | Error.Log_then (n, inner) ->
     list [ atom "log-then"; int n; encode_process_action inner ]
+  | a -> keyword Keywords.process_action a
 
-let encode_partition_action = function
-  | Error.Partition_ignore -> atom "ignore"
-  | Error.Partition_idle -> atom "idle"
-  | Error.Partition_warm_restart -> atom "warm-restart"
-  | Error.Partition_cold_restart -> atom "cold-restart"
-
-let encode_module_action = function
-  | Error.Module_ignore -> atom "ignore"
-  | Error.Module_shutdown -> atom "shutdown"
-  | Error.Module_reset -> atom "reset"
+(* process-errors and partition-errors entries: the specific ones, then
+   the "*" wildcard defaults. *)
+let encode_hm_entries names action specific defaults =
+  let entry p (code, a) =
+    list [ p; keyword Keywords.error_code code; action a ]
+  in
+  List.map (fun (p, code, a) -> entry (partition_name names p) (code, a))
+    specific
+  @ List.map (entry (atom "*")) defaults
 
 let encode_hm names (tables : Air.Hm.tables) =
-  let process_entries =
-    List.map
-      (fun (p, code, action) ->
-        list
-          [ atom (partition_name names p); encode_error_code code;
-            encode_process_action action ])
-      tables.Air.Hm.process_actions
-    @ List.map
-        (fun (code, action) ->
-          list
-            [ atom "*"; encode_error_code code;
-              encode_process_action action ])
-        tables.Air.Hm.process_defaults
-  in
-  let partition_entries =
-    List.map
-      (fun (p, code, action) ->
-        list
-          [ atom (partition_name names p); encode_error_code code;
-            encode_partition_action action ])
-      tables.Air.Hm.partition_actions
-    @ List.map
-        (fun (code, action) ->
-          list
-            [ atom "*"; encode_error_code code;
-              encode_partition_action action ])
-        tables.Air.Hm.partition_defaults
-  in
-  let module_entries =
-    List.map
-      (fun (code, action) ->
-        list [ encode_error_code code; encode_module_action action ])
-      tables.Air.Hm.module_actions
-  in
-  match (process_entries, partition_entries, module_entries) with
-  | [], [], [] -> None
-  | _ ->
-    Some
-      (field "hm"
-         (List.concat
-            [ (if process_entries = [] then []
-               else [ field "process-errors" process_entries ]);
-              (if partition_entries = [] then []
-               else [ field "partition-errors" partition_entries ]);
-              (if module_entries = [] then []
-               else [ field "module-errors" module_entries ]) ]))
+  match
+    List.filter_map Fun.id
+      [ non_empty "process-errors"
+          (encode_hm_entries names encode_process_action
+             tables.Air.Hm.process_actions tables.Air.Hm.process_defaults);
+        non_empty "partition-errors"
+          (encode_hm_entries names (keyword Keywords.partition_action)
+             tables.Air.Hm.partition_actions tables.Air.Hm.partition_defaults);
+        non_empty "module-errors"
+          (List.map
+             (fun (code, a) ->
+               list
+                 [ keyword Keywords.error_code code;
+                   keyword Keywords.module_action a ])
+             tables.Air.Hm.module_actions) ]
+  with
+  | [] -> None
+  | groups -> Some (field "hm" groups)
 
-let encode_watchdog ~schedule (w : Air_obs.Telemetry.watchdog) =
+let encode_watchdog schedule (w : Air_obs.Telemetry.watchdog) =
   let threshold name v =
     match v with None -> [] | Some n -> [ field name [ int n ] ]
   in
   list
     (atom "watchdog"
-    :: field "schedule" [ atom schedule ]
+    :: field "schedule" [ schedule ]
     :: List.concat
          [ threshold "min-slack" w.Air_obs.Telemetry.min_slack;
            threshold "max-jitter-p99" w.Air_obs.Telemetry.max_jitter_p99;
@@ -312,26 +250,19 @@ let encode_telemetry names (c : Air_obs.Telemetry.config) =
           c.Air_obs.Telemetry.default_watchdog
      then []
      else
-       [ encode_watchdog ~schedule:"*" c.Air_obs.Telemetry.default_watchdog ])
+       [ encode_watchdog (atom "*") c.Air_obs.Telemetry.default_watchdog ])
     @ List.map
-        (fun (i, w) ->
-          if i >= Array.length names.schedules then
-            invalid_arg "Encode: telemetry schedule index out of range"
-          else encode_watchdog ~schedule:names.schedules.(i) w)
+        (fun (i, w) -> encode_watchdog (schedule_name names i) w)
         c.Air_obs.Telemetry.schedule_watchdogs
   in
   field "telemetry"
-    (retention
-    @ match watchdogs with [] -> [] | ws -> [ field "watchdogs" ws ])
+    (retention @ Option.to_list (non_empty "watchdogs" watchdogs))
 
 let encode_contention names (c : Air_spatial.Contention.config) =
   let budget =
     field "default" [ int c.Air_spatial.Contention.default_budget ]
     :: List.map
-         (fun (i, b) ->
-           if i >= Array.length names.partitions then
-             invalid_arg "Encode: contention partition index out of range"
-           else list [ atom names.partitions.(i); int b ])
+         (fun (i, b) -> list [ name_at "partition" names.partitions i; int b ])
          c.Air_spatial.Contention.budgets
   in
   let curve =
@@ -359,43 +290,32 @@ let encode (cfg : Air.System.config) =
           (List.map (fun (s : Schedule.t) -> s.Schedule.name)
              cfg.Air.System.schedules) }
   in
-  let fields =
-    [ field "partitions"
-        (List.map (encode_partition names) cfg.Air.System.partitions);
-      field "schedules"
-        (List.map (encode_schedule names) cfg.Air.System.schedules) ]
-  in
-  let fields =
-    match cfg.Air.System.network.Port.ports with
-    | [] -> fields
-    | ports ->
-      fields
-      @ [ field "ports" (List.map (encode_port names) ports);
-          field "channels"
-            (List.map encode_channel cfg.Air.System.network.Port.channels) ]
-  in
-  let fields =
-    match cfg.Air.System.initial_schedule with
-    | None -> fields
-    | Some id ->
-      let i = Ident.Schedule_id.index id in
-      fields @ [ field "initial-schedule" [ atom names.schedules.(i) ] ]
-  in
-  let fields =
-    match encode_hm names cfg.Air.System.hm_tables with
-    | None -> fields
-    | Some hm -> fields @ [ hm ]
-  in
-  let fields =
-    match cfg.Air.System.telemetry with
-    | None -> fields
-    | Some c -> fields @ [ encode_telemetry names c ]
-  in
-  let fields =
-    match cfg.Air.System.contention with
-    | None -> fields
-    | Some c -> fields @ [ encode_contention names c ]
-  in
-  list (atom "air-system" :: fields)
+  (* Every field the loader builds [Air.System.config] from; the (faults …)
+     campaigns are not part of the configuration. *)
+  list
+    (atom "air-system"
+    :: field "partitions"
+         (List.map (encode_partition names) cfg.Air.System.partitions)
+    :: field "schedules"
+         (List.map (encode_schedule names) cfg.Air.System.schedules)
+    :: List.filter_map Fun.id
+         [ non_empty "ports"
+             (List.map (encode_port names) cfg.Air.System.network.Port.ports);
+           non_empty "channels"
+             (List.map encode_channel cfg.Air.System.network.Port.channels);
+           Option.map
+             (fun id ->
+               field "initial-schedule"
+                 [ schedule_name names (Ident.Schedule_id.index id) ])
+             cfg.Air.System.initial_schedule;
+           encode_hm names cfg.Air.System.hm_tables;
+           Option.map (encode_telemetry names) cfg.Air.System.telemetry;
+           Option.map
+             (fun c ->
+               field "causal"
+                 [ field "retention" [ int (Air_obs.Causal.capacity c) ] ])
+             cfg.Air.System.causal;
+           Option.map (encode_contention names) cfg.Air.System.contention;
+           Option.map (fun n -> field "cores" [ int n ]) cfg.Air.System.cores ])
 
 let to_string cfg = Sexp.to_string (encode cfg)

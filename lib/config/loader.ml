@@ -21,6 +21,38 @@ let partition_id env name =
   let* i = index_of env.partition_names "partition" name in
   Ok (Ident.Partition_id.make i)
 
+(* The key of a table with one default entry and entries for declared
+   names: [default] (for instance "*") gives [None], a declared name its
+   index. *)
+let default_or_index ~default names kind s =
+  let* name = atom s in
+  if String.equal name default then Ok None
+  else
+    let* i = index_of names kind name in
+    Ok (Some i)
+
+(* Splits such a table into its default and its named entries; a second
+   default or a second entry for one name is an error. *)
+let default_and_named ~context names entries =
+  let rec go default named = function
+    | [] -> Ok (default, List.rev named)
+    | (None, v) :: rest ->
+      if Option.is_some default then error "%s: duplicate default" context
+      else go (Some v) named rest
+    | (Some i, v) :: rest ->
+      if List.mem_assoc i named then
+        error "%s: duplicate entry for %s" context (List.nth names i)
+      else go default ((i, v) :: named) rest
+  in
+  go None [] entries
+
+(* Library constructors reject bad values with [Invalid_argument]; report
+   the rejection as a decode error naming the form instead. *)
+let checked form make =
+  match make () with
+  | v -> Ok v
+  | exception Invalid_argument m -> error "%s: %s" form m
+
 (* --- Scripts ------------------------------------------------------------ *)
 
 let decode_action env s : Script.action t =
@@ -153,17 +185,12 @@ let decode_process env s =
   let* time_capacity = with_default f "capacity" (one time) Time.infinity in
   let* wcet = with_default f "wcet" (one time) 0 in
   let* base_priority = with_default f "priority" (one int) 10 in
-  let* autostart = with_default f "autostart" (one bool) true in
+  let* autostart =
+    with_default f "autostart" (one (keyword Keywords.booleans)) true
+  in
   let* actions = map_all (decode_action env) (rest_of f "script") in
   let* on_end =
-    with_default f "on-end"
-      (one (fun s ->
-           let* a = atom s in
-           match a with
-           | "repeat" -> Ok Script.Repeat
-           | "stop" -> Ok Script.Stop
-           | _ -> error "expected repeat or stop, got %s" a))
-      Script.Repeat
+    with_default f "on-end" (one (keyword Keywords.on_end)) Script.Repeat
   in
   let* () =
     assert_no_extra f
@@ -179,10 +206,11 @@ let decode_process env s =
 
 (* --- Intrapartition objects ---------------------------------------------- *)
 
-let decode_discipline = function
-  | Sexp.Atom "fifo" -> Ok Air_pos.Intra.Fifo
-  | Sexp.Atom "priority" -> Ok Air_pos.Intra.Priority
-  | s -> error "expected fifo or priority, got %s" (Sexp.to_string s)
+(* The optional trailing queuing discipline of a semaphore or buffer. *)
+let decode_discipline tag = function
+  | [] -> Ok Air_pos.Intra.Fifo
+  | [ d ] -> keyword Keywords.discipline d
+  | _ -> error "too many arguments to %s" tag
 
 let decode_intra_object s =
   let* tag, args = tag_of s in
@@ -191,12 +219,7 @@ let decode_intra_object s =
     let* name = atom name in
     let* initial = int initial in
     let* maximum = int maximum in
-    let* discipline =
-      match rest with
-      | [] -> Ok Air_pos.Intra.Fifo
-      | [ d ] -> decode_discipline d
-      | _ -> error "too many arguments to semaphore"
-    in
+    let* discipline = decode_discipline tag rest in
     Ok (Air.System.Semaphore_object { name; initial; maximum; discipline })
   | "event", [ name ] ->
     let* name = atom name in
@@ -209,12 +232,7 @@ let decode_intra_object s =
     let* name = atom name in
     let* depth = int depth in
     let* max_message_size = int size in
-    let* discipline =
-      match rest with
-      | [] -> Ok Air_pos.Intra.Fifo
-      | [ d ] -> decode_discipline d
-      | _ -> error "too many arguments to buffer"
-    in
+    let* discipline = decode_discipline tag rest in
     Ok (Air.System.Buffer_object { name; depth; max_message_size; discipline })
   | tag, _ -> error "unknown or malformed object (%s …)" tag
 
@@ -226,12 +244,7 @@ let decode_partition env index s =
   let* name = required f "name" (one atom) in
   let* kind =
     with_default f "kind"
-      (one (fun s ->
-           let* a = atom s in
-           match a with
-           | "application" -> Ok Partition.Application
-           | "system" -> Ok Partition.System
-           | _ -> error "expected application or system, got %s" a))
+      (one (keyword Keywords.partition_kind))
       Partition.Application
   in
   let* policy =
@@ -247,13 +260,7 @@ let decode_partition env index s =
   in
   let* store =
     with_default f "deadline-store"
-      (one (fun s ->
-           let* a = atom s in
-           match a with
-           | "linked-list" -> Ok Air.Deadline_store.Linked_list_impl
-           | "avl-tree" -> Ok Air.Deadline_store.Avl_impl
-           | "pairing-heap" -> Ok Air.Deadline_store.Pairing_impl
-           | _ -> error "unknown deadline store %s" a))
+      (one (keyword Keywords.deadline_store))
       Air.Deadline_store.Linked_list_impl
   in
   let* processes =
@@ -306,15 +313,9 @@ let decode_window env s =
 
 let decode_change_action env s =
   match s with
-  | Sexp.List [ Sexp.Atom pname; Sexp.Atom action ] ->
+  | Sexp.List [ Sexp.Atom pname; action ] ->
     let* partition = partition_id env pname in
-    let* action =
-      match action with
-      | "no-action" -> Ok Schedule.No_action
-      | "warm-restart" -> Ok Schedule.Warm_restart_partition
-      | "cold-restart" -> Ok Schedule.Cold_restart_partition
-      | _ -> error "unknown change action %s" action
-    in
+    let* action = keyword Keywords.change_action action in
     Ok (partition, action)
   | _ -> error "expected (PARTITION ACTION)"
 
@@ -334,19 +335,12 @@ let decode_schedule env index s =
     assert_no_extra f
       ~known:[ "name"; "mtf"; "requirements"; "windows"; "change-actions" ]
   in
-  Ok
-    (Schedule.make ~change_actions
-       ~id:(Ident.Schedule_id.make index)
-       ~name ~mtf ~requirements windows)
+  checked ("schedule " ^ name) (fun () ->
+      Schedule.make ~change_actions
+        ~id:(Ident.Schedule_id.make index)
+        ~name ~mtf ~requirements windows)
 
 (* --- Ports and channels ------------------------------------------------- *)
-
-let decode_direction s =
-  let* a = atom s in
-  match a with
-  | "source" -> Ok Port.Source
-  | "destination" -> Ok Port.Destination
-  | _ -> error "expected source or destination, got %s" a
 
 let decode_port env s =
   let* tag, body = tag_of s in
@@ -354,17 +348,21 @@ let decode_port env s =
   let* name = required f "name" (one atom) in
   let* pname = required f "partition" (one atom) in
   let* partition = partition_id env pname in
-  let* direction = required f "direction" (one decode_direction) in
+  let* direction =
+    required f "direction" (one (keyword Keywords.direction))
+  in
   let* max_message_size = with_default f "max-size" (one int) 64 in
+  let form = tag ^ " " ^ name in
   match tag with
   | "sampling-port" ->
     let* refresh = required f "refresh" (one time) in
-    Ok
-      (Port.sampling_port ~name ~partition ~direction ~refresh
-         ~max_message_size)
+    checked form (fun () ->
+        Port.sampling_port ~name ~partition ~direction ~refresh
+          ~max_message_size)
   | "queuing-port" ->
     let* depth = with_default f "depth" (one int) 8 in
-    Ok (Port.queuing_port ~name ~partition ~direction ~depth ~max_message_size)
+    checked form (fun () ->
+        Port.queuing_port ~name ~partition ~direction ~depth ~max_message_size)
   | _ -> error "expected sampling-port or queuing-port, got %s" tag
 
 let decode_channel s =
@@ -376,34 +374,10 @@ let decode_channel s =
 
 (* --- Health monitoring tables ------------------------------------------- *)
 
-let decode_error_code s =
-  let* a = atom s in
-  match a with
-  | "deadline-missed" -> Ok Error.Deadline_missed
-  | "application-error" -> Ok Error.Application_error
-  | "numeric-error" -> Ok Error.Numeric_error
-  | "illegal-request" -> Ok Error.Illegal_request
-  | "stack-overflow" -> Ok Error.Stack_overflow
-  | "memory-violation" -> Ok Error.Memory_violation
-  | "hardware-fault" -> Ok Error.Hardware_fault
-  | "power-failure" -> Ok Error.Power_failure
-  | "configuration-error" -> Ok Error.Configuration_error
-  | "temporal-degradation" -> Ok Error.Temporal_degradation
-  | _ -> error "unknown error code %s" a
-
-let rec decode_process_action s =
-  match s with
-  | Sexp.Atom "ignore" -> Ok Error.Ignore_error
-  | Sexp.Atom "restart-process" -> Ok Error.Restart_process
-  | Sexp.Atom "stop-process" -> Ok Error.Stop_process
-  | Sexp.Atom "stop-partition" -> Ok Error.Stop_partition_of_process
-  | Sexp.List [ Sexp.Atom "restart-partition"; Sexp.Atom mode ] ->
-    let* mode =
-      match mode with
-      | "warm" -> Ok Partition.Warm_start
-      | "cold" -> Ok Partition.Cold_start
-      | _ -> error "expected warm or cold, got %s" mode
-    in
+let rec decode_process_action = function
+  | Sexp.Atom _ as s -> keyword Keywords.process_action s
+  | Sexp.List [ Sexp.Atom "restart-partition"; mode ] ->
+    let* mode = keyword Keywords.restart_mode mode in
     Ok (Error.Restart_partition_of_process mode)
   | Sexp.List [ Sexp.Atom "log-then"; n; inner ] ->
     let* n = int n in
@@ -411,85 +385,63 @@ let rec decode_process_action s =
     Ok (Error.Log_then (n, inner))
   | s -> error "unknown process recovery action %s" (Sexp.to_string s)
 
-let decode_partition_action s =
-  let* a = atom s in
-  match a with
-  | "ignore" -> Ok Error.Partition_ignore
-  | "idle" -> Ok Error.Partition_idle
-  | "warm-restart" -> Ok Error.Partition_warm_restart
-  | "cold-restart" -> Ok Error.Partition_cold_restart
-  | _ -> error "unknown partition recovery action %s" a
-
-let decode_module_action s =
-  let* a = atom s in
-  match a with
-  | "ignore" -> Ok Error.Module_ignore
-  | "shutdown" -> Ok Error.Module_shutdown
-  | "reset" -> Ok Error.Module_reset
-  | _ -> error "unknown module recovery action %s" a
+(* The (PARTITION CODE ACTION) entries of process-errors or
+   partition-errors, split into specific entries and the wildcard defaults
+   a "*" partition makes: a default applies to any partition without a
+   specific entry for the code. *)
+let decode_hm_entries env action forms =
+  let* entries =
+    map_all
+      (function
+        | Sexp.List [ p; code; act ] ->
+          let* p =
+            default_or_index ~default:"*" env.partition_names "partition" p
+          in
+          let* code = keyword Keywords.error_code code in
+          let* act = action act in
+          Ok (p, (code, act))
+        | _ -> error "expected (PARTITION CODE ACTION)")
+      forms
+  in
+  Ok
+    ( List.filter_map
+        (function
+          | Some i, (code, act) -> Some (Ident.Partition_id.make i, code, act)
+          | None, _ -> None)
+        entries,
+      List.filter_map
+        (function None, e -> Some e | Some _, _ -> None)
+        entries )
 
 let decode_hm env args =
   let* f = fields_of ~context:"hm" args in
-  (* A "*" in the partition position makes the entry a wildcard default,
-     applying to any partition without a specific entry for the code. *)
-  let* process_entries =
-    map_all
-      (fun s ->
-        match s with
-        | Sexp.List [ Sexp.Atom pname; code; action ] ->
-          let* code = decode_error_code code in
-          let* action = decode_process_action action in
-          if String.equal pname "*" then Ok (`Wildcard (code, action))
-          else
-            let* partition = partition_id env pname in
-            Ok (`Specific (partition, code, action))
-        | _ -> error "expected (PARTITION CODE ACTION)")
-      (rest_of f "process-errors")
+  let* process_actions, process_defaults =
+    with_default f "process-errors"
+      (decode_hm_entries env decode_process_action)
+      ([], [])
   in
-  let* partition_entries =
-    map_all
-      (fun s ->
-        match s with
-        | Sexp.List [ Sexp.Atom pname; code; action ] ->
-          let* code = decode_error_code code in
-          let* action = decode_partition_action action in
-          if String.equal pname "*" then Ok (`Wildcard (code, action))
-          else
-            let* partition = partition_id env pname in
-            Ok (`Specific (partition, code, action))
-        | _ -> error "expected (PARTITION CODE ACTION)")
-      (rest_of f "partition-errors")
+  let* partition_actions, partition_defaults =
+    with_default f "partition-errors"
+      (decode_hm_entries env (keyword Keywords.partition_action))
+      ([], [])
   in
   let* module_actions =
-    map_all
-      (fun s ->
-        match s with
+    with_default f "module-errors"
+      (many (function
         | Sexp.List [ code; action ] ->
-          let* code = decode_error_code code in
-          let* action = decode_module_action action in
+          let* code = keyword Keywords.error_code code in
+          let* action = keyword Keywords.module_action action in
           Ok (code, action)
-        | _ -> error "expected (CODE ACTION)")
-      (rest_of f "module-errors")
+        | _ -> error "expected (CODE ACTION)"))
+      []
   in
   let* () =
     assert_no_extra f
       ~known:[ "process-errors"; "partition-errors"; "module-errors" ]
   in
-  let specific entries =
-    List.filter_map
-      (function `Specific e -> Some e | `Wildcard _ -> None)
-      entries
-  and wildcard entries =
-    List.filter_map
-      (function `Wildcard e -> Some e | `Specific _ -> None)
-      entries
-  in
   Ok
-    { Air.Hm.process_actions = specific process_entries;
-      partition_actions = specific partition_entries;
-      module_actions;
-      process_defaults = wildcard process_entries;
-      partition_defaults = wildcard partition_entries }
+    { Air.Hm.process_actions; partition_actions; module_actions;
+      process_defaults; partition_defaults }
 
 (* --- Telemetry ----------------------------------------------------------- *)
 
@@ -500,7 +452,11 @@ let decode_hm env args =
 let decode_watchdog env s =
   let* body = tagged "watchdog" s in
   let* f = fields_of ~context:"watchdog" body in
-  let* schedule = with_default f "schedule" (one atom) "*" in
+  let* schedule =
+    with_default f "schedule"
+      (one (default_or_index ~default:"*" env.schedule_names "schedule"))
+      None
+  in
   let* min_slack = optional f "min-slack" (one int) in
   let* max_jitter_p99 = optional f "max-jitter-p99" (one int) in
   let* max_catch_up = optional f "max-catch-up" (one int) in
@@ -511,60 +467,25 @@ let decode_watchdog env s =
         [ "schedule"; "min-slack"; "max-jitter-p99"; "max-catch-up";
           "max-deadline-misses" ]
   in
-  let wd =
-    Air_obs.Telemetry.watchdog ?min_slack ?max_jitter_p99 ?max_catch_up
-      ?max_deadline_misses ()
-  in
-  if String.equal schedule "*" then Ok (`Default wd)
-  else
-    let* i = index_of env.schedule_names "schedule" schedule in
-    Ok (`Schedule (i, wd))
+  Ok
+    ( schedule,
+      Air_obs.Telemetry.watchdog ?min_slack ?max_jitter_p99 ?max_catch_up
+        ?max_deadline_misses () )
 
 let decode_telemetry env args =
   let* f = fields_of ~context:"telemetry" args in
   let* retention = optional f "retention" (one int) in
-  let* () =
-    match retention with
-    | Some r when r <= 0 -> error "telemetry.retention must be positive"
-    | Some _ | None -> Ok ()
-  in
   let* entries =
-    match rest_of f "watchdogs" with
-    | [] -> Ok []
-    | forms -> map_all (decode_watchdog env) forms
+    with_default f "watchdogs" (many (decode_watchdog env)) []
   in
   let* () = assert_no_extra f ~known:[ "retention"; "watchdogs" ] in
-  let* default_watchdog =
-    List.fold_left
-      (fun acc e ->
-        let* acc = acc in
-        match e with
-        | `Default wd ->
-          if Option.is_some acc then
-            error "telemetry: duplicate default (schedule *) watchdog"
-          else Ok (Some wd)
-        | `Schedule _ -> Ok acc)
-      (Ok None) entries
-  in
-  let schedule_watchdogs =
-    List.filter_map
-      (function `Schedule (i, wd) -> Some (i, wd) | `Default _ -> None)
+  let* default_watchdog, schedule_watchdogs =
+    default_and_named ~context:"telemetry.watchdogs" env.schedule_names
       entries
   in
-  let* () =
-    let rec dup = function
-      | [] -> Ok ()
-      | (i, _) :: rest ->
-        if List.mem_assoc i rest then
-          error "telemetry: duplicate watchdog for schedule %s"
-            (List.nth env.schedule_names i)
-        else dup rest
-    in
-    dup schedule_watchdogs
-  in
-  Ok
-    (Air_obs.Telemetry.config ?retention
-       ?default_watchdog ~schedule_watchdogs ())
+  checked "telemetry" (fun () ->
+      Air_obs.Telemetry.config ?retention ?default_watchdog
+        ~schedule_watchdogs ())
 
 (* (causal (retention 16384)) — attach a causal flow tracker stamping
    every IPC message with a correlation id; retention bounds the hop-record
@@ -572,13 +493,8 @@ let decode_telemetry env args =
 let decode_causal args =
   let* f = fields_of ~context:"causal" args in
   let* retention = optional f "retention" (one int) in
-  let* () =
-    match retention with
-    | Some r when r <= 0 -> error "causal.retention must be positive"
-    | Some _ | None -> Ok ()
-  in
   let* () = assert_no_extra f ~known:[ "retention" ] in
-  Ok (Air_obs.Causal.create ?capacity:retention ())
+  checked "causal" (fun () -> Air_obs.Causal.create ?capacity:retention ())
 
 (* --- Contention ----------------------------------------------------------- *)
 
@@ -594,40 +510,26 @@ let decode_causal args =
 let decode_contention env args =
   let* f = fields_of ~context:"contention" args in
   let* entries =
-    map_all
-      (fun s ->
-        match s with
-        | Sexp.List [ Sexp.Atom "default"; n ] ->
+    with_default f "budget"
+      (many (function
+        | Sexp.List [ key; n ] ->
+          let* key =
+            default_or_index ~default:"default" env.partition_names
+              "partition" key
+          in
           let* n = int n in
-          Ok (`Default n)
-        | Sexp.List [ Sexp.Atom name; n ] ->
-          let* i = index_of env.partition_names "partition" name in
-          let* n = int n in
-          Ok (`Partition (i, n))
-        | _ -> error "contention.budget: expected (default N) or (PARTITION N)")
-      (rest_of f "budget")
+          Ok (key, n)
+        | _ -> error "expected (default N) or (PARTITION N)"))
+      []
   in
-  let* default_budget =
-    List.fold_left
-      (fun acc e ->
-        let* acc = acc in
-        match e with
-        | `Default n ->
-          if Option.is_some acc then
-            error "contention.budget: duplicate (default N)"
-          else Ok (Some n)
-        | `Partition _ -> Ok acc)
-      (Ok None) entries
+  let* default_budget, budgets =
+    default_and_named ~context:"contention.budget" env.partition_names
+      entries
   in
   let* default_budget =
     match default_budget with
     | Some n -> Ok n
     | None -> error "contention.budget: missing (default N)"
-  in
-  let budgets =
-    List.filter_map
-      (function `Partition e -> Some e | `Default _ -> None)
-      entries
   in
   (* A present-but-empty (curve) is meaningful — contention accounting
      without slowdown — and distinct from an absent field (the default
@@ -640,7 +542,7 @@ let decode_contention env args =
              let* t = int t in
              let* step = int step in
              Ok (t, step)
-           | _ -> error "contention.curve: expected (THRESHOLD STALL)"))
+           | _ -> error "expected (THRESHOLD STALL)"))
   in
   let* compute_cost = optional f "compute-cost" (one int) in
   let* pressure_decay = optional f "pressure-decay" (one int) in
@@ -648,12 +550,9 @@ let decode_contention env args =
     assert_no_extra f
       ~known:[ "budget"; "curve"; "compute-cost"; "pressure-decay" ]
   in
-  match
-    Air_spatial.Contention.config ~budgets ?curve ?compute_cost
-      ?pressure_decay_permille:pressure_decay ~default_budget ()
-  with
-  | c -> Ok c
-  | exception Invalid_argument m -> error "contention: %s" m
+  checked "contention" (fun () ->
+      Air_spatial.Contention.config ~budgets ?curve ?compute_cost
+        ?pressure_decay_permille:pressure_decay ~default_budget ())
 
 (* --- Fault campaigns ------------------------------------------------------ *)
 
@@ -684,30 +583,6 @@ let decode_contention env args =
      (module-error CODE)
    with SECTION one of code|data|stack|io. *)
 
-let decode_section s =
-  let* a = atom s in
-  match a with
-  | "code" -> Ok Air_spatial.Memory.Code
-  | "data" -> Ok Air_spatial.Memory.Data
-  | "stack" -> Ok Air_spatial.Memory.Stack
-  | "io" -> Ok Air_spatial.Memory.Io
-  | _ -> error "unknown memory section %s" a
-
-let decode_rw s =
-  let* a = atom s in
-  match a with
-  | "read" -> Ok false
-  | "write" -> Ok true
-  | _ -> error "expected read or write, got %s" a
-
-let decode_restart_mode s =
-  let* a = atom s in
-  match a with
-  | "warm" -> Ok Partition.Warm_start
-  | "cold" -> Ok Partition.Cold_start
-  | "idle" -> Ok Partition.Idle
-  | _ -> error "expected warm, cold or idle, got %s" a
-
 let decode_fault env s =
   let open Air_faults.Fault in
   let* tag, args = tag_of s in
@@ -730,7 +605,7 @@ let decode_fault env s =
     Ok (Process_stop { partition; process })
   | "restart-partition", [ p; m ] ->
     let* partition = partition_index p in
-    let* mode = decode_restart_mode m in
+    let* mode = keyword Keywords.fault_restart_mode m in
     Ok (Partition_restart { partition; mode })
   | "request-schedule", [ s ] ->
     let* name = atom s in
@@ -742,8 +617,8 @@ let decode_fault env s =
     Ok (Clock_jitter { partition; ticks })
   | "wild-access", p :: sec :: rw :: rest ->
     let* partition = partition_index p in
-    let* section = decode_section sec in
-    let* write = decode_rw rw in
+    let* section = keyword Keywords.section sec in
+    let* write = keyword Keywords.read_write rw in
     let* offset =
       match rest with
       | [] -> Ok 64
@@ -753,9 +628,9 @@ let decode_fault env s =
     Ok (Wild_access { partition; section; offset; write })
   | "bit-flip", [ p; sec; bit; rw ] ->
     let* partition = partition_index p in
-    let* section = decode_section sec in
+    let* section = keyword Keywords.section sec in
     let* bit = int bit in
-    let* write = decode_rw rw in
+    let* write = keyword Keywords.read_write rw in
     Ok (Bit_flip { partition; section; bit; write })
   | "bandwidth-hog", [ p; permille ] ->
     let* partition = partition_index p in
@@ -780,7 +655,7 @@ let decode_fault env s =
     Ok (Link_fault { fault = Msg_delay { ticks } })
   | "link-reorder", [] -> Ok (Link_fault { fault = Msg_reorder })
   | "module-error", [ code ] ->
-    let* code = decode_error_code code in
+    let* code = keyword Keywords.error_code code in
     Ok (Module_error { code })
   | _, _ -> error "unknown fault form (%s …)" tag
 
@@ -806,48 +681,58 @@ let decode_campaign env s =
   let* name = with_default f "name" (one atom) "campaign" in
   let* seed = required f "seed" (one int) in
   let* horizon = required f "horizon" (one int) in
-  let* () =
-    if horizon <= 0 then error "campaign %s: horizon must be positive" name
-    else Ok ()
-  in
   let* injections = map_all (decode_injection env) (rest_of f "injections") in
   let* rates = map_all (decode_rate env) (rest_of f "rates") in
   let* () =
     assert_no_extra f
       ~known:[ "name"; "seed"; "horizon"; "injections"; "rates" ]
   in
-  Ok (Air_faults.Campaign.spec ~name ~injections ~rates ~seed ~horizon ())
+  checked ("campaign " ^ name) (fun () ->
+      Air_faults.Campaign.spec ~name ~injections ~rates ~seed ~horizon ())
 
-let decode_faults env args = map_all (decode_campaign env) args
+let decode_faults env f = map_all (decode_campaign env) (rest_of f "faults")
 
-(* --- Toplevel ------------------------------------------------------------ *)
+(* --- Documents ------------------------------------------------------------ *)
 
-let name_field context s =
-  let* body = tag_of s in
-  let tag, args = body in
-  ignore tag;
-  let* f = fields_of ~context args in
-  required f "name" (one atom)
+(* A document is exactly one [(tag field…)] form. *)
+let document tag parsed =
+  match parsed with
+  | Error e -> Error (Format.asprintf "%a" Sexp.pp_error e)
+  | Ok [ s ] ->
+    let* body = tagged tag s in
+    fields_of ~context:tag body
+  | Ok _ -> error "expected exactly one (%s …) form" tag
 
-let decode_system s =
-  let* body = tagged "air-system" s in
-  let* f = fields_of ~context:"air-system" body in
-  let partition_forms = rest_of f "partitions" in
-  let schedule_forms = rest_of f "schedules" in
-  let* partition_names =
-    map_all (name_field "partition") partition_forms
-  in
-  let* schedule_names = map_all (name_field "schedule") schedule_forms in
-  let env = { partition_names; schedule_names } in
-  let* partitions =
+(* The names an (air-system …) document declares, in declaration order. *)
+let env_of f =
+  let names kind field =
     map_all
-      (fun (i, s) -> decode_partition env i s)
-      (List.mapi (fun i s -> (i, s)) partition_forms)
+      (fun s ->
+        let* _, args = tag_of s in
+        let* g = fields_of ~context:kind args in
+        required g "name" (one atom))
+      (rest_of f field)
+  in
+  let* partition_names = names "partition" "partitions" in
+  let* schedule_names = names "schedule" "schedules" in
+  Ok { partition_names; schedule_names }
+
+(* An optional section: absent or empty is [None]. *)
+let section f name decode =
+  match rest_of f name with
+  | [] -> Ok None
+  | args ->
+    let* v = decode args in
+    Ok (Some v)
+
+let decode_system f =
+  let* env = env_of f in
+  let indexed field = List.mapi (fun i s -> (i, s)) (rest_of f field) in
+  let* partitions =
+    map_all (fun (i, s) -> decode_partition env i s) (indexed "partitions")
   in
   let* schedules =
-    map_all
-      (fun (i, s) -> decode_schedule env i s)
-      (List.mapi (fun i s -> (i, s)) schedule_forms)
+    map_all (fun (i, s) -> decode_schedule env i s) (indexed "schedules")
   in
   let* ports = map_all (decode_port env) (rest_of f "ports") in
   let* channels = map_all decode_channel (rest_of f "channels") in
@@ -855,95 +740,74 @@ let decode_system s =
     optional f "initial-schedule"
       (one (fun s ->
            let* name = atom s in
-           let* i = index_of schedule_names "schedule" name in
+           let* i = index_of env.schedule_names "schedule" name in
            Ok (Ident.Schedule_id.make i)))
   in
-  let* hm_tables =
-    match List.assoc_opt "hm" [ ("hm", rest_of f "hm") ] with
-    | Some [] -> Ok Air.Hm.default_tables
-    | Some args -> decode_hm env args
-    | None -> Ok Air.Hm.default_tables
-  in
-  let* telemetry =
-    match rest_of f "telemetry" with
-    | [] -> Ok None
-    | args ->
-      let* c = decode_telemetry env args in
-      Ok (Some c)
-  in
-  let* causal =
-    match rest_of f "causal" with
-    | [] -> Ok None
-    | args ->
-      let* c = decode_causal args in
-      Ok (Some c)
-  in
-  let* contention =
-    match rest_of f "contention" with
-    | [] -> Ok None
-    | args ->
-      let* c = decode_contention env args in
-      Ok (Some c)
-  in
+  let* hm_tables = section f "hm" (decode_hm env) in
+  let* telemetry = section f "telemetry" (decode_telemetry env) in
+  let* causal = section f "causal" decode_causal in
+  let* contention = section f "contention" (decode_contention env) in
   (* Multicore executive: (cores N) shards every schedule over N PMK
      lanes (Air.System sharding; window offsets preserved). *)
   let* cores = optional f "cores" (one int) in
-  let* () =
-    match cores with
-    | Some n when n <= 0 -> error "cores must be positive"
-    | Some _ | None -> Ok ()
-  in
   (* Campaigns live in the same document but are not part of the module
      configuration; validate the grammar here so a typo fails the load. *)
-  let* _campaigns = decode_faults env (rest_of f "faults") in
+  let* _campaigns = decode_faults env f in
   let* () =
     assert_no_extra f
       ~known:
         [ "partitions"; "schedules"; "ports"; "channels"; "initial-schedule";
           "hm"; "telemetry"; "causal"; "contention"; "faults"; "cores" ]
   in
-  Ok
-    (Air.System.config ?initial_schedule
-       ~network:{ Port.ports; channels }
-       ~hm_tables ?telemetry ?causal ?contention ?cores ~partitions
-       ~schedules ())
+  checked "air-system" (fun () ->
+      Air.System.config ?initial_schedule
+        ~network:{ Port.ports; channels }
+        ?hm_tables ?telemetry ?causal ?contention ?cores ~partitions
+        ~schedules ())
 
 let load input =
-  match Sexp.parse_one input with
-  | Error e -> Error (Format.asprintf "%a" Sexp.pp_error e)
-  | Ok s -> decode_system s
+  let* f = document "air-system" (Sexp.parse input) in
+  decode_system f
 
 let load_file path =
-  match Sexp.parse_file path with
-  | Error e -> Error (Format.asprintf "%a" Sexp.pp_error e)
-  | Ok [ s ] -> decode_system s
-  | Ok _ -> Error "expected exactly one (air-system …) form"
-
-let campaigns_of doc =
-  let* body = tagged "air-system" doc in
-  let* f = fields_of ~context:"air-system" body in
-  let* partition_names =
-    map_all (name_field "partition") (rest_of f "partitions")
-  in
-  let* schedule_names = map_all (name_field "schedule") (rest_of f "schedules") in
-  decode_faults { partition_names; schedule_names } (rest_of f "faults")
-
-let load_campaigns input =
-  match Sexp.parse_one input with
-  | Error e -> Error (Format.asprintf "%a" Sexp.pp_error e)
-  | Ok s -> campaigns_of s
+  let* f = document "air-system" (Sexp.parse_file path) in
+  decode_system f
 
 let load_campaigns_file path =
-  match Sexp.parse_file path with
-  | Error e -> Error (Format.asprintf "%a" Sexp.pp_error e)
-  | Ok [ s ] -> campaigns_of s
-  | Ok _ -> Error "expected exactly one (air-system …) form"
+  let* f = document "air-system" (Sexp.parse_file path) in
+  let* env = env_of f in
+  decode_faults env f
+
+(* Loads and builds the modules of a cluster or fleet document: one
+   (label, config path) per module, the path relative to the document's
+   directory. [instrument] is the caller's hook: e.g. air_run attaches a
+   flight recorder and causal tracker to every module when an
+   observability export was requested. *)
+let build_modules ?instrument ~dir modules =
+  map_all
+    (fun (i, (label, config)) ->
+      let path =
+        if Filename.is_relative config then Filename.concat dir config
+        else config
+      in
+      let form = Printf.sprintf "%s (%s)" label path in
+      let* cfg =
+        match load_file path with
+        | Ok cfg -> Ok cfg
+        | Error e -> error "%s: %s" form e
+      in
+      let cfg = match instrument with None -> cfg | Some f -> f i cfg in
+      checked form (fun () -> Air.System.create cfg))
+    (List.mapi (fun i m -> (i, m)) modules)
 
 (* --- Clusters ------------------------------------------------------------ *)
 
 let decode_bus args =
   let* f = fields_of ~context:"bus" args in
-  let* latency = with_default f "latency" (one time) Air.Cluster.default_bus.Air.Cluster.latency in
+  let* latency =
+    with_default f "latency" (one time)
+      Air.Cluster.default_bus.Air.Cluster.latency
+  in
   let* bytes_per_tick =
     with_default f "bytes-per-tick" (one int)
       Air.Cluster.default_bus.Air.Cluster.bytes_per_tick
@@ -977,55 +841,19 @@ let decode_link module_names s =
     (Air.Cluster.link ?latency ~from_module ~from_port ~to_module ~to_port ())
 
 let load_cluster_file ?instrument path =
-  let dir = Filename.dirname path in
-  match Sexp.parse_file path with
-  | Error e -> Error (Format.asprintf "%a" Sexp.pp_error e)
-  | Ok [ doc ] -> (
-    let build =
-      let* body = tagged "air-cluster" doc in
-      let* f = fields_of ~context:"air-cluster" body in
-      let* bus =
-        match rest_of f "bus" with
-        | [] -> Ok Air.Cluster.default_bus
-        | args -> decode_bus args
-      in
-      let* modules = map_all decode_module_decl (rest_of f "modules") in
-      let* () =
-        if modules = [] then error "air-cluster: no modules" else Ok ()
-      in
-      let module_names = List.map fst modules in
-      let* links = map_all (decode_link module_names) (rest_of f "links") in
-      let* () =
-        assert_no_extra f ~known:[ "bus"; "modules"; "links" ]
-      in
-      let* systems =
-        map_all
-          (fun (i, (name, config)) ->
-            let resolved =
-              if Filename.is_relative config then Filename.concat dir config
-              else config
-            in
-            match load_file resolved with
-            | Ok cfg ->
-              (* Caller's instrumentation hook: e.g. air_run attaches a
-                 flight recorder and causal tracker to every module when
-                 an observability export was requested. *)
-              let cfg =
-                match instrument with None -> cfg | Some f -> f i cfg
-              in
-              Ok (Air.System.create cfg)
-            | Error e -> error "module %s (%s): %s" name resolved e)
-          (List.mapi (fun i m -> (i, m)) modules)
-      in
-      Ok (bus, links, systems)
-    in
-    match build with
-    | Error e -> Error e
-    | Ok (bus, links, systems) -> (
-      match Air.Cluster.create ~bus ~links systems with
-      | cluster -> Ok cluster
-      | exception Invalid_argument m -> Error m))
-  | Ok _ -> Error "expected exactly one (air-cluster …) form"
+  let* f = document "air-cluster" (Sexp.parse_file path) in
+  let* bus = with_default f "bus" decode_bus Air.Cluster.default_bus in
+  let* modules = map_all decode_module_decl (rest_of f "modules") in
+  let* () = if modules = [] then error "air-cluster: no modules" else Ok () in
+  let* links =
+    map_all (decode_link (List.map fst modules)) (rest_of f "links")
+  in
+  let* () = assert_no_extra f ~known:[ "bus"; "modules"; "links" ] in
+  let* systems =
+    build_modules ?instrument ~dir:(Filename.dirname path)
+      (List.map (fun (name, config) -> ("module " ^ name, config)) modules)
+  in
+  checked "air-cluster" (fun () -> Air.Cluster.create ~bus ~links systems)
 
 (* --- Fleets -------------------------------------------------------------- *)
 
@@ -1041,69 +869,39 @@ let decode_topology = function
 type fleet = { fleet_cluster : Air.Cluster.t; fleet_domains : int }
 
 let load_fleet_file ?instrument path =
-  let dir = Filename.dirname path in
-  match Sexp.parse_file path with
-  | Error e -> Error (Format.asprintf "%a" Sexp.pp_error e)
-  | Ok [ doc ] ->
-    let* body = tagged "air-fleet" doc in
-    let* f = fields_of ~context:"air-fleet" body in
-    let* template = required f "template" (one atom) in
-    let* n = required f "modules" (one int) in
-    let* () =
-      if n < 2 then error "air-fleet: needs at least 2 modules" else Ok ()
-    in
-    let* shape = decode_topology (rest_of f "topology") in
-    let* gateway = with_default f "gateway" (one atom) "TX" in
-    let* ingress = with_default f "ingress" (one atom) "RX" in
-    let* bus =
-      match rest_of f "bus" with
-      | [] -> Ok Air.Cluster.default_bus
-      | args -> decode_bus args
-    in
-    let* isl_latency = optional f "isl-latency" (one time) in
-    let* domains = with_default f "domains" (one int) 1 in
-    let* () =
-      if domains < 1 then error "air-fleet: domains must be >= 1" else Ok ()
-    in
-    let* () =
-      assert_no_extra f
-        ~known:
-          [ "template"; "modules"; "topology"; "gateway"; "ingress"; "bus";
-            "isl-latency"; "domains" ]
-    in
-    let* links =
-      match
+  let* f = document "air-fleet" (Sexp.parse_file path) in
+  let* template = required f "template" (one atom) in
+  let* n = required f "modules" (one int) in
+  let* () =
+    if n < 2 then error "air-fleet: needs at least 2 modules" else Ok ()
+  in
+  let* shape = decode_topology (rest_of f "topology") in
+  let* gateway = with_default f "gateway" (one atom) "TX" in
+  let* ingress = with_default f "ingress" (one atom) "RX" in
+  let* bus = with_default f "bus" decode_bus Air.Cluster.default_bus in
+  let* isl_latency = optional f "isl-latency" (one time) in
+  let* domains = with_default f "domains" (one int) 1 in
+  let* () =
+    if domains < 1 then error "air-fleet: domains must be >= 1" else Ok ()
+  in
+  let* () =
+    assert_no_extra f
+      ~known:
+        [ "template"; "modules"; "topology"; "gateway"; "ingress"; "bus";
+          "isl-latency"; "domains" ]
+  in
+  let* links =
+    checked "air-fleet" (fun () ->
         Air_fleet.Topology.links ?latency:isl_latency ~gateway ~ingress shape
-          ~n
-      with
-      | links -> Ok links
-      | exception Invalid_argument m -> error "air-fleet: %s" m
-    in
-    let resolved =
-      if Filename.is_relative template then Filename.concat dir template
-      else template
-    in
-    let* systems =
-      map_all
-        (fun i ->
-          (* The template is reloaded per module so clones never share
-             mutable observability state (trackers, recorders). *)
-          match load_file resolved with
-          | Ok cfg ->
-            let cfg =
-              match instrument with None -> cfg | Some f -> f i cfg
-            in
-            Ok (Air.System.create cfg)
-          | Error e -> error "air-fleet template %s: %s" resolved e)
-        (List.init n Fun.id)
-    in
-    (match Air.Cluster.create ~bus ~links systems with
-    | cluster -> Ok { fleet_cluster = cluster; fleet_domains = domains }
-    | exception Invalid_argument m -> error "air-fleet: %s" m)
-  | Ok _ -> Error "expected exactly one (air-fleet …) form"
-
-let schedule_index name s =
-  let* body = tagged "air-system" s in
-  let* f = fields_of ~context:"air-system" body in
-  let* names = map_all (name_field "schedule") (rest_of f "schedules") in
-  index_of names "schedule" name
+          ~n)
+  in
+  (* The template is reloaded per module so clones never share mutable
+     observability state (trackers, recorders). *)
+  let* systems =
+    build_modules ?instrument ~dir:(Filename.dirname path)
+      (List.init n (fun _ -> ("air-fleet template", template)))
+  in
+  let* cluster =
+    checked "air-fleet" (fun () -> Air.Cluster.create ~bus ~links systems)
+  in
+  Ok { fleet_cluster = cluster; fleet_domains = domains }

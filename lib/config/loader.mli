@@ -7,7 +7,12 @@
     identifiers in declaration order.
 
     See [examples/configs/] for complete documents; the grammar is
-    documented field by field in the README. *)
+    documented field by field in the README.
+
+    No exception escapes a load: a syntax error, an unknown name or
+    keyword, and a value a library constructor rejects (a zero MTF, a
+    zero port depth, a module [Air.System.create] refuses) are all
+    returned as [Error] with the field path and the offending form. *)
 
 val load : string -> (Air.System.config, string) result
 (** Parse and decode a configuration document from a string. *)
@@ -33,14 +38,12 @@ val load_file : string -> (Air.System.config, string) result
 
     The section is validated (partition, schedule and error-code names
     resolved) but otherwise ignored by {!load}; the campaign engine reads
-    it through the functions below. *)
-
-val load_campaigns : string -> (Air_faults.Campaign.spec list, string) result
-(** Decode the campaigns of a configuration document given as a string
-    (empty list when the document has no [faults] section). *)
+    it through {!load_campaigns_file}. *)
 
 val load_campaigns_file :
   string -> (Air_faults.Campaign.spec list, string) result
+(** Decode the campaigns of a configuration document (empty list when the
+    document has no [faults] section). *)
 
 (** {1 Clusters}
 
@@ -102,7 +105,3 @@ val load_fleet_file :
   (fleet, string) result
 (** Parses the fleet document, clones and instruments the template per
     module (as in {!load_cluster_file}) and wires the generated links. *)
-
-val schedule_index : string -> Sexp.t -> (int, string) result
-(** Resolve a schedule name to its index within a parsed [(air-system …)]
-    form — used by tools that take a schedule by name. *)

@@ -8,136 +8,119 @@ let pp_error ppf e =
   Format.fprintf ppf "line %d, column %d: %s" e.position.line
     e.position.column e.message
 
-exception Parse_error of error
+(* The reader keeps only a byte index into the input; a failure carries the
+   index, and the line and column are counted from the input's start when
+   the error is reported. *)
+exception Parse_error of int * string
 
-type lexer = {
-  input : string;
-  mutable pos : int;
-  mutable line : int;
-  mutable column : int;
-}
-
-let make_lexer input = { input; pos = 0; line = 1; column = 1 }
-
-let position lx = { line = lx.line; column = lx.column }
-
-let fail lx message = raise (Parse_error { message; position = position lx })
-
-let peek lx =
-  if lx.pos >= String.length lx.input then None else Some lx.input.[lx.pos]
-
-let advance lx =
-  (match peek lx with
-  | Some '\n' ->
-    lx.line <- lx.line + 1;
-    lx.column <- 1
-  | Some _ -> lx.column <- lx.column + 1
-  | None -> ());
-  lx.pos <- lx.pos + 1
-
-let rec skip_blanks lx =
-  match peek lx with
-  | Some (' ' | '\t' | '\n' | '\r') ->
-    advance lx;
-    skip_blanks lx
-  | Some ';' ->
-    let rec to_eol () =
-      match peek lx with
-      | Some '\n' | None -> ()
-      | Some _ ->
-        advance lx;
-        to_eol ()
-    in
-    to_eol ();
-    skip_blanks lx
-  | Some _ | None -> ()
+let position_of input index =
+  let line = ref 1 and column = ref 1 in
+  for i = 0 to index - 1 do
+    if input.[i] = '\n' then begin
+      incr line;
+      column := 1
+    end
+    else incr column
+  done;
+  { line = !line; column = !column }
 
 let is_atom_char = function
   | ' ' | '\t' | '\n' | '\r' | '(' | ')' | '"' | ';' -> false
   | _ -> true
 
-let lex_quoted lx =
-  advance lx (* opening quote *);
+(* Reads expressions from [input]; [pos] is the index of the next unread
+   byte. *)
+type reader = { input : string; mutable pos : int }
+
+let fail r message = raise (Parse_error (r.pos, message))
+
+let at_end r = r.pos >= String.length r.input
+
+let rec skip_blanks r =
+  if not (at_end r) then
+    match r.input.[r.pos] with
+    | ' ' | '\t' | '\n' | '\r' ->
+      r.pos <- r.pos + 1;
+      skip_blanks r
+    | ';' ->
+      r.pos <-
+        (match String.index_from_opt r.input r.pos '\n' with
+        | Some eol -> eol
+        | None -> String.length r.input);
+      skip_blanks r
+    | _ -> ()
+
+let read_quoted r =
+  r.pos <- r.pos + 1 (* opening quote *);
   let buf = Buffer.create 16 in
   let rec go () =
-    match peek lx with
-    | None -> fail lx "unterminated string"
-    | Some '"' -> advance lx
-    | Some '\\' -> (
-      advance lx;
-      match peek lx with
-      | Some 'n' -> Buffer.add_char buf '\n'; advance lx; go ()
-      | Some 't' -> Buffer.add_char buf '\t'; advance lx; go ()
-      | Some '"' -> Buffer.add_char buf '"'; advance lx; go ()
-      | Some '\\' -> Buffer.add_char buf '\\'; advance lx; go ()
-      | Some c -> fail lx (Printf.sprintf "bad escape \\%c" c)
-      | None -> fail lx "unterminated escape")
-    | Some c ->
+    if at_end r then fail r "unterminated string";
+    let c = r.input.[r.pos] in
+    r.pos <- r.pos + 1;
+    match c with
+    | '"' -> ()
+    | '\\' ->
+      if at_end r then fail r "unterminated escape";
+      (match r.input.[r.pos] with
+      | 'n' -> Buffer.add_char buf '\n'
+      | 't' -> Buffer.add_char buf '\t'
+      | ('"' | '\\') as c -> Buffer.add_char buf c
+      | c -> fail r (Printf.sprintf "bad escape \\%c" c));
+      r.pos <- r.pos + 1;
+      go ()
+    | c ->
       Buffer.add_char buf c;
-      advance lx;
       go ()
   in
   go ();
   Buffer.contents buf
 
-let lex_bare lx =
-  let buf = Buffer.create 16 in
-  let rec go () =
-    match peek lx with
-    | Some c when is_atom_char c ->
-      Buffer.add_char buf c;
-      advance lx;
-      go ()
-    | Some _ | None -> ()
-  in
-  go ();
-  Buffer.contents buf
+let read_bare r =
+  let start = r.pos in
+  while (not (at_end r)) && is_atom_char r.input.[r.pos] do
+    r.pos <- r.pos + 1
+  done;
+  String.sub r.input start (r.pos - start)
 
-let rec parse_expr lx =
-  skip_blanks lx;
-  match peek lx with
-  | None -> fail lx "unexpected end of input"
-  | Some '(' ->
-    advance lx;
+let rec read_expr r =
+  skip_blanks r;
+  if at_end r then fail r "unexpected end of input";
+  match r.input.[r.pos] with
+  | '(' ->
+    r.pos <- r.pos + 1;
     let rec elements acc =
-      skip_blanks lx;
-      match peek lx with
-      | Some ')' ->
-        advance lx;
+      skip_blanks r;
+      if at_end r then fail r "unclosed parenthesis";
+      if r.input.[r.pos] = ')' then begin
+        r.pos <- r.pos + 1;
         List (List.rev acc)
-      | None -> fail lx "unclosed parenthesis"
-      | Some _ -> elements (parse_expr lx :: acc)
+      end
+      else elements (read_expr r :: acc)
     in
     elements []
-  | Some ')' -> fail lx "unexpected closing parenthesis"
-  | Some '"' -> Atom (lex_quoted lx)
-  | Some _ ->
-    let a = lex_bare lx in
-    if String.equal a "" then fail lx "empty atom" else Atom a
+  | ')' -> fail r "unexpected closing parenthesis"
+  | '"' -> Atom (read_quoted r)
+  | _ -> Atom (read_bare r)
+
+let run input read =
+  match read { input; pos = 0 } with
+  | v -> Ok v
+  | exception Parse_error (index, message) ->
+    Error { message; position = position_of input index }
 
 let parse input =
-  let lx = make_lexer input in
-  let rec all acc =
-    skip_blanks lx;
-    match peek lx with
-    | None -> List.rev acc
-    | Some _ -> all (parse_expr lx :: acc)
-  in
-  match all [] with
-  | exprs -> Ok exprs
-  | exception Parse_error e -> Error e
+  run input (fun r ->
+      let rec all acc =
+        skip_blanks r;
+        if at_end r then List.rev acc else all (read_expr r :: acc)
+      in
+      all [])
 
 let parse_one input =
-  let lx = make_lexer input in
-  match
-    let e = parse_expr lx in
-    skip_blanks lx;
-    match peek lx with
-    | None -> e
-    | Some _ -> fail lx "trailing input after expression"
-  with
-  | e -> Ok e
-  | exception Parse_error e -> Error e
+  run input (fun r ->
+      let e = read_expr r in
+      skip_blanks r;
+      if at_end r then e else fail r "trailing input after expression")
 
 let parse_file path =
   match In_channel.with_open_text path In_channel.input_all with
@@ -172,6 +155,3 @@ let rec pp ppf = function
       items
 
 let to_string t = Format.asprintf "%a" pp t
-
-let atom = function Atom a -> Some a | List _ -> None
-let list = function List l -> Some l | Atom _ -> None

@@ -4,7 +4,10 @@
     (XML in the standard); this repository uses s-expressions to stay free
     of external dependencies. Atoms are bare words or double-quoted strings
     with backslash escapes for quote, backslash, newline and tab; comments
-    run from [;] to end of line. *)
+    run from [;] to end of line.
+
+    The reader tracks only a byte index into the input: an error's line and
+    column are derived from that index when the error is reported. *)
 
 type t = Atom of string | List of t list
 
@@ -28,6 +31,3 @@ val pp : Format.formatter -> t -> unit
 (** Prints a parseable rendering (atoms are quoted when needed). *)
 
 val to_string : t -> string
-
-val atom : t -> string option
-val list : t -> t list option

@@ -271,6 +271,195 @@ let loader_syntax_error_reported () =
       (Astring_contains.contains e "line")
   | Ok _ -> Alcotest.fail "expected syntax error"
 
+(* --- Shipped documents under mutation ------------------------------------- *)
+
+let config_path doc = Filename.concat "../examples/configs" doc
+
+let read_text path = In_channel.with_open_text path In_channel.input_all
+
+(* [s] with the first occurrence of [sub] replaced by [by]. *)
+let replace_first ~sub ~by s =
+  match Astring_contains.find s sub with
+  | None -> Alcotest.failf "fixture lacks %s" sub
+  | Some i ->
+    let n = String.length sub in
+    String.sub s 0 i ^ by ^ String.sub s (i + n) (String.length s - i - n)
+
+(* Library constructors reject these values with [Invalid_argument]; the
+   loader must return the rejection as an error naming the form. *)
+let loader_returns_constructor_errors () =
+  let leo = read_text (config_path "leo_satellite.air") in
+  List.iter
+    (fun (sub, by, form) ->
+      match Loader.load (replace_first ~sub ~by leo) with
+      | Error e ->
+        check Alcotest.bool (by ^ " names " ^ form) true
+          (Astring_contains.contains e form)
+      | Ok _ -> Alcotest.failf "%s accepted" by
+      | exception e -> Alcotest.failf "%s raised %s" by (Printexc.to_string e))
+    [ ("(mtf 2000)", "(mtf 0)", "schedule nominal");
+      ("(offset 0) (duration 150)", "(offset 0) (duration 0)",
+       "schedule nominal");
+      ("(depth 8)", "(depth 0)", "queuing-port FRAMES");
+      ("(max-size 64)", "(max-size 0)", "sampling-port ATT_OUT");
+      ("(refresh 2000)", "(refresh 0)", "sampling-port ATT_OUT") ]
+
+(* An unknown keyword is reported with its field path and the table's
+   keywords. *)
+let loader_lists_keywords () =
+  match
+    Loader.load
+      (replace_first ~sub:"(deadline-store avl-tree)"
+         ~by:"(deadline-store heap)" full_doc)
+  with
+  | Error e ->
+    check Alcotest.string "message"
+      "partition.deadline-store: expected linked-list | avl-tree | \
+       pairing-heap, got heap"
+      e
+  | Ok _ -> Alcotest.fail "unknown deadline store accepted"
+
+(* A module [System.create] rejects (two windows overlapping, eq. (21))
+   fails a cluster or fleet load with an error, not an exception. *)
+let multi_module_loads_return_errors () =
+  let dir = Filename.temp_dir "air_config" "" in
+  let path name = Filename.concat dir name in
+  let files =
+    [ ( "bad.air",
+        replace_first ~sub:"(offset 150) (duration 350)"
+          ~by:"(offset 100) (duration 350)"
+          (read_text (config_path "leo_satellite.air")) );
+      ( "cluster.air",
+        {|(air-cluster (modules (module (name a) (config "bad.air"))
+                                (module (name b) (config "bad.air"))))|} );
+      ("fleet.air", {|(air-fleet (template "bad.air") (modules 2))|}) ]
+  in
+  let remove () =
+    List.iter (fun (name, _) -> Sys.remove (path name)) files;
+    Sys.rmdir dir
+  in
+  Fun.protect ~finally:remove @@ fun () ->
+  List.iter
+    (fun (name, text) ->
+      Out_channel.with_open_text (path name) (fun oc ->
+          Out_channel.output_string oc text))
+    files;
+  (match Loader.load_cluster_file (path "cluster.air") with
+  | Error e ->
+    check Alcotest.bool "cluster error names the module" true
+      (Astring_contains.contains e "module a")
+  | Ok _ -> Alcotest.fail "cluster of invalid modules accepted"
+  | exception e -> Alcotest.failf "cluster raised %s" (Printexc.to_string e));
+  match Loader.load_fleet_file (path "fleet.air") with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "fleet of invalid modules accepted"
+  | exception e -> Alcotest.failf "fleet raised %s" (Printexc.to_string e)
+
+(* Encode writes (cores N) and (causal (retention N)), so a load → encode
+   → load round trip keeps a two-core module on two lanes. *)
+let encode_keeps_cores_and_causal () =
+  let leo = read_text (config_path "leo_satellite.air") in
+  let doc =
+    replace_first ~sub:"(air-system"
+      ~by:"(air-system (cores 2) (causal (retention 128))" leo
+  in
+  match Loader.load doc with
+  | Error e -> Alcotest.fail e
+  | Ok cfg -> (
+    match Loader.load (Encode.to_string cfg) with
+    | Error e -> Alcotest.failf "re-load failed: %s" e
+    | Ok cfg' ->
+      check Alcotest.(option int) "cores" (Some 2) cfg'.Air.System.cores;
+      check Alcotest.(option int) "causal retention" (Some 128)
+        (Option.map Air_obs.Causal.capacity cfg'.Air.System.causal))
+
+(* Seeded structural mutations of the shipped module documents. At one
+   random node an atom becomes 0, -1, a large prime, [infinite] or a
+   misspelling, or a list drops, duplicates, reverses or loses its
+   children. Every mutant must load without raising. An accepted mutant
+   must re-encode to a fixpoint that keeps its core count and causal
+   retention, and [System.create] may reject it only with
+   [Invalid_argument]. (The prime keeps eq. (23)'s per-cycle check, which
+   runs MTF/cycle times, short.) *)
+let fuzz_documents =
+  [ "leo_satellite.air"; "payload.air"; "platform.air";
+    "constellation_node.air" ]
+
+let fuzz_mutants_per_document = 250
+
+let rec sexp_size = function
+  | Sexp.Atom _ -> 1
+  | Sexp.List l -> List.fold_left (fun n s -> n + sexp_size s) 1 l
+
+let mutate rng doc =
+  let pick l = List.nth l (Air_sim.Rng.int rng (List.length l)) in
+  let change = function
+    | Sexp.Atom a ->
+      Sexp.Atom (pick [ "0"; "-1"; "999999937"; "infinite"; a ^ "x" ])
+    | Sexp.List [] -> Sexp.List []
+    | Sexp.List l -> (
+      let i = Air_sim.Rng.int rng (List.length l) in
+      match Air_sim.Rng.int rng 4 with
+      | 0 -> Sexp.List (List.filteri (fun j _ -> j <> i) l)
+      | 1 ->
+        Sexp.List
+          (List.concat
+             (List.mapi (fun j s -> if j = i then [ s; s ] else [ s ]) l))
+      | 2 -> Sexp.List (List.rev l)
+      | _ -> Sexp.List [])
+  in
+  let target = Air_sim.Rng.int rng (sexp_size doc) in
+  let next = ref 0 in
+  let rec walk s =
+    let here = !next in
+    incr next;
+    if here = target then change s
+    else
+      match s with
+      | Sexp.Atom _ -> s
+      | Sexp.List l -> Sexp.List (List.map walk l)
+  in
+  walk doc
+
+let fuzz_check text =
+  let escaped what e =
+    Alcotest.failf "%s raised %s on mutant:\n%s" what (Printexc.to_string e)
+      text
+  in
+  match Loader.load text with
+  | exception e -> escaped "Loader.load" e
+  | Error _ -> ()
+  | Ok cfg -> (
+    let doc1 = Encode.to_string cfg in
+    (match Loader.load doc1 with
+    | exception e -> escaped "re-load" e
+    | Error e -> Alcotest.failf "re-load failed: %s\n%s" e doc1
+    | Ok cfg' ->
+      check Alcotest.string "encode fixpoint" doc1 (Encode.to_string cfg');
+      check Alcotest.(option int) "cores kept" cfg.Air.System.cores
+        cfg'.Air.System.cores;
+      check Alcotest.(option int) "causal kept"
+        (Option.map Air_obs.Causal.capacity cfg.Air.System.causal)
+        (Option.map Air_obs.Causal.capacity cfg'.Air.System.causal));
+    match Air.System.create cfg with
+    | _ -> ()
+    | exception Invalid_argument _ -> ()
+    | exception e -> escaped "System.create" e)
+
+let grammar_fuzz () =
+  List.iteri
+    (fun k name ->
+      let doc =
+        match Sexp.parse_file (config_path name) with
+        | Ok [ doc ] -> doc
+        | Ok _ | Error _ -> Alcotest.failf "%s: not one form" name
+      in
+      let rng = Air_sim.Rng.create (0xA17 + k) in
+      for _ = 1 to fuzz_mutants_per_document do
+        fuzz_check (Sexp.to_string (mutate rng doc))
+      done)
+    fuzz_documents
+
 let suite =
   [ Alcotest.test_case "sexp: parse basics" `Quick parse_basics;
     Alcotest.test_case "sexp: strings and escapes" `Quick
@@ -293,4 +482,13 @@ let suite =
     Alcotest.test_case "hm wildcard round-trips" `Quick
       hm_wildcard_roundtrips;
     Alcotest.test_case "loader: syntax errors reported" `Quick
-      loader_syntax_error_reported ]
+      loader_syntax_error_reported;
+    Alcotest.test_case "loader: constructor rejections are errors" `Quick
+      loader_returns_constructor_errors;
+    Alcotest.test_case "loader: keyword errors list the table" `Quick
+      loader_lists_keywords;
+    Alcotest.test_case "loader: cluster and fleet modules rejected" `Quick
+      multi_module_loads_return_errors;
+    Alcotest.test_case "encode keeps cores and causal" `Quick
+      encode_keeps_cores_and_causal;
+    Alcotest.test_case "grammar fuzz: shipped documents" `Quick grammar_fuzz ]
