@@ -1,6 +1,6 @@
 .PHONY: all build test check bench bench-diff fmt exec-smoke trace-smoke \
   telemetry-smoke fault-smoke profile-smoke fleet-smoke \
-  interference-smoke e2e-smoke config-smoke artifacts clean
+  interference-smoke e2e-smoke config-smoke artifacts artifacts-diff clean
 
 all: build
 
@@ -132,7 +132,9 @@ e2e-smoke:
 # module documents. Three broken copies of leo_satellite.air (a zero MTF,
 # a zero queue depth, two overlapping windows against eq. (21)) make both
 # air_validate and air_run exit 1 with a "PATH: …" diagnostic and no
-# escaped exception. A --domains below 1 is a usage error (exit 124).
+# escaped exception. A --domains or --watch below 1 is a usage error (exit
+# 124), and a fleet run reports the domain count it ran on: --domains 13
+# over the 12-module constellation is clamped to 12.
 SMOKE = _build/config-smoke
 AIR_VALIDATE = $(CURDIR)/_build/default/bin/air_validate.exe
 LEO = $(CONFIGS)/leo_satellite.air
@@ -165,6 +167,20 @@ config-smoke:
 	    echo "config-smoke: --domains 0 exited $$code:"; \
 	    cat $(SMOKE)/out; exit 1; \
 	  fi
+	@$(AIR_RUN) $(LEO) --watch 0 > $(SMOKE)/out 2>&1; \
+	  code=$$?; \
+	  if [ $$code -ne 124 ] || ! grep -q -- "'--watch'" $(SMOKE)/out; then \
+	    echo "config-smoke: --watch 0 exited $$code:"; \
+	    cat $(SMOKE)/out; exit 1; \
+	  fi
+	@$(AIR_RUN) $(CONFIGS)/constellation.air --domains 13 -t 200 \
+	  > $(SMOKE)/out 2>&1; \
+	  code=$$?; \
+	  if [ $$code -ne 0 ] \
+	    || ! grep -q '^fleet ran 200 ticks on 12 domains:' $(SMOKE)/out; then \
+	    echo "config-smoke: --domains 13 exited $$code:"; \
+	    cat $(SMOKE)/out; exit 1; \
+	  fi
 	@echo "config-smoke: ok"
 
 # Byte-identity artifact set: every deterministic air_run export of the
@@ -185,7 +201,7 @@ AIR_RUN = $(CURDIR)/_build/default/bin/air_run.exe
 CONFIGS = $(CURDIR)/examples/configs
 
 artifacts:
-	dune build bin/air_run.exe
+	dune build --root . bin/air_run.exe
 	mkdir -p $(OUT)
 	cd $(OUT) && for doc in leo_satellite payload platform constellation_node; do \
 	  for cores in default 1 2; do \
@@ -216,6 +232,31 @@ artifacts:
 	  rm $$doc.out; \
 	done
 	@echo "artifacts: $$(ls $(OUT) | wc -l) files in $(OUT)"
+
+# Byte identity against an earlier revision:
+#   make artifacts-diff BASE=<rev>
+# checks BASE out in a git worktree under _build, runs this Makefile's
+# artifacts recipe in that tree and in this one, and fails unless
+# `diff -r` finds no difference. The worktree is removed either way. The
+# artifacts recipe builds with `--root .` because dune, started inside
+# the worktree, would otherwise take this checkout as its root.
+DIFF_DIR = $(CURDIR)/_build/artifacts-diff
+
+artifacts-diff:
+	@test -n "$(BASE)" || { echo "usage: make artifacts-diff BASE=<rev>"; exit 2; }
+	rm -rf $(DIFF_DIR)
+	git worktree prune
+	git worktree add --detach $(DIFF_DIR)/tree $(BASE)
+	@status=0; \
+	$(MAKE) -f $(CURDIR)/Makefile -C $(DIFF_DIR)/tree artifacts \
+	  OUT=$(DIFF_DIR)/base || status=1; \
+	test $$status -ne 0 || $(MAKE) artifacts OUT=$(DIFF_DIR)/head || status=1; \
+	test $$status -ne 0 || diff -r $(DIFF_DIR)/base $(DIFF_DIR)/head || status=1; \
+	git worktree remove --force $(DIFF_DIR)/tree; \
+	if [ $$status -eq 0 ]; then \
+	  echo "artifacts-diff: $$(ls $(DIFF_DIR)/head | wc -l) files identical to $(BASE)"; \
+	else echo "artifacts-diff: differs from $(BASE) (or failed)"; fi; \
+	exit $$status
 
 clean:
 	dune clean

@@ -416,7 +416,7 @@ let telemetry_tests =
   let accumulator_tick () =
     let t = Air_obs.Telemetry.create ~partition_count:4 () in
     Air_obs.Telemetry.prime t ~schedule:0 ~allotted:[| 650; 650; 650; 650 |];
-    Staged.stage (fun () -> Air_obs.Telemetry.on_tick t ~active:(Some 1))
+    Staged.stage (fun () -> Air_obs.Telemetry.on_tick t ~active:1)
   in
   (* Frame-close cost (snapshot + ring push) on a bounded ring. *)
   let frame_close () =
@@ -429,7 +429,7 @@ let telemetry_tests =
     let now = ref 0 in
     Staged.stage (fun () ->
         incr now;
-        Air_obs.Telemetry.on_tick t ~active:(Some 0);
+        Air_obs.Telemetry.on_tick t ~active:0;
         ignore
           (Air_obs.Telemetry.close_frame t ~now:!now ~next_schedule:0
              ~next_allotted:[| 650; 650; 650; 650 |]))
@@ -749,18 +749,15 @@ let exec_tests =
         in
         Air_exec.Engine.advance engine ~ticks)
   in
-  (* Each workload is measured under all three strategies: the BENCH_5
-     regression was always-skip paying the [Clock.next_interesting] probe
-     per executed tick on dense workloads; the adaptive default must sit
-     within noise of per-tick there while keeping always-skip's win on
-     the sparse rows. *)
+  (* Each workload is measured under both strategies: the BENCH_5
+     regression was a probe of [Clock.next_interesting] per executed tick
+     on dense workloads; the adaptive default must sit within noise of
+     per-tick there while keeping the skip-ahead win on the sparse
+     rows. *)
   let modes name config ticks =
     [ Test.make
         ~name:(Printf.sprintf "per-tick (%s)" name)
         (advance ~mode:Air_exec.Engine.Per_tick config ~ticks);
-      Test.make
-        ~name:(Printf.sprintf "always-skip (%s)" name)
-        (advance ~mode:Air_exec.Engine.Skip config ~ticks);
       Test.make
         ~name:(Printf.sprintf "adaptive (%s)" name)
         (advance ~mode:Air_exec.Engine.Adaptive config ~ticks) ]
@@ -950,21 +947,6 @@ let print_rows rows =
     (fun (name, est) -> Format.printf "%-52s %12.1f ns/run@." name est)
     rows
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let export_json ~path ~quota ~dry_run rows =
   let b = Buffer.create 4096 in
   Buffer.add_string b "{\n  \"schema\": \"air-bench/1\",\n";
@@ -978,7 +960,7 @@ let export_json ~path ~quota ~dry_run rows =
     (fun i (name, est) ->
       Buffer.add_string b
         (Printf.sprintf "    {\"name\": \"%s\", \"ns_per_run\": %s}%s\n"
-           (json_escape name)
+           (Air_obs.Report.json_escape name)
            (* NaN is not valid JSON; an estimate the OLS could not produce
               exports as null. *)
            (if Float.is_nan est then "null" else Printf.sprintf "%.3f" est)

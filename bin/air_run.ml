@@ -126,6 +126,7 @@ let run_fleet path ticks domains trace_json flows speed =
     let wall = Unix.gettimeofday () -. wall_start in
     Air_fleet.Fleet.close fleet;
     let stats = Air.Cluster.stats cluster in
+    let domains = Air_fleet.Fleet.domains fleet in
     Format.printf
       "fleet ran %d ticks on %d domain%s: %d messages transferred, %d \
        dropped, %d in flight@."
@@ -347,7 +348,6 @@ let run_file path ticks show_trace show_gantt export metrics_json trace_json
     (match watch with
     | None -> Air_exec.Engine.advance engine ~ticks
     | Some every ->
-      let every = max 1 every in
       (* Watch mode advances whole MTFs so every dashboard refresh lines
          up with a frame boundary; the run therefore covers at least
          [ticks] ticks, rounded up to the boundary. *)
@@ -654,7 +654,8 @@ let watch_arg =
     "Run in whole major time frames and print the telemetry dashboard \
      every $(docv) MTFs (the run is rounded up to an MTF boundary)."
   in
-  Arg.(value & opt (some int) None & info [ "watch" ] ~docv:"N" ~doc)
+  Arg.(
+    value & opt (some (int_at_least 1)) None & info [ "watch" ] ~docv:"N" ~doc)
 
 let faults_flag =
   let doc =

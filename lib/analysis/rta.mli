@@ -32,9 +32,6 @@ val analyze :
 (** One verdict per process, in task-set order. Raises [Invalid_argument]
     if the partition has no requirement in the schedule. *)
 
-val all_schedulable :
-  Schedule.t -> Partition_id.t -> Process.spec array -> bool
-
 val breakdown_utilization :
   Schedule.t -> Partition_id.t -> Process.spec array -> float
 (** Largest uniform scaling factor of all WCETs that keeps the task set

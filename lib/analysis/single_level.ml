@@ -188,18 +188,3 @@ let misses_outside stats pid =
       if Partition_id.equal t.task_owner pid then acc
       else acc + t.deadline_misses)
     0 stats.per_task
-
-let pp_stats ppf s =
-  Format.fprintf ppf "@[<v>horizon=%a misses=%d starved=%d" Time.pp s.horizon
-    s.total_misses s.starved_tasks;
-  List.iter
-    (fun t ->
-      Format.fprintf ppf
-        "@,task %d (%a): releases=%d completions=%d misses=%d worstR=%s"
-        t.task_index Partition_id.pp t.task_owner t.releases t.completions
-        t.deadline_misses
-        (match t.worst_response with
-        | None -> "—"
-        | Some w -> string_of_int w))
-    s.per_task;
-  Format.fprintf ppf "@]"

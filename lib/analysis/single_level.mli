@@ -52,5 +52,3 @@ val misses_outside : stats -> Partition_id.t -> int
 (** Deadline misses suffered by tasks NOT owned by the given partition —
     the containment metric: zero means faults in that partition did not
     propagate. *)
-
-val pp_stats : Format.formatter -> stats -> unit

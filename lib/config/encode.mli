@@ -9,10 +9,8 @@
     tooling (dumping a programmatically built system for review) and by
     the round-trip property tests. *)
 
-val encode : Air.System.config -> Sexp.t
-(** Raises [Invalid_argument] if the configuration cannot be expressed in
-    the language (it always can for configurations produced by
-    {!Loader.load} or built from the public constructors). *)
-
 val to_string : Air.System.config -> string
-(** [Sexp.to_string] of {!encode}. *)
+(** The [(air-system …)] document as text. Raises [Invalid_argument] if
+    the configuration cannot be expressed in the language (it always can
+    for configurations produced by {!Loader.load} or built from the public
+    constructors). *)

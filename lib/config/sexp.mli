@@ -27,7 +27,4 @@ val parse_file : string -> (t list, error) result
 (** Reads and parses a file; I/O failures are reported as a parse error at
     line 0. *)
 
-val pp : Format.formatter -> t -> unit
-(** Prints a parseable rendering (atoms are quoted when needed). *)
-
 val to_string : t -> string

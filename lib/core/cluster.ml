@@ -99,7 +99,6 @@ let create ?(bus = default_bus) ~links modules =
     last_perturbed = [] }
 
 let links t = Array.copy t.links
-let bus t = t.bus
 
 let effective_latency t l =
   match l.link_latency with Some d -> d | None -> t.bus.latency
@@ -149,53 +148,6 @@ let drain_gateway t l =
   pump ()
 
 let drain_gateways t = Array.iter (drain_gateway t) t.links
-
-(* Messages already sitting in a gateway port are committed future bus
-   traffic the in-flight heap cannot see yet: anything delivered (or
-   fault-redelivered) into a forwarding gateway after this tick's drain
-   will be serialized at the next drain — clock+1 at the earliest — and
-   arrive no sooner than max(clock+1, bus_busy_until) + the link's
-   propagation delay. Fold that bound in so a lookahead built on
-   [next_arrival] can never admit a causality violation (transmission
-   time only pushes the true arrival later). *)
-let pending_gateway_bound t =
-  let earliest_start = Time.max (t.clock + 1) t.bus_busy_until in
-  Array.fold_left
-    (fun acc l ->
-      if System.remote_pending t.modules.(l.from_module) ~port:l.from_port > 0
-      then Time.min acc (Time.add earliest_start (effective_latency t l))
-      else acc)
-    Time.infinity t.links
-
-(* Next-event query for the bus: the earliest instant a message can reach
-   any module — the heap top in O(1), lower-bounded by traffic still
-   queued in gateway ports (see [pending_gateway_bound]). *)
-let next_arrival t =
-  let bound = pending_gateway_bound t in
-  match Heap.peek_key t.in_flight ~key:(fun tr -> tr.arrival) with
-  | Some a -> Some (Time.min a bound)
-  | None -> if Time.is_infinite bound then None else Some bound
-
-let next_arrival_for t ~dest =
-  let heap_min =
-    Heap.fold t.in_flight ~init:Time.infinity ~f:(fun acc tr ->
-        if tr.target_module = dest then Time.min acc tr.arrival else acc)
-  in
-  let bound =
-    let earliest_start = Time.max (t.clock + 1) t.bus_busy_until in
-    Array.fold_left
-      (fun acc l ->
-        if
-          l.to_module = dest
-          && System.remote_pending t.modules.(l.from_module)
-               ~port:l.from_port
-             > 0
-        then Time.min acc (Time.add earliest_start (effective_latency t l))
-        else acc)
-      Time.infinity t.links
-  in
-  let m = Time.min heap_min bound in
-  if Time.is_infinite m then None else Some m
 
 let deliver_transfer t tr =
   match
@@ -341,13 +293,6 @@ type bus_fault =
   | Bus_delay of Time.t
   | Bus_corrupt of { byte : int }
   | Bus_reorder
-
-let pp_bus_fault ppf = function
-  | Bus_drop -> Format.pp_print_string ppf "bus-drop"
-  | Bus_duplicate -> Format.pp_print_string ppf "bus-duplicate"
-  | Bus_delay d -> Format.fprintf ppf "bus-delay %a" Time.pp d
-  | Bus_corrupt { byte } -> Format.fprintf ppf "bus-corrupt byte %d" byte
-  | Bus_reorder -> Format.pp_print_string ppf "bus-reorder"
 
 (* Record the fault against the struck transfer's flow. The record lands
    in the target module's tracker (the module that will miss, re-see or

@@ -23,7 +23,7 @@ type link = {
   to_port : string;     (** Destination port in the target module. *)
   link_latency : Time.t option;
       (** Per-link propagation delay; [None] inherits the bus default.
-          The minimum across links is the fleet engine's {!lookahead}. *)
+          The minimum across links is {!lookahead}. *)
 }
 
 val link :
@@ -63,31 +63,11 @@ val run : t -> ticks:int -> unit
 
 val now : t -> Time.t
 
-val next_arrival : t -> Time.t option
-(** Earliest instant a message can reach any module: the heap top
-    ({!Heap.peek_key}, O(1)), lower-bounded by messages still queued in
-    gateway ports — e.g. delivered into a forwarding gateway after this
-    tick's drain — which the next drain will serialize no earlier than
-    [max (now+1) bus_busy_until + link latency]. Without the bound a
-    lookahead window computed between steps could skip past traffic that
-    was enqueued mid-step and admit a causality violation. [None] when
-    the bus is empty and every gateway is drained. *)
-
-val next_arrival_for : t -> dest:int -> Time.t option
-(** {!next_arrival} restricted to transfers (and pending gateway traffic)
-    targeting module [dest] — the per-destination variant conservative
-    lookahead engines shard by. O(in-flight + links). *)
-
 val systems : t -> System.t array
 
 val links : t -> link array
 (** The links in drain order (a copy; index = the [link] argument of
     {!send_via}). *)
-
-val bus : t -> bus
-
-val effective_latency : t -> link -> Time.t
-(** The link's propagation delay: its own override or the bus default. *)
 
 val lookahead : t -> Time.t
 (** Minimum effective latency across links — a message drained at clock
@@ -150,11 +130,6 @@ val take_due : t -> upto:Time.t -> transfer list
     order [(arrival, seq)] — the window's incoming traffic, for the
     caller to deliver at the right module-local instants. *)
 
-val deliver_transfer : t -> transfer -> unit
-(** Inject one transfer into its target port and account it in
-    [transferred]/[dropped] — the delivery half of {!step}, with the
-    caller in charge of timing. *)
-
 val account : t -> transferred:int -> dropped:int -> unit
 (** Merge externally-accumulated delivery counters (per-shard counts) into
     the cluster's totals. *)
@@ -178,8 +153,6 @@ type bus_fault =
   | Bus_reorder
       (** The two earliest transfers swap arrival instants (absorbed when
           fewer than two are in flight). *)
-
-val pp_bus_fault : Format.formatter -> bus_fault -> unit
 
 val inject_bus_fault : t -> bus_fault -> bool
 (** Apply the fault to the transfer with the earliest arrival time; [false]

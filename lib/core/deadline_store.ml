@@ -10,7 +10,6 @@ module type S = sig
   val earliest : t -> (int * Time.t) option
   val min_deadline : t -> Time.t
   val remove_earliest : t -> unit
-  val mem : t -> process:int -> bool
   val find : t -> process:int -> Time.t option
   val size : t -> int
   val clear : t -> unit
@@ -94,8 +93,6 @@ module Linked_list : S = struct
       unlink t node;
       Hashtbl.remove t.index node.process
     | None -> ()
-
-  let mem t ~process = Hashtbl.mem t.index process
 
   let find t ~process =
     Option.map (fun n -> n.deadline) (Hashtbl.find_opt t.index process)
@@ -220,7 +217,6 @@ module Avl : S = struct
       Hashtbl.remove t.index process
     | None -> ()
 
-  let mem t ~process = Hashtbl.mem t.index process
   let find t ~process = Hashtbl.find_opt t.index process
   let size t = Hashtbl.length t.index
 
@@ -340,7 +336,6 @@ module Pairing : S = struct
       Hashtbl.remove t.index process;
       t.heap <- delete_min t.heap
 
-  let mem t ~process = Hashtbl.mem t.index process
   let find t ~process = Hashtbl.find_opt t.index process
   let size t = Hashtbl.length t.index
 
@@ -387,7 +382,6 @@ let unregister (Store ((module M), s, _)) ~process = M.unregister s ~process
 let earliest (Store ((module M), s, _)) = M.earliest s
 let min_deadline (Store ((module M), s, _)) = M.min_deadline s
 let remove_earliest (Store ((module M), s, _)) = M.remove_earliest s
-let mem (Store ((module M), s, _)) ~process = M.mem s ~process
 let find (Store ((module M), s, _)) ~process = M.find s ~process
 let size (Store ((module M), s, _)) = M.size s
 let clear (Store ((module M), s, _)) = M.clear s

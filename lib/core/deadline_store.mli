@@ -37,8 +37,6 @@ module type S = sig
   val remove_earliest : t -> unit
   (** Drop the entry returned by {!earliest} (Algorithm 3, line 7). *)
 
-  val mem : t -> process:int -> bool
-
   val find : t -> process:int -> Time.t option
 
   val size : t -> int
@@ -79,7 +77,6 @@ val unregister : t -> process:int -> unit
 val earliest : t -> (int * Time.t) option
 val min_deadline : t -> Time.t
 val remove_earliest : t -> unit
-val mem : t -> process:int -> bool
 val find : t -> process:int -> Time.t option
 val size : t -> int
 val clear : t -> unit

@@ -2,7 +2,6 @@ open Air_sim
 open Air_model
 
 type t = {
-  partition : Ident.Partition_id.t;
   store : Deadline_store.t;
   m_registered : Air_obs.Metrics.counter;
   m_unregistered : Air_obs.Metrics.counter;
@@ -22,8 +21,7 @@ let create ?metrics ?recorder ?telemetry
   in
   (* The registered/unregistered/violation counters aggregate across every
      PAL sharing the registry; the store-size gauge is per partition. *)
-  { partition;
-    store = Deadline_store.create store;
+  { store = Deadline_store.create store;
     m_registered = Air_obs.Metrics.counter reg "pal.deadlines_registered";
     m_unregistered = Air_obs.Metrics.counter reg "pal.deadlines_unregistered";
     m_violations = Air_obs.Metrics.counter reg "pal.deadline_violations";
@@ -34,8 +32,6 @@ let create ?metrics ?recorder ?telemetry
     recorder;
     telemetry;
     track = Ident.Partition_id.index partition }
-
-let partition t = t.partition
 
 let sync_size t =
   Air_obs.Metrics.set t.m_store_size (Deadline_store.size t.store)
@@ -120,5 +116,3 @@ let violations_now t ~now =
     (fun (process, deadline) ->
       if Time.(deadline < now) then Some { process; deadline } else None)
     (Deadline_store.to_sorted_list t.store)
-
-let store_impl t = Deadline_store.impl t.store

@@ -34,8 +34,6 @@ val create :
     track. [telemetry], when given, receives the same two signals as
     catch-up depth and deadline-miss samples of the partition's frame. *)
 
-val partition : t -> Ident.Partition_id.t
-
 (** {1 Deadline register/unregister interface (APEX-facing)} *)
 
 val register_deadline : t -> process:int -> Time.t -> unit
@@ -71,5 +69,3 @@ val announce_ticks :
 val violations_now : t -> now:Time.t -> violation list
 (** Pure query of the store — the V(t) set of eq. (24) restricted to this
     partition — without removing entries or announcing ticks. *)
-
-val store_impl : t -> Deadline_store.impl

@@ -157,7 +157,6 @@ let create ?metrics ?recorder ?telemetry ?(frame_owner = true) ?(lane = 0)
     frame_owner;
     lane }
 
-let schedule_count t = Array.length t.schedules
 let schedules t = Array.copy t.schedules
 
 let schedule t id =
@@ -171,7 +170,6 @@ let next_schedule t = t.schedules.(t.next_schedule).Schedule.id
 let last_schedule_switch t = t.last_schedule_switch
 let ticks t = t.ticks
 let active_partition t = t.active_partition
-let heir_partition t = t.heir_partition
 
 type switch_error = No_such_schedule of int | Same_schedule
 
@@ -405,17 +403,3 @@ let skip t ~ticks:n =
     | Some p -> t.last_tick.(Partition_id.index p) <- t.ticks
     | None -> ()
   end
-
-let pp ppf t =
-  Format.fprintf ppf
-    "PMK: ticks=%a schedule=%a next=%a lastSwitch=%a active=%a heir=%a"
-    Time.pp t.ticks Schedule_id.pp (current_schedule t) Schedule_id.pp
-    (next_schedule t) Time.pp t.last_schedule_switch
-    (fun ppf -> function
-      | None -> Format.pp_print_string ppf "idle"
-      | Some p -> Partition_id.pp ppf p)
-    t.active_partition
-    (fun ppf -> function
-      | None -> Format.pp_print_string ppf "idle"
-      | Some p -> Partition_id.pp ppf p)
-    t.heir_partition

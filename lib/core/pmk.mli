@@ -59,7 +59,6 @@ val create :
     multicore frame owner passes the cross-core totals, since its own
     lane's windows only cover part of each partition's grant. *)
 
-val schedule_count : t -> int
 val schedules : t -> Schedule.t array
 val schedule : t -> Schedule_id.t -> Schedule.t
 val current_schedule : t -> Schedule_id.t
@@ -71,7 +70,6 @@ val ticks : t -> Time.t
 (** The global system clock tick counter. *)
 
 val active_partition : t -> Partition_id.t option
-val heir_partition : t -> Partition_id.t option
 
 type switch_error =
   | No_such_schedule of int
@@ -138,5 +136,3 @@ val mtf_position : t -> Time.t
 (** Offset of the current tick within the running MTF:
     [max 0 (ticks - last_schedule_switch) mod MTF] — always within
     [\[0, MTF)], including before the first tick. *)
-
-val pp : Format.formatter -> t -> unit

@@ -66,7 +66,6 @@ let create ?metrics ?recorder ?telemetry ?initial_schedule ~partition_count
 
 let of_pmk pmk = { cores = [| pmk |]; outs = [||]; actives = [| None |] }
 let core_count t = Array.length t.cores
-let schedule_count t = Pmk.schedule_count t.cores.(0)
 let ticks t = Pmk.ticks t.cores.(0)
 let current_schedule t = Pmk.current_schedule t.cores.(0)
 let next_schedule t = Pmk.next_schedule t.cores.(0)
@@ -134,12 +133,3 @@ let skip t ~ticks = Array.iter (fun pmk -> Pmk.skip pmk ~ticks) t.cores
 let core t i =
   if i < 0 || i >= core_count t then invalid_arg "Pmk_mc.core: out of range";
   t.cores.(i)
-
-let pp ppf t =
-  Format.fprintf ppf "@[<v>";
-  Array.iteri
-    (fun i pmk ->
-      if i > 0 then Format.fprintf ppf "@,";
-      Format.fprintf ppf "lane %d: %a" i Pmk.pp pmk)
-    t.cores;
-  Format.fprintf ppf "@]"

@@ -48,7 +48,6 @@ val of_pmk : Pmk.t -> t
     {!Pmk.create} defaults of lane 0 and frame ownership. *)
 
 val core_count : t -> int
-val schedule_count : t -> int
 val ticks : t -> Air_sim.Time.t
 val current_schedule : t -> Schedule_id.t
 val next_schedule : t -> Schedule_id.t
@@ -91,5 +90,3 @@ val skip : t -> ticks:Air_sim.Time.t -> unit
 val core : t -> int -> Pmk.t
 (** The [i]th lane's scheduler (observation only). Raises
     [Invalid_argument] out of range. *)
-
-val pp : Format.formatter -> t -> unit

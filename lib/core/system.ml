@@ -209,7 +209,7 @@ let step t =
     done;
     (match t.telemetry with
     | Some tel ->
-      Air_obs.Telemetry.on_tick_idx tel ~active:(combined_active_index t)
+      Air_obs.Telemetry.on_tick tel ~active:(combined_active_index t)
     | None -> ());
     (match t.contention with
     | Some c -> contention_rollover t c
@@ -406,7 +406,7 @@ let skip t ~ticks =
     (* The span's share of the combined occupancy sample of [step]. *)
     match t.telemetry with
     | Some tel ->
-      Air_obs.Telemetry.on_ticks_idx tel ~active:(combined_active_index t)
+      Air_obs.Telemetry.on_ticks tel ~active:(combined_active_index t)
         ~count:ticks
     | None -> ()
   end

@@ -356,7 +356,8 @@ val drain_remote : t -> port:string -> (bytes * Air_obs.Causal.id) option
 val remote_pending : t -> port:string -> int
 (** Messages currently queued at the named destination port (0 for
     unknown, sampling or source ports) — the non-destructive occupancy
-    probe behind {!Cluster.next_arrival}'s pending-gateway bound. *)
+    probe the fleet engine uses to flag gateways holding parked
+    traffic. *)
 
 val note_flow_perturb :
   t -> what:Air_obs.Causal.perturbation -> Air_obs.Causal.id -> unit

@@ -1,6 +1,6 @@
 open Air
 
-type mode = Per_tick | Skip | Adaptive
+type mode = Per_tick | Adaptive
 
 type stats = {
   mutable stepped : int;
@@ -135,25 +135,10 @@ let sample_density t =
   | None -> ()
   | Some p -> Profiler.note_density p t.density
 
-(* Always-skip: execute every interesting tick through the per-tick path
-   and probe for a quiet span after each one, and before the first when
-   the module is already quiescent. Maximal skipping, but each executed
-   tick pays the probe — the dense-workload regression the adaptive mode
-   exists to avoid. *)
-let advance_skip t ~ticks =
-  let remaining = ref ticks in
-  if (not (halted t)) && System.quiescent t.system then
-    remaining := !remaining - probe t ~remaining:!remaining;
-  while !remaining > 0 && not (halted t) do
-    step_one t;
-    decr remaining;
-    t.stats.stepped <- t.stats.stepped + 1;
-    if !remaining > 0 && (not (halted t)) && System.quiescent t.system then
-      remaining := !remaining - probe t ~remaining:!remaining
-  done
-
 (* Adaptive: keep an estimate of interesting-tick density and only pay
-   the probe while the workload looks sparse.
+   the probe while the workload looks sparse. Probing after every executed
+   tick would skip maximally, but on a dense workload each executed tick
+   would pay a probe that finds nothing.
 
    - a successful skip of [n] ticks is ground truth that probing pays —
      the estimate is set directly to 256 / (1 + n) (long quiet spans
@@ -182,9 +167,9 @@ let advance_skip t ~ticks =
    tick, so it may probe before its first step.
 
    Blind batches reuse [System.run] — exactly the per-tick reference
-   path — and skips are guarded by the same quiescence proof as
-   always-skip mode, so traces, telemetry, metrics and campaign
-   fingerprints are bit-identical across all three modes. *)
+   path — and every skip is guarded by the quiescence proof, so traces,
+   telemetry, metrics and campaign fingerprints are bit-identical in
+   both modes. *)
 let note_skip t ~skipped =
   if skipped > 0 then begin
     t.density <- scale / (1 + skipped);
@@ -250,7 +235,6 @@ let advance t ~ticks =
     | Per_tick ->
       run_batch t ~ticks;
       t.stats.stepped <- t.stats.stepped + ticks
-    | Skip -> advance_skip t ~ticks
     | Adaptive -> advance_adaptive t ~ticks
 
 let run_mtfs t n =

@@ -9,29 +9,25 @@
     through the unchanged per-tick path and collapses each provably-quiet
     span in between into a single batch update ({!Air.System.skip}), so
     workloads advance at the cost of their event density rather than
-    their horizon. In the probing modes an advance probes before its
+    their horizon. In {!Adaptive} mode an advance probes before its
     first step when the module is already quiescent, so a short advance
     (a fleet window, a fault-injection gap) may step no tick at all.
 
-    Always-on skipping has a dual cost: on a {e dense} workload (an event
-    due nearly every tick — e.g. a script that ends a [Compute] action and
-    runs further actions on every tick) the per-tick probe of
-    {!Clock.next_interesting} buys nothing and is pure overhead. The
+    Probing after every executed tick has a cost: on a {e dense} workload
+    (an event due nearly every tick — e.g. a script that ends a [Compute]
+    action and runs further actions on every tick) the probe of
+    {!Clock.next_interesting} buys nothing and is pure overhead. So the
     default {!Adaptive} mode tracks an EWMA estimate of interesting-tick
     density, probes only while the workload looks sparse, and runs blind
     per-tick batches (doubling up to a cap) while it is dense — so dense
     workloads run at within-noise of plain per-tick execution while
     sparse workloads keep the full skip-ahead win. Event traces,
-    telemetry frames, metrics and campaign verdicts are identical in all
+    telemetry frames, metrics and campaign verdicts are identical in both
     modes (the property tests in [test/test_exec.ml] pin this). *)
 
 (** Execution strategy. *)
 type mode =
   | Per_tick  (** Plain {!Air.System.run} — the reference behaviour. *)
-  | Skip
-      (** Probe for a quiet span at the start of an advance and after
-          every executed tick. Maximal skipping; each executed tick pays
-          the probe. *)
   | Adaptive
       (** Density-gated skipping: probe while sparse, blind per-tick
           batches while dense. Never slower than [Per_tick] by more than

@@ -52,16 +52,16 @@ let step_target = function
    injection points bound every span, so a campaign's faults still land on
    exactly the planned ticks. Cluster targets keep the per-tick path (the
    bus and its gateways are pumped every tick). *)
-type driver = Skip of Air_exec.Engine.t | Per_tick of target
+type driver = Turbo of Air_exec.Engine.t | Per_tick of target
 
 let driver_of ~turbo target =
   match (turbo, target) with
-  | true, Module s -> Skip (Air_exec.Engine.create s)
+  | true, Module s -> Turbo (Air_exec.Engine.create s)
   | true, (Cluster _ | Driver _) | false, _ -> Per_tick target
 
 let advance_driver d ~ticks =
   match d with
-  | Skip e -> Air_exec.Engine.advance e ~ticks
+  | Turbo e -> Air_exec.Engine.advance e ~ticks
   | Per_tick (Driver d) ->
     (* The driver is its own executive (e.g. the windowed fleet engine);
        hand it the whole span so it can barrier only where it must. *)
@@ -345,34 +345,28 @@ let pp_applied ppf = function
   | Absorbed why -> Format.fprintf ppf "absorbed (%s)" why
   | Failed why -> Format.fprintf ppf "failed (%s)" why
 
+(* Every observation enters the digest as data, in one [Marshal] image
+   without sharing, so structurally equal runs digest alike: the clock,
+   trace volume, HM and violation counts, halt reason, partition modes,
+   per-kind event totals, fault outcomes, every retained event with its
+   instant, and the telemetry frames. Counts alone would equate two runs
+   whose events differ only in time. *)
 let fingerprint_of sys outcomes =
-  let buf = Buffer.create 1024 in
-  let ppf = Format.formatter_of_buffer buf in
-  Format.fprintf ppf "now=%d trace=%d/%d hm=%d violations=%d halt=%s@."
-    (Air.System.now sys)
-    (Trace.length (Air.System.trace sys))
-    (Trace.total (Air.System.trace sys))
-    (Air.Hm.error_count (Air.System.hm sys))
-    (List.length (Air.System.violations sys))
-    (match Air.System.halted sys with None -> "-" | Some r -> r);
-  List.iter
-    (fun pid ->
-      Format.fprintf ppf "mode %a=%a@." Partition_id.pp pid Partition.pp_mode
-        (Air.System.partition_mode sys pid))
-    (Air.System.partition_ids sys);
-  List.iter
-    (fun (k, n) -> Format.fprintf ppf "event %s=%d@." k n)
-    (Air.System.event_counts sys);
-  List.iter
-    (fun o ->
-      Format.fprintf ppf "outcome %s at=%d %a det=%s act=%s flows=%s@."
-        (Fault.label o.fault) o.at pp_applied o.applied
-        (match o.detected_at with None -> "-" | Some t -> string_of_int t)
-        (match o.action with None -> "-" | Some a -> a)
-        (match o.flows with [] -> "-" | fs -> String.concat "," fs))
-    outcomes;
-  Format.pp_print_flush ppf ();
-  Digest.to_hex (Digest.string (Buffer.contents buf))
+  let trace = Air.System.trace sys in
+  let observed =
+    ( ( Air.System.now sys,
+        Trace.total trace,
+        Air.Hm.error_count (Air.System.hm sys),
+        List.length (Air.System.violations sys),
+        Air.System.halted sys ),
+      List.map (Air.System.partition_mode sys) (Air.System.partition_ids sys),
+      Air.System.event_counts sys,
+      outcomes,
+      Trace.to_list trace,
+      Air.System.telemetry_frames sys )
+  in
+  Digest.to_hex
+    (Digest.string (Marshal.to_string observed [ Marshal.No_sharing ]))
 
 (* --- Execution ---------------------------------------------------------- *)
 

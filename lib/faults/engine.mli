@@ -75,7 +75,8 @@ type run = {
   baseline : target;
   outcomes : outcome list;
   fingerprint : string;
-      (** Digest of the observed trace, HM counters, final modes and
+      (** Digest of the observed trace (every retained event with its
+          instant), telemetry frames, HM counters, final modes and
           outcomes — equal fingerprints mean indistinguishable runs. *)
 }
 

@@ -70,13 +70,6 @@ let comm_name = function
   | Msg_delay _ -> "delay"
   | Msg_reorder -> "reorder"
 
-let pp_comm ppf = function
-  | Msg_loss -> Format.pp_print_string ppf "loss"
-  | Msg_duplicate -> Format.pp_print_string ppf "duplicate"
-  | Msg_corrupt { byte } -> Format.fprintf ppf "corrupt byte %d" byte
-  | Msg_delay { ticks } -> Format.fprintf ppf "delay %d" ticks
-  | Msg_reorder -> Format.pp_print_string ppf "reorder"
-
 let section_name = function
   | Air_spatial.Memory.Code -> "code"
   | Air_spatial.Memory.Data -> "data"

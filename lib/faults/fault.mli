@@ -100,4 +100,3 @@ val label : t -> string
 (** Stable compact identifier used in trace markers, reports and JSON. *)
 
 val pp : Format.formatter -> t -> unit
-val pp_comm : Format.formatter -> comm_fault -> unit

@@ -15,8 +15,8 @@
       in the baseline, and the module only halts under a module-scoped
       fault;
     - {b output continuity} — untargeted partitions keep producing their
-      application output (within a configurable tolerance of the baseline
-      count);
+      application output (at least 900‰ of the baseline count, less two
+      lines of MTF-boundary slack);
     - {b action matching} — every HM error event in the trace is answered
       by exactly the action the configured HM tables resolve to, verified
       by replaying the table lookup (including stateful [Log_then]
@@ -30,17 +30,6 @@
       accesses, injected module errors, budget-blowing bandwidth hogs)
       were caught. *)
 
-type options = {
-  output_tolerance_permille : int;
-      (** Minimum fraction (1/1000) of the baseline output count an
-          untargeted partition must still produce. Default 900. *)
-  output_slack : int;
-      (** Absolute grace in output lines on top of the fraction, absorbing
-          MTF-boundary truncation effects. Default 2. *)
-}
-
-val default_options : options
-
 type finding = {
   check : string;  (** Stable kebab-case name of the violated invariant. *)
   detail : string;
@@ -53,6 +42,6 @@ type verdict = {
 
 val passed : verdict -> bool
 
-val check : ?options:options -> Engine.run -> verdict
+val check : Engine.run -> verdict
 
 val pp_finding : Format.formatter -> finding -> unit

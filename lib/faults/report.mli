@@ -33,11 +33,6 @@ type t = {
 
 val make : ?reproducible:bool -> Engine.run -> Oracle.verdict -> t
 
-val rows : t -> Air_vitral.Campaign.row list
-
-val latency_summary : t -> Air_vitral.Campaign.latency_summary option
-(** [None] when no fault was detected. *)
-
 val to_text : t -> string
 
 val to_json : t -> string

@@ -64,9 +64,7 @@ type t = {
   mutable closed : bool;
 }
 
-let cluster t = t.cluster
 let domains t = t.domains
-let lookahead t = t.lookahead
 let stats t = t.stats
 
 (* --- Per-module advance ------------------------------------------------- *)

@@ -28,7 +28,6 @@
     {!Air_obs.Fleet_stats}. *)
 
 open Air
-open Air_sim
 
 type t
 
@@ -50,11 +49,7 @@ val run : t -> ticks:int -> unit
 val close : t -> unit
 (** Join the worker domains. Idempotent; the fleet cannot run again. *)
 
-val cluster : t -> Cluster.t
 val domains : t -> int
-
-val lookahead : t -> Time.t
-(** The window bound [L] ({!Air.Cluster.lookahead} at creation). *)
 
 val stats : t -> Air_obs.Fleet_stats.t
 (** Per-shard progress / null-window / blocked-time counters and the
@@ -74,12 +69,6 @@ val fingerprint : Cluster.t -> string
     equal instants, for any domain count. *)
 
 (** {1 Fault campaigns over fleets} *)
-
-val campaign_target : ?observed:int -> t -> Air_faults.Engine.target
-(** The fleet as a campaign target ({!Air_faults.Engine.Driver}):
-    injections advance the fleet to the planned tick (a barrier) and
-    apply there, link faults strike the shared bus, verdicts are judged
-    against module [observed] (default 0). *)
 
 val execute_campaign :
   ?turbo:bool ->

@@ -14,11 +14,6 @@ let pp_direction ppf d =
 
 type kind = Sampling of { refresh : Time.t } | Queuing of { depth : int }
 
-let pp_kind ppf = function
-  | Sampling { refresh } ->
-    Format.fprintf ppf "sampling(refresh=%a)" Time.pp refresh
-  | Queuing { depth } -> Format.fprintf ppf "queuing(depth=%d)" depth
-
 type config = {
   name : Port_name.t;
   partition : Partition_id.t;
@@ -112,7 +107,3 @@ let validate net =
           ch.destinations)
     net.channels;
   List.rev !diags
-
-let pp_config ppf p =
-  Format.fprintf ppf "%s (%a, %a, %a, ≤%dB)" p.name Partition_id.pp
-    p.partition pp_direction p.direction pp_kind p.kind p.max_message_size

@@ -13,15 +13,12 @@ open Air_model.Ident
 type direction = Source | Destination
 
 val direction_equal : direction -> direction -> bool
-val pp_direction : Format.formatter -> direction -> unit
 
 type kind =
   | Sampling of { refresh : Time.t }
       (** A message older than [refresh] at read time is flagged invalid. *)
   | Queuing of { depth : int }
       (** At most [depth] messages buffered at the destination. *)
-
-val pp_kind : Format.formatter -> kind -> unit
 
 type config = {
   name : Port_name.t;
@@ -61,5 +58,3 @@ val validate : network -> string list
     source's, a destination fed by two channels, a queuing channel with
     more than one destination (ARINC 653 queuing channels are strictly
     1:1; only sampling channels fan out). Empty when sound. *)
-
-val pp_config : Format.formatter -> config -> unit

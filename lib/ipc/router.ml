@@ -61,10 +61,6 @@ type t = {
 
 type validity = Valid | Invalid
 
-let pp_validity ppf v =
-  Format.pp_print_string ppf
-    (match v with Valid -> "valid" | Invalid -> "invalid")
-
 let create ?metrics ?recorder ?causal (net : Port.network) =
   (match Port.validate net with
   | [] -> ()
@@ -107,8 +103,6 @@ let create ?metrics ?recorder ?causal (net : Port.network) =
     causal }
 
 let set_delivery_observer t f = t.on_delivery <- Some f
-
-let causal t = t.causal
 
 let port_names t =
   Hashtbl.fold (fun name e acc -> (e.idx, name) :: acc) t.endpoints []
@@ -311,12 +305,6 @@ let pending t ~port =
   | Some { buffer = Queuing_buffer { queue; _ }; _ } -> Queue.length queue
   | Some _ | None -> 0
 
-let last_write_time t ~port =
-  match Hashtbl.find_opt t.endpoints port with
-  | Some { buffer = Sampling_slot { content = Some (_, time, _) }; _ } ->
-    Some time
-  | Some _ | None -> None
-
 type inject_outcome = Injected | Inject_overflow | Inject_bad_port
 
 let inject ?(cid = Air_obs.Causal.none) t ~port ~now msg =
@@ -487,7 +475,3 @@ let stats (t : t) =
     messages_received = Air_obs.Metrics.value t.messages_received;
     bytes_copied = Air_obs.Metrics.value t.bytes_copied;
     overflows = Air_obs.Metrics.value t.overflows }
-
-let pp_stats ppf s =
-  Format.fprintf ppf "sent=%d received=%d bytes=%d overflows=%d"
-    s.messages_sent s.messages_received s.bytes_copied s.overflows

@@ -41,8 +41,6 @@ val create :
     buffered payload, and records send/receive/forward/perturbation hops
     into the tracker — all allocation-free. *)
 
-val causal : t -> Air_obs.Causal.t option
-
 val port_names : t -> (int * string) list
 (** Declaration index → port name, sorted by index — resolves the port
     field of a causal id back to its name. *)
@@ -57,8 +55,6 @@ val port_config : t -> Port_name.t -> Port.config option
 (** {1 Sampling mode} *)
 
 type validity = Valid | Invalid
-
-val pp_validity : Format.formatter -> validity -> unit
 
 val write_sampling :
   t ->
@@ -124,9 +120,6 @@ val drain :
 val pending : t -> port:Port_name.t -> int
 (** Messages currently queued at a destination port (0 for sampling and
     source ports). *)
-
-val last_write_time : t -> port:Port_name.t -> Time.t option
-(** For a sampling destination: timestamp of the message in the slot. *)
 
 (** {1 Remote delivery}
 
@@ -208,4 +201,3 @@ type stats = {
 }
 
 val stats : t -> stats
-val pp_stats : Format.formatter -> stats -> unit

@@ -7,7 +7,6 @@ module Partition_id = struct
   let index t = t
   let equal = Int.equal
   let compare = Int.compare
-  let hash t = t
   let pp ppf t = Format.fprintf ppf "P%d" (t + 1)
 end
 

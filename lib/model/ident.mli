@@ -13,7 +13,6 @@ module Partition_id : sig
   val index : t -> int
   val equal : t -> t -> bool
   val compare : t -> t -> int
-  val hash : t -> int
   val pp : Format.formatter -> t -> unit
   (** Prints as ["P<n+1>"], matching the paper's 1-based notation. *)
 end

@@ -22,10 +22,6 @@ let kind_equal a b =
   | Application, Application | System, System -> true
   | (Application | System), _ -> false
 
-let pp_kind ppf k =
-  Format.pp_print_string ppf
-    (match k with Application -> "application" | System -> "system")
-
 type t = {
   id : Ident.Partition_id.t;
   name : string;
@@ -53,7 +49,3 @@ let find_process t name =
     else go (q + 1)
   in
   go 0
-
-let pp ppf t =
-  Format.fprintf ppf "%a (%s, %a, %d processes)" Ident.Partition_id.pp t.id
-    t.name pp_kind t.kind (Array.length t.processes)

@@ -24,7 +24,6 @@ type kind =
           kind authorized to request schedule switches. *)
 
 val kind_equal : kind -> kind -> bool
-val pp_kind : Format.formatter -> kind -> unit
 
 type t = {
   id : Ident.Partition_id.t;
@@ -52,5 +51,3 @@ val process_id : t -> int -> Ident.Process_id.t
 
 val find_process : t -> string -> (int * Process.spec) option
 (** Look up a process by name. *)
-
-val pp : Format.formatter -> t -> unit

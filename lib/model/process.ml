@@ -18,11 +18,6 @@ let pp_state ppf s =
 
 type periodicity = Periodic of Time.t | Aperiodic | Sporadic of Time.t
 
-let pp_periodicity ppf = function
-  | Periodic t -> Format.fprintf ppf "periodic(T=%a)" Time.pp t
-  | Aperiodic -> Format.pp_print_string ppf "aperiodic"
-  | Sporadic t -> Format.fprintf ppf "sporadic(T≥%a)" Time.pp t
-
 type spec = {
   name : string;
   periodicity : periodicity;
@@ -51,11 +46,3 @@ let initial_status s =
   { deadline_time = Time.infinity;
     current_priority = s.base_priority;
     state = Dormant }
-
-let pp_spec ppf s =
-  Format.fprintf ppf "%s: %a D=%a C=%a p=%d" s.name pp_periodicity
-    s.periodicity Time.pp s.time_capacity Time.pp s.wcet s.base_priority
-
-let pp_status ppf s =
-  Format.fprintf ppf "⟨D'=%a, p'=%d, %a⟩" Time.pp s.deadline_time
-    s.current_priority pp_state s.state

@@ -27,8 +27,6 @@ type periodicity =
       (** Minimum inter-arrival time: T is a lower bound between
           consecutive activations. *)
 
-val pp_periodicity : Format.formatter -> periodicity -> unit
-
 type spec = {
   name : string;
   periodicity : periodicity;
@@ -66,6 +64,3 @@ type status = {
 
 val initial_status : spec -> status
 (** Dormant, base priority, no deadline armed. *)
-
-val pp_spec : Format.formatter -> spec -> unit
-val pp_status : Format.formatter -> status -> unit

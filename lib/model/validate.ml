@@ -239,8 +239,6 @@ let validate_set schedules =
   in
   set_diags @ List.concat_map validate schedules
 
-let is_valid s = validate s = []
-
 let explain_requirement ppf (s : Schedule.t) pid ~k =
   let r = requirement_exn s pid in
   let lo = k * r.Schedule.cycle and hi = (k + 1) * r.Schedule.cycle in

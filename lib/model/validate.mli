@@ -79,8 +79,6 @@ val validate_set : Schedule.t list -> diagnostic list
 (** {!validate} on every table plus set-level checks (non-empty, unique
     ids). *)
 
-val is_valid : Schedule.t -> bool
-
 val cycle_supply : Schedule.t -> Partition_id.t -> k:int -> Time.t
 (** Left-hand side of eq. (23): the window time given to the partition
     during its [k]-th cycle within the MTF (windows whose offset falls in

@@ -198,8 +198,3 @@ let length t = t.len
 let total t = t.total_recorded
 let dropped t = t.total_recorded - t.len
 let capacity t = t.ring_capacity
-
-let clear t =
-  t.len <- 0;
-  t.head <- 0;
-  t.total_recorded <- 0

@@ -119,4 +119,3 @@ val dropped : t -> int
 (** Records evicted by bounded retention ([total - length]). *)
 
 val capacity : t -> int
-val clear : t -> unit

@@ -105,10 +105,6 @@ let observe h x =
   h.total <- h.total + x;
   if x > h.peak then h.peak <- x
 
-(* Counters are monotonic from the observer's point of view; [reset_counter]
-   exists solely so the legacy [reset_stats]-style shims keep working. *)
-let reset_counter c = c.count <- 0
-
 (* --- Snapshot (off the hot path) ---------------------------------------- *)
 
 type histogram_view = {
@@ -159,8 +155,6 @@ let find t name =
            view_total = h.total;
            view_peak = h.peak })
 
-let cardinal t = Hashtbl.length t.instruments
-
 (* Percentile estimate from the fixed buckets: the bucket holding the rank
    ceil(observations * num / den) answers with its inclusive upper bound;
    ranks landing in the +inf bucket answer with the exact peak. Integer
@@ -186,10 +180,3 @@ let view_quantile (h : histogram_view) ~num ~den =
     in
     walk 0 0
   end
-
-let pp_value ppf = function
-  | Counter_value n -> Format.fprintf ppf "%d" n
-  | Gauge_value n -> Format.fprintf ppf "%d (gauge)" n
-  | Histogram_value h ->
-    Format.fprintf ppf "n=%d total=%d peak=%d" h.view_observations
-      h.view_total h.view_peak

@@ -26,13 +26,11 @@ val create : unit -> t
 val counter : t -> string -> counter
 val gauge : t -> string -> gauge
 
-val default_buckets : int array
-(** Powers of two up to 1024 — covers tick-latency measurements well. *)
-
 val histogram : ?buckets:int array -> t -> string -> histogram
 (** [buckets] are inclusive upper bounds, strictly increasing and
     non-empty (checked); observations above the last bound land in an
-    implicit +inf bucket. Defaults to {!default_buckets}. *)
+    implicit +inf bucket. Defaults to powers of two up to 1024, which
+    cover tick-latency measurements well. *)
 
 (** {1 Recording (hot path)} *)
 
@@ -48,10 +46,6 @@ val gauge_decr : gauge -> unit
 val level : gauge -> int
 
 val observe : histogram -> int -> unit
-
-val reset_counter : counter -> unit
-(** Exists solely so the legacy [reset_stats]-style shims keep working;
-    new code should treat counters as monotonic. *)
 
 (** {1 Snapshot (off the hot path)} *)
 
@@ -74,7 +68,6 @@ val snapshot : t -> snapshot
 (** Every instrument's current value, sorted by name. *)
 
 val find : t -> string -> value option
-val cardinal : t -> int
 
 val view_quantile : histogram_view -> num:int -> den:int -> int
 (** Estimated value at quantile [num/den], from the fixed buckets: the
@@ -82,5 +75,3 @@ val view_quantile : histogram_view -> num:int -> den:int -> int
     [ceil(observations * num / den)], clamped to the exact peak (ranks in
     the +inf bucket answer with the peak). 0 when the view is empty. Raises
     [Invalid_argument] unless [0 <= num <= den] and [den > 0]. *)
-
-val pp_value : Format.formatter -> value -> unit

@@ -143,7 +143,3 @@ let clear t =
   t.total <- 0;
   t.min_v <- 0;
   t.max_v <- 0
-
-let pp ppf t =
-  Format.fprintf ppf "n=%d p50=%d p90=%d p99=%d max=%d" t.count (p50 t)
-    (p90 t) (p99 t) (max_value t)

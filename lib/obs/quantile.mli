@@ -44,6 +44,3 @@ val merge : into:t -> t -> unit
 
 val clear : t -> unit
 (** Reset to the empty state, retaining the allocated bucket array. *)
-
-val pp : Format.formatter -> t -> unit
-(** ["n=… p50=… p90=… p99=… max=…"]. *)

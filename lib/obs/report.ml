@@ -1,6 +1,5 @@
-(* Rendering of metrics snapshots: a human-readable table for terminals,
-   an s-expression for the config toolchain, and JSON for external
-   dashboards / the bench trajectory. *)
+(* Rendering of metrics snapshots: a human-readable table for terminals
+   and JSON for external dashboards / the bench trajectory. *)
 
 let pp_histogram_line ppf (h : Metrics.histogram_view) =
   Format.fprintf ppf "n=%d total=%d peak=%d" h.view_observations h.view_total
@@ -46,61 +45,6 @@ let pp ?(events = []) ppf (snapshot : Metrics.snapshot) =
 
 let to_string ?events snapshot =
   Format.asprintf "%a" (fun ppf -> pp ?events ppf) snapshot
-
-(* --- S-expression -------------------------------------------------------- *)
-
-(* Quoted atoms escape the quote and backslash characters so that names
-   containing them round-trip through the sexp reader. *)
-let sexp_atom name =
-  if
-    String.equal name ""
-    || String.exists
-         (fun c -> c = ' ' || c = '(' || c = ')' || c = '"' || c = '\\')
-         name
-  then begin
-    let buf = Buffer.create (String.length name + 2) in
-    Buffer.add_char buf '"';
-    String.iter
-      (fun c ->
-        match c with
-        | '"' -> Buffer.add_string buf "\\\""
-        | '\\' -> Buffer.add_string buf "\\\\"
-        | c -> Buffer.add_char buf c)
-      name;
-    Buffer.add_char buf '"';
-    Buffer.contents buf
-  end
-  else name
-
-let to_sexp ?(events = []) (snapshot : Metrics.snapshot) =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "(metrics";
-  List.iter
-    (fun (name, v) ->
-      match v with
-      | Metrics.Counter_value n ->
-        Buffer.add_string buf
-          (Printf.sprintf "\n  (counter %s %d)" (sexp_atom name) n)
-      | Metrics.Gauge_value n ->
-        Buffer.add_string buf
-          (Printf.sprintf "\n  (gauge %s %d)" (sexp_atom name) n)
-      | Metrics.Histogram_value h ->
-        Buffer.add_string buf
-          (Printf.sprintf
-             "\n  (histogram %s (n %d) (total %d) (peak %d) (p50 %d) \
-              (p90 %d) (p99 %d))"
-             (sexp_atom name) h.view_observations h.view_total h.view_peak
-             (Metrics.view_quantile h ~num:1 ~den:2)
-             (Metrics.view_quantile h ~num:9 ~den:10)
-             (Metrics.view_quantile h ~num:99 ~den:100)))
-    snapshot;
-  List.iter
-    (fun (kind, n) ->
-      Buffer.add_string buf
-        (Printf.sprintf "\n  (event %s %d)" (sexp_atom kind) n))
-    events;
-  Buffer.add_string buf ")";
-  Buffer.contents buf
 
 (* --- JSON ---------------------------------------------------------------- *)
 

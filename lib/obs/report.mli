@@ -1,6 +1,5 @@
-(** Rendering of metrics snapshots: a human-readable table for terminals,
-    an s-expression for the config toolchain, and JSON for external
-    dashboards.
+(** Rendering of metrics snapshots: a human-readable table for terminals
+    and JSON for external dashboards.
 
     The optional [events] argument appends per-kind event totals (as
     produced by [Air.System.event_counts]: nonzero kinds, sorted by kind
@@ -13,10 +12,6 @@ val pp :
   unit
 
 val to_string : ?events:(string * int) list -> Metrics.snapshot -> string
-
-val to_sexp : ?events:(string * int) list -> Metrics.snapshot -> string
-(** [(metrics (counter NAME N) (gauge NAME N)
-    (histogram NAME (n N) (total N) (peak N)) (event KIND N) ...)] *)
 
 val to_json : ?events:(string * int) list -> Metrics.snapshot -> string
 (** A single JSON object: [{"metrics":{NAME:{"kind":...},...},

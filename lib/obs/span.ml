@@ -70,10 +70,6 @@ let instant t ~now ~track ?(sub = 0) ?(detail = "") name =
   push_done t
     { name; track; sub; start = now; stop = now; detail; phase = Instant }
 
-let complete t ~start ~stop ~track ?(sub = 0) ?(detail = "") name =
-  push_done t
-    { name; track; sub; start; stop; detail; phase = Complete }
-
 let spans t = List.of_seq (Queue.to_seq t.done_)
 
 let open_spans t ~now =
@@ -105,12 +101,6 @@ let length t = Queue.length t.done_
 let total t = t.total
 let dropped t = t.total - Queue.length t.done_
 let mismatches t = t.mismatches
-
-let clear t =
-  Queue.clear t.done_;
-  Hashtbl.reset t.open_;
-  t.total <- 0;
-  t.mismatches <- 0
 
 let pp_span ppf s =
   Format.fprintf ppf "[%d,%d%s] %s@%d..%d%s" s.track s.sub

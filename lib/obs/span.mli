@@ -50,17 +50,6 @@ val instant :
   t -> now:int -> track:int -> ?sub:int -> ?detail:string -> string -> unit
 (** Record a point event ([phase = Instant], [stop = start = now]). *)
 
-val complete :
-  t ->
-  start:int ->
-  stop:int ->
-  track:int ->
-  ?sub:int ->
-  ?detail:string ->
-  string ->
-  unit
-(** Record an already-closed interval in one call. *)
-
 val spans : t -> span list
 (** Retained completed and instant spans, in completion order (oldest
     first). *)
@@ -84,8 +73,5 @@ val dropped : t -> int
 
 val mismatches : t -> int
 (** [end_span] calls that found no open span to close. *)
-
-val clear : t -> unit
-(** Drop retained and open spans; [total] and {!mismatches} reset too. *)
 
 val pp_span : Format.formatter -> span -> unit

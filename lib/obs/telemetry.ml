@@ -155,7 +155,6 @@ let create ?(config = default_config) ~partition_count () =
     throttled = Array.make n 0;
     co_pressure = Array.make n 0 }
 
-let configuration t = t.cfg
 let frame_start t = t.cur_start
 let current_schedule t = t.cur_schedule
 let total_frames t = t.total_frames
@@ -169,28 +168,22 @@ let prime t ~schedule ~allotted =
 
 (* --- Hot-path hooks ----------------------------------------------------- *)
 
-(* The index variants take the active partition as a plain integer
-   (negative = idle) so per-tick callers need not box an option. *)
-let on_tick_idx t ~active =
+(* The active partition is a plain integer (negative = idle) so per-tick
+   callers need not box an option. *)
+let on_tick t ~active =
   if active >= 0 then begin
     t.window_ticks.(active) <- t.window_ticks.(active) + 1;
     t.cur_busy <- t.cur_busy + 1
   end
   else t.cur_idle <- t.cur_idle + 1
 
-let on_ticks_idx t ~active ~count =
+let on_ticks t ~active ~count =
   if count > 0 then
     if active >= 0 then begin
       t.window_ticks.(active) <- t.window_ticks.(active) + count;
       t.cur_busy <- t.cur_busy + count
     end
     else t.cur_idle <- t.cur_idle + count
-
-let on_tick t ~active =
-  on_tick_idx t ~active:(match active with Some i -> i | None -> -1)
-
-let on_ticks t ~active ~count =
-  on_ticks_idx t ~active:(match active with Some i -> i | None -> -1) ~count
 
 let on_dispatch t ~partition ~jitter =
   t.dispatches.(partition) <- t.dispatches.(partition) + 1;
@@ -216,7 +209,6 @@ let on_ipc_delivery t ~latency = Quantile.record t.ipc latency
 
 (* Interference accounting, fed by the executive's contention model. *)
 
-let interference_enabled t = t.interference
 let enable_interference t = t.interference <- true
 
 let on_mem_demand t ~partition ~cost =
@@ -316,7 +308,6 @@ let flush t ~now =
 
 let frames t = List.of_seq (Queue.to_seq t.closed)
 let retained t = Queue.length t.closed
-let last_frame t = Queue.fold (fun _ f -> Some f) None t.closed
 
 (* --- Watchdogs ---------------------------------------------------------- *)
 

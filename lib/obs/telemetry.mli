@@ -122,7 +122,6 @@ type t
 
 val create : ?config:config -> partition_count:int -> unit -> t
 
-val configuration : t -> config
 val frame_start : t -> int
 val current_schedule : t -> int
 
@@ -132,22 +131,17 @@ val prime : t -> schedule:int -> allotted:int array -> unit
 
 (** {2 Hot-path hooks} — O(1), no allocation. *)
 
-val on_tick : t -> active:int option -> unit
-(** One system clock tick executed with [active] holding the processor. *)
+val on_tick : t -> active:int -> unit
+(** One system clock tick executed with partition index [active] holding
+    the processor, negative meaning idle — a plain index, so the per-tick
+    executive boxes no option on the steady-state tick path. *)
 
-val on_ticks : t -> active:int option -> count:int -> unit
+val on_ticks : t -> active:int -> count:int -> unit
 (** Batch form of {!on_tick}: [count] consecutive ticks, all executed with
-    the same [active] occupant. Used by the executive's skip-ahead path to
-    replay a quiescent span into the frame accumulator in O(1); equivalent
-    to calling {!on_tick} [count] times. No-op when [count <= 0]. *)
-
-val on_tick_idx : t -> active:int -> unit
-(** {!on_tick} with the occupant as a plain index, negative meaning idle —
-    the per-tick executive uses this form to avoid boxing an option on the
-    steady-state tick path. *)
-
-val on_ticks_idx : t -> active:int -> count:int -> unit
-(** Index form of {!on_ticks} (negative [active] = idle). *)
+    the same [active] occupant (negative = idle). Used by the executive's
+    skip-ahead path to replay a quiescent span into the frame accumulator
+    in O(1); equivalent to calling {!on_tick} [count] times. No-op when
+    [count <= 0]. *)
 
 val on_dispatch : t -> partition:int -> jitter:int -> unit
 (** A dispatch of [partition], [jitter] ticks after its scheduling-table
@@ -164,8 +158,6 @@ val on_ipc_delivery : t -> latency:int -> unit
 (** A queuing message received [latency] ticks after it was enqueued. *)
 
 (** {2 Interference hooks} — fed by the executive's contention model. *)
-
-val interference_enabled : t -> bool
 
 val enable_interference : t -> unit
 (** Called once at boot when a contention model is attached; from then on
@@ -203,7 +195,6 @@ val ticks_accumulated : t -> int
 val frames : t -> frame list
 (** Retained closed frames, oldest first. *)
 
-val last_frame : t -> frame option
 val retained : t -> int
 val total_frames : t -> int
 (** Frames ever closed, including those evicted from the ring. *)

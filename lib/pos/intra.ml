@@ -50,10 +50,6 @@ let create kernel =
 
 type create_error = Already_exists of string | Bad_parameter of string
 
-let pp_create_error ppf = function
-  | Already_exists n -> Format.fprintf ppf "object %s already exists" n
-  | Bad_parameter m -> Format.fprintf ppf "bad parameter: %s" m
-
 let fresh table name v =
   if Hashtbl.mem table name then Error (Already_exists name)
   else begin

@@ -27,8 +27,6 @@ type create_error =
   | Already_exists of string
   | Bad_parameter of string
 
-val pp_create_error : Format.formatter -> create_error -> unit
-
 val create_semaphore :
   t ->
   name:string ->

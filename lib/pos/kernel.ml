@@ -89,7 +89,6 @@ let create ~partition ~policy ~hooks specs =
   { partition; policy; hooks; pcbs; seq = 0; rr_current = 0;
     rr_quantum_left = 0; lock_holder = None; lock_level = 0 }
 
-let partition t = t.partition
 let policy t = t.policy
 let process_count t = Array.length t.pcbs
 
@@ -107,7 +106,6 @@ let status t q =
     current_priority = p.current_priority;
     state = p.state }
 
-let wait_reason t q = (pcb t q).wait
 let deadline_time t q = (pcb t q).deadline_time
 let activations t q = (pcb t q).activations
 
@@ -377,17 +375,6 @@ let ready_set t =
       | Process.Dormant | Process.Waiting -> ())
     t.pcbs;
   List.rev !acc
-
-let running t =
-  let n = Array.length t.pcbs in
-  let rec go q =
-    if q >= n then None
-    else
-      match t.pcbs.(q).state with
-      | Process.Running -> Some q
-      | Process.Dormant | Process.Ready | Process.Waiting -> go (q + 1)
-  in
-  go 0
 
 let schedulable t q =
   match t.pcbs.(q).state with

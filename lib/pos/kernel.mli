@@ -56,7 +56,6 @@ val create :
   Process.spec array ->
   t
 
-val partition : t -> Ident.Partition_id.t
 val policy : t -> policy
 val process_count : t -> int
 val spec : t -> int -> Process.spec
@@ -64,7 +63,6 @@ val state : t -> int -> Process.state
 val status : t -> int -> Process.status
 (** The S(t) tuple of eq. (12). *)
 
-val wait_reason : t -> int -> wait_reason option
 val deadline_time : t -> int -> Time.t
 val activations : t -> int -> int
 
@@ -175,8 +173,6 @@ val unlock_preemption : t -> process:int -> (int, op_error) result
     does not hold the lock. *)
 
 val preemption_locked : t -> bool
-
-val running : t -> int option
 
 val stop_all : t -> unit
 (** Partition shutdown/restart: every process goes dormant, deadlines are

@@ -46,8 +46,6 @@ let empty = { body = [||]; on_end = Stop }
 let periodic_body actions =
   { body = Array.of_list (actions @ [ Periodic_wait ]); on_end = Repeat }
 
-let length t = Array.length t.body
-
 let pp_action ppf = function
   | Compute n -> Format.fprintf ppf "compute %d" n
   | Periodic_wait -> Format.pp_print_string ppf "periodic-wait"

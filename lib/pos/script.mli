@@ -73,7 +73,5 @@ val periodic_body : action list -> t
 (** The idiomatic periodic process: body followed by {!Periodic_wait},
     repeated forever. *)
 
-val length : t -> int
-
 val pp_action : Format.formatter -> action -> unit
 val pp : Format.formatter -> t -> unit

@@ -39,9 +39,6 @@ let push t x =
 
 let peek t = if is_empty t then None else Some (Vec.get t.data 0)
 
-let peek_key t ~key =
-  if is_empty t then None else Some (key (Vec.get t.data 0))
-
 let pop t =
   if is_empty t then None
   else begin
@@ -55,8 +52,6 @@ let pop t =
       end;
       Some top
   end
-
-let fold t ~init ~f = Vec.fold_left f init t.data
 
 let to_sorted_list t =
   let copy = create ~cmp:t.cmp in

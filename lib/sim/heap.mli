@@ -9,25 +9,13 @@ val create : cmp:('a -> 'a -> int) -> 'a t
 
 val length : 'a t -> int
 
-val is_empty : 'a t -> bool
-
 val push : 'a t -> 'a -> unit
 
 val peek : 'a t -> 'a option
 (** Smallest element, O(1). *)
 
-val peek_key : 'a t -> key:('a -> 'b) -> 'b option
-(** [peek_key t ~key] projects [key] out of the smallest element without
-    removing it — O(1), no pop/push round-trip. Intended for next-event
-    queries (e.g. the earliest arrival instant of a timer queue). *)
-
 val pop : 'a t -> 'a option
 (** Removes and returns the smallest element, O(log n). *)
-
-val fold : 'a t -> init:'b -> f:('b -> 'a -> 'b) -> 'b
-(** Fold over every element in unspecified (heap-internal) order — O(n),
-    non-destructive. For order-insensitive queries such as a filtered
-    minimum (e.g. the earliest arrival towards one destination). *)
 
 val to_sorted_list : 'a t -> 'a list
 (** Non-destructive; O(n log n). *)

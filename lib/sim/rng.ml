@@ -13,8 +13,6 @@ let mix z =
 
 let create seed = { state = mix (Int64.of_int seed) }
 
-let copy t = { state = t.state }
-
 let bits64 t =
   t.state <- Int64.add t.state gamma;
   mix t.state
@@ -34,16 +32,10 @@ let int t n =
   in
   draw ()
 
-let int_in t lo hi =
-  if hi < lo then invalid_arg "Rng.int_in: empty range";
-  lo + int t (hi - lo + 1)
-
 let float t x =
   let v = Int64.to_float (Int64.shift_right_logical (bits64 t) 11) in
   (* 53 uniform bits scaled into [0, 1). *)
   v /. 9007199254740992.0 *. x
-
-let bool t = Int64.logand (bits64 t) 1L = 1L
 
 let exponential t mean =
   if mean <= 0.0 then invalid_arg "Rng.exponential: non-positive mean";

@@ -11,9 +11,6 @@ val create : int -> t
 (** [create seed] builds a generator from a 63-bit seed. Equal seeds yield
     equal streams. *)
 
-val copy : t -> t
-(** Independent duplicate of the current state. *)
-
 val split : t -> t
 (** Derives a new generator whose stream is statistically independent of the
     parent's subsequent output. *)
@@ -24,14 +21,6 @@ val bits64 : t -> int64
 val int : t -> int -> int
 (** [int rng n] is uniform over [0, n-1]. Raises [Invalid_argument] if
     [n <= 0]. Unbiased (rejection sampling). *)
-
-val int_in : t -> int -> int -> int
-(** [int_in rng lo hi] is uniform over the inclusive range [lo, hi]. *)
-
-val float : t -> float -> float
-(** [float rng x] is uniform over [0, x). *)
-
-val bool : t -> bool
 
 val exponential : t -> float -> float
 (** [exponential rng mean] draws from an exponential distribution with the

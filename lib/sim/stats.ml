@@ -4,15 +4,13 @@ type t = {
   mutable m2 : float;
   mutable min : float;
   mutable max : float;
-  mutable sum : float;
 }
 
 let create () =
-  { n = 0; mean = 0.0; m2 = 0.0; min = nan; max = nan; sum = 0.0 }
+  { n = 0; mean = 0.0; m2 = 0.0; min = nan; max = nan }
 
 let add t x =
   t.n <- t.n + 1;
-  t.sum <- t.sum +. x;
   let delta = x -. t.mean in
   t.mean <- t.mean +. (delta /. float_of_int t.n);
   t.m2 <- t.m2 +. (delta *. (x -. t.mean));
@@ -24,15 +22,11 @@ let add t x =
     if x > t.max then t.max <- x
   end
 
-let add_int t x = add t (float_of_int x)
-
 let count t = t.n
 let mean t = if t.n = 0 then nan else t.mean
 let variance t = if t.n < 2 then nan else t.m2 /. float_of_int (t.n - 1)
-let stddev t = sqrt (variance t)
 let min t = t.min
 let max t = t.max
-let sum t = t.sum
 
 (* NaN poisons order statistics silently: polymorphic [compare] leaves it
    wherever it started, and any comparison against it lies. Both
@@ -82,19 +76,3 @@ let histogram ~bins xs =
       counts.(i) <- counts.(i) + 1)
     xs;
   { lo; width; counts }
-
-let pp_histogram ppf h =
-  let peak = Array.fold_left Stdlib.max 1 h.counts in
-  Array.iteri
-    (fun i c ->
-      let from = h.lo +. (float_of_int i *. h.width) in
-      let bar = String.make (c * 40 / peak) '#' in
-      Format.fprintf ppf "[%10.2f, %10.2f) %6d %s@."
-        from (from +. h.width) c bar)
-    h.counts
-
-let pp_summary ppf t =
-  if t.n = 0 then Format.fprintf ppf "n=0"
-  else
-    Format.fprintf ppf "n=%d mean=%.3f sd=%.3f min=%.3f max=%.3f"
-      t.n (mean t) (stddev t) t.min t.max

@@ -11,8 +11,6 @@ val create : unit -> t
 
 val add : t -> float -> unit
 
-val add_int : t -> int -> unit
-
 val count : t -> int
 
 val mean : t -> float
@@ -21,14 +19,10 @@ val mean : t -> float
 val variance : t -> float
 (** Unbiased sample variance; [nan] with fewer than two samples. *)
 
-val stddev : t -> float
-
 val min : t -> float
 (** [nan] when empty. *)
 
 val max : t -> float
-
-val sum : t -> float
 
 (** {1 Whole-sample summaries} *)
 
@@ -45,9 +39,3 @@ type histogram = { lo : float; width : float; counts : int array }
 val histogram : bins:int -> float array -> histogram
 (** Equal-width histogram over the sample range. [bins >= 1]. Raises
     [Invalid_argument] when the sample is empty or contains NaN. *)
-
-val pp_histogram : Format.formatter -> histogram -> unit
-(** Text rendering with one bar per bin, used in experiment output. *)
-
-val pp_summary : Format.formatter -> t -> unit
-(** "n=.. mean=.. sd=.. min=.. max=..". *)

@@ -47,8 +47,3 @@ let find_last p t =
   Queue.fold
     (fun acc entry -> if p (snd entry) then Some entry else acc)
     None t.items
-
-let clear t = Queue.clear t.items
-
-let pp pp_ev ppf t =
-  iter (fun time ev -> Format.fprintf ppf "[%a] %a@." Time.pp time pp_ev ev) t

@@ -39,8 +39,3 @@ val count : ('a -> bool) -> 'a t -> int
 val find_first : ('a -> bool) -> 'a t -> (Time.t * 'a) option
 
 val find_last : ('a -> bool) -> 'a t -> (Time.t * 'a) option
-
-val clear : 'a t -> unit
-
-val pp : (Format.formatter -> 'a -> unit) -> Format.formatter -> 'a t -> unit
-(** One "[t] event" line per event. *)

@@ -37,11 +37,7 @@ let pop_last t =
     Some t.data.(t.len)
   end
 
-let clear t = t.len <- 0
-
 let iter f t = for i = 0 to t.len - 1 do f t.data.(i) done
-
-let iteri f t = for i = 0 to t.len - 1 do f i t.data.(i) done
 
 let fold_left f acc t =
   let acc = ref acc in
@@ -56,8 +52,6 @@ let filter p t =
   List.rev (fold_left (fun acc x -> if p x then x :: acc else acc) [] t)
 
 let to_list t = List.rev (fold_left (fun acc x -> x :: acc) [] t)
-
-let to_array t = Array.init t.len (fun i -> t.data.(i))
 
 let of_list l =
   let t = create () in

@@ -24,11 +24,7 @@ val last : 'a t -> 'a option
 val pop_last : 'a t -> 'a option
 (** Removes and returns the last element, O(1). *)
 
-val clear : 'a t -> unit
-
 val iter : ('a -> unit) -> 'a t -> unit
-
-val iteri : (int -> 'a -> unit) -> 'a t -> unit
 
 val fold_left : ('acc -> 'a -> 'acc) -> 'acc -> 'a t -> 'acc
 
@@ -37,7 +33,5 @@ val exists : ('a -> bool) -> 'a t -> bool
 val filter : ('a -> bool) -> 'a t -> 'a list
 
 val to_list : 'a t -> 'a list
-
-val to_array : 'a t -> 'a array
 
 val of_list : 'a list -> 'a t

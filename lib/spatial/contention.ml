@@ -100,7 +100,6 @@ let create ~partitions ~lanes cfg =
 
 let configuration t = t.cfg
 let budget t p = t.budgets.(p)
-let aggregate_budget t = t.aggregate_budget
 let max_stall_per_access t = t.max_step
 let set_lane t lane = t.cur_lane <- lane
 
@@ -191,8 +190,6 @@ let rollover t ~now =
 
 let window_start t = t.window_start
 let demand t p = t.demand.(p)
-let lane_demand t l = t.lane_demand.(l)
-let total_demand t = t.total_demand
 let busy_lanes t = t.busy_lanes
 let throttled t p = t.throttled.(p)
 let stall_debt t p = t.stall.(p)

@@ -74,7 +74,6 @@ val configuration : t -> config
 val budget : t -> int -> int
 (** Resolved per-window budget of a partition. *)
 
-val aggregate_budget : t -> int
 val max_stall_per_access : t -> int
 (** Largest step of the slowdown curve — the containment oracle's bound:
     a partition's throttled ticks per window never exceed
@@ -122,10 +121,6 @@ val window_start : t -> int
 val demand : t -> int -> int
 (** Bandwidth units charged by the partition this window. *)
 
-val lane_demand : t -> int -> int
-(** Bandwidth units charged on the lane this window. *)
-
-val total_demand : t -> int
 val busy_lanes : t -> int
 (** Lanes with nonzero demand this window ([>= 2] arms the curve). *)
 

@@ -1,10 +1,5 @@
 type exec_level = Application | Pos | Pmk
 
-let exec_level_equal a b =
-  match (a, b) with
-  | Application, Application | Pos, Pos | Pmk, Pmk -> true
-  | (Application | Pos | Pmk), _ -> false
-
 let pp_exec_level ppf l =
   Format.pp_print_string ppf
     (match l with Application -> "app" | Pos -> "pos" | Pmk -> "pmk")
@@ -74,9 +69,6 @@ let pp_region ppf r =
 type map = { partition : Air_model.Ident.Partition_id.t; regions : region list }
 
 let map partition regions = { partition; regions }
-
-let contains m addr =
-  List.find_opt (fun r -> r.base <= addr && addr < region_end r) m.regions
 
 let validate_maps maps =
   let diags = ref [] in

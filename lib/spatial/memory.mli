@@ -11,25 +11,18 @@
     [Pmk > Pos > Application]. *)
 type exec_level = Application | Pos | Pmk
 
-val exec_level_equal : exec_level -> exec_level -> bool
 val pp_exec_level : Format.formatter -> exec_level -> unit
 
 type section = Code | Data | Stack | Io
 
 val section_equal : section -> section -> bool
-val pp_section : Format.formatter -> section -> unit
 
 type perms = { read : bool; write : bool; execute : bool }
-
-val pp_perms : Format.formatter -> perms -> unit
 
 val rwx : perms
 val rw : perms
 val rx : perms
 val ro : perms
-
-val default_perms : section -> perms
-(** Code → rx, Data → rw, Stack → rw, Io → rw. *)
 
 type region = {
   base : int;          (** Byte address, page aligned. *)
@@ -44,7 +37,8 @@ type region = {
 
 val region :
   ?min_level:exec_level -> ?perms:perms -> base:int -> size:int -> section -> region
-(** [perms] defaults to {!default_perms} of the section; [min_level]
+(** [perms] defaults to the section's: Code → rx, Data, Stack and Io →
+    rw; [min_level]
     defaults to [Application]. Raises [Invalid_argument] on non-positive
     size, negative base, or misalignment with respect to {!page_size}. *)
 
@@ -56,8 +50,6 @@ val region_end : region -> int
 
 val regions_overlap : region -> region -> bool
 
-val pp_region : Format.formatter -> region -> unit
-
 (** {1 Per-partition memory maps} *)
 
 type map = {
@@ -66,9 +58,6 @@ type map = {
 }
 
 val map : Air_model.Ident.Partition_id.t -> region list -> map
-
-val contains : map -> int -> region option
-(** Region of the map covering the given address, if any. *)
 
 val validate_maps : map list -> string list
 (** Human-readable diagnostics: overlapping regions within a map or across

@@ -117,10 +117,6 @@ let map_region t ~context (r : Memory.region) =
 let map_partition t ~context (m : Memory.map) =
   List.iter (map_region t ~context) m.Memory.regions
 
-let unmap_context t ~context =
-  check_context t context;
-  Array.fill t.tables.(context) 0 l1_entries Invalid
-
 (* Depth = number of table levels consulted (1–3); the cost model of
    [Protection]/[Contention] charges deeper walks more. *)
 let lookup_depth t ~context address =

@@ -10,8 +10,6 @@
 
 type access_kind = Read | Write | Execute
 
-val pp_access_kind : Format.formatter -> access_kind -> unit
-
 type fault_reason =
   | Unmapped     (** No PTE covers the address in this context. *)
   | Privilege    (** Execution level below the region's [min_level]. *)
@@ -34,8 +32,6 @@ val create : ?metrics:Air_obs.Metrics.t -> ?contexts:int -> unit -> t
     [metrics] receives the [mmu.walks] / [mmu.faults(.reason)] counters; a
     private registry is used when omitted. *)
 
-val contexts : t -> int
-
 val map_region : t -> context:int -> Memory.region -> unit
 (** Installs page-table entries for the region, using the largest entry size
     alignment permits (16 MiB / 256 KiB / 4 KiB). Raises [Invalid_argument]
@@ -43,8 +39,6 @@ val map_region : t -> context:int -> Memory.region -> unit
     context is out of range. *)
 
 val map_partition : t -> context:int -> Memory.map -> unit
-
-val unmap_context : t -> context:int -> unit
 
 val translate :
   t ->

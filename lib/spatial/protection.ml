@@ -1,7 +1,7 @@
 type t = {
   mmu : Mmu.t;
   tlb : Tlb.t;
-  mutable maps : Memory.map list;
+  maps : Memory.map list;
 }
 
 let context_of pid = Air_model.Ident.Partition_id.index pid + 1
@@ -69,19 +69,6 @@ let map_of t pid =
   List.find_opt
     (fun (m : Memory.map) -> Air_model.Ident.Partition_id.equal m.Memory.partition pid)
     t.maps
-
-let remap_partition t (m : Memory.map) =
-  let context = context_of m.Memory.partition in
-  Mmu.unmap_context t.mmu ~context;
-  Tlb.flush_context t.tlb ~context;
-  Mmu.map_partition t.mmu ~context m;
-  t.maps <-
-    m
-    :: List.filter
-         (fun (m' : Memory.map) ->
-           not
-             (Air_model.Ident.Partition_id.equal m'.Memory.partition m.Memory.partition))
-         t.maps
 
 let tlb_stats t = Tlb.stats t.tlb
 

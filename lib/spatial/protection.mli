@@ -45,10 +45,6 @@ val access_costed :
 
 val map_of : t -> Air_model.Ident.Partition_id.t -> Memory.map option
 
-val remap_partition : t -> Memory.map -> unit
-(** Replace a partition's mappings (partition cold restart); flushes the
-    partition's TLB entries. *)
-
 val tlb_stats : t -> Tlb.stats
 
 val mmu : t -> Mmu.t

@@ -57,10 +57,6 @@ let insert t entry =
     t.slots.(t.next) <- Some entry;
     t.next <- (t.next + 1) mod n
 
-let flush t =
-  Array.fill t.slots 0 (Array.length t.slots) None;
-  Metrics.incr t.flushes
-
 let flush_context t ~context =
   Array.iteri
     (fun i -> function
@@ -77,11 +73,6 @@ let stats (t : t) =
   { hits = Metrics.value t.hits;
     misses = Metrics.value t.misses;
     flushes = Metrics.value t.flushes }
-
-let reset_stats (t : t) =
-  Metrics.reset_counter t.hits;
-  Metrics.reset_counter t.misses;
-  Metrics.reset_counter t.flushes
 
 let pp_stats ppf s =
   Format.fprintf ppf "hits=%d misses=%d flushes=%d" s.hits s.misses s.flushes

@@ -25,18 +25,13 @@ val lookup : t -> context:int -> vpn:int -> entry option
 val insert : t -> entry -> unit
 (** Replaces any existing entry for the same (context, vpn). *)
 
-val flush : t -> unit
-
 val flush_context : t -> context:int -> unit
-(** Invalidate the entries of one context (used when a partition is
-    restarted and its mappings rebuilt). *)
+(** Invalidate the entries of one context — what rebuilding a
+    partition's mappings requires. *)
 
 type stats = { hits : int; misses : int; flushes : int }
 (** Legacy aggregate view; a thin shim reading the registry counters. *)
 
 val stats : t -> stats
 
-(** [reset_stats] zeroes the [tlb.*] counters (test support only —
-    counters are otherwise monotonic). *)
-val reset_stats : t -> unit
 val pp_stats : Format.formatter -> stats -> unit

@@ -29,8 +29,6 @@ type t = {
           delivered but unsampled. *)
 }
 
-val summarize : Air_obs.Causal.entry list -> t
-
 val render :
   ?port_name:(module_id:int -> port:int -> string option) ->
   Air_obs.Causal.entry list ->

@@ -52,15 +52,11 @@ let create ?(height = 8) ~title ~width () =
     invalid_arg "Window.create: non-positive dimensions";
   { title; width; height; content = Queue.create () }
 
-let title t = t.title
-
 let push t line =
   Queue.push (utf8_truncate line t.width) t.content;
   if Queue.length t.content > t.height then ignore (Queue.pop t.content)
 
 let push_fmt t fmt = Format.kasprintf (push t) fmt
-
-let clear t = Queue.clear t.content
 
 let lines t = List.of_seq (Queue.to_seq t.content)
 

@@ -12,24 +12,16 @@ val create : ?height:int -> title:string -> width:int -> unit -> t
 (** [height] is the number of content lines kept and shown (default 8);
     older lines scroll away. [width] is the inner content width. *)
 
-val title : t -> string
-
 val push : t -> string -> unit
 (** Append one line (truncated to the window width). *)
 
 val push_fmt : t -> ('a, Format.formatter, unit, unit) format4 -> 'a
-
-val clear : t -> unit
 
 val lines : t -> string list
 
 val render : t -> string list
 (** Boxed: top border with the title, [height] content lines, bottom
     border. Every line has the same display width. *)
-
-val render_row : t list -> string
-(** Windows of equal height laid out side by side, separated by one space;
-    windows of differing heights are padded at the bottom. *)
 
 val render_grid : columns:int -> t list -> string
 (** Lay windows out in rows of [columns]. *)

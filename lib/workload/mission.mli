@@ -13,12 +13,8 @@
 open Air_model
 open Air
 
-val aocs : Ident.Partition_id.t
-val ttc : Ident.Partition_id.t
 val payload : Ident.Partition_id.t
-val fdir : Ident.Partition_id.t
 
-val launch : Ident.Schedule_id.t
 val science : Ident.Schedule_id.t
 val safe : Ident.Schedule_id.t
 
@@ -27,5 +23,4 @@ val schedules : Schedule.t list
 val phases : (string * Ident.Schedule_id.t) list
 (** In mission order: launch → science → safe. *)
 
-val config : unit -> System.config
 val make : unit -> System.t

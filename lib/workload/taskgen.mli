@@ -14,10 +14,6 @@ type t = {
   requirements : Schedule.requirement list;
 }
 
-val harmonic_periods : int array
-(** The period menu: {400, 800, 1600, 3200} ticks — harmonic so that
-    synthesized MTFs stay small. *)
-
 val generate :
   ?procs_per_partition:int ->
   ?utilization:float ->

@@ -267,22 +267,19 @@ let local_flow_pairs_sends_with_receives () =
           (Causal.flow_of e.Causal.id))
       entries)
 
-(* The engine contract extends to causal records: skip-ahead and adaptive
+(* The engine contract extends to causal records: adaptive skip-ahead
    execution must stamp and record hop-for-hop identically to per-tick. *)
 let modes_record_identical_flows () =
   let reference = flow_system () in
   System.run reference ~ticks:2_000;
   let expected = List.map entry_line (System.flow_entries reference) in
   check Alcotest.bool "reference recorded flows" true (expected <> []);
-  List.iter
-    (fun (label, mode) ->
-      let engine = Engine.create ~mode (flow_system ()) in
-      Engine.advance engine ~ticks:2_000;
-      check
-        Alcotest.(list string)
-        (label ^ " records identical flow entries") expected
-        (List.map entry_line (System.flow_entries (Engine.system engine))))
-    [ ("skip", Engine.Skip); ("adaptive", Engine.Adaptive) ]
+  let engine = Engine.create ~mode:Engine.Adaptive (flow_system ()) in
+  Engine.advance engine ~ticks:2_000;
+  check
+    Alcotest.(list string)
+    "adaptive records identical flow entries" expected
+    (List.map entry_line (System.flow_entries (Engine.system engine)))
 
 (* Bounded-retention counters surface in exports (satellite): the span
    and flow drop counts ride along as metrics gauges and as the

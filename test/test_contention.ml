@@ -8,8 +8,8 @@
    - inert contention (huge budgets) is observationally invisible: traces,
      clock and metrics match a contention-free run across every engine
      mode and lane count (qcheck over seeded random modules);
-   - active contention stays bit-identical across Per_tick / Skip /
-     Adaptive (stall consumption is never skipped over);
+   - active contention stays bit-identical across Per_tick and Adaptive
+     (stall consumption is never skipped over);
    - multicore victims on other lanes throttle only within the modeled
      curve, and the budget blow escalates as temporal degradation exactly
      once per offending frame;
@@ -305,7 +305,7 @@ let inert_contention_is_invisible =
         Contention.config ~default_budget:1_000_000_000 ~curve:[]
           ~compute_cost:1 ()
       in
-      let modes = [ Engine.Per_tick; Engine.Skip; Engine.Adaptive ] in
+      let modes = [ Engine.Per_tick; Engine.Adaptive ] in
       List.for_all
         (fun mode ->
           match
@@ -341,16 +341,12 @@ let active_contention_mode_independent =
         | None -> None
         | Some (cfg, mtf) -> Some (System.create cfg, mtf)
       in
-      match (build (), build (), build ()) with
-      | None, _, _ | _, None, _ | _, _, None -> QCheck.assume_fail ()
-      | Some (per_tick, mtf), Some (skip, _), Some (adaptive, _) ->
+      match (build (), build ()) with
+      | None, _ | _, None -> QCheck.assume_fail ()
+      | Some (per_tick, mtf), Some (adaptive, _) ->
         let ticks = (3 * mtf) + (seed mod 997) in
         Engine.advance (Engine.create ~mode:Engine.Per_tick per_tick) ~ticks;
-        Engine.advance (Engine.create ~mode:Engine.Skip skip) ~ticks;
         Engine.advance (Engine.create ~mode:Engine.Adaptive adaptive) ~ticks;
-        assert_same_observables
-          ~what:(Printf.sprintf "seed %d skip" seed)
-          per_tick skip;
         assert_same_observables
           ~what:(Printf.sprintf "seed %d adaptive" seed)
           per_tick adaptive;

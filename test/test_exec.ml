@@ -95,32 +95,25 @@ let skip_matches_per_tick_on_random_modules =
           ticks (Engine.simulated engine);
         true)
 
-(* All three execution strategies — plain per-tick, always-skip and the
-   default adaptive mode — must be pairwise bit-identical, both on sparse
-   modules (where skipping dominates and the adaptive estimate stays low)
-   and on dense ones (where adaptive runs blind per-tick batches). This is
-   the tentpole invariant: mode only changes speed, never observables. *)
+(* Both execution strategies — plain per-tick and the default adaptive
+   mode — must be bit-identical, both on sparse modules (where skipping
+   dominates and the adaptive estimate stays low) and on dense ones (where
+   adaptive runs blind per-tick batches). This is the tentpole invariant:
+   mode only changes speed, never observables. *)
 let modes_agree ~name ~utilization =
   QCheck.Test.make ~name ~count:20
     QCheck.(int_range 1 10_000)
     (fun seed ->
       match
-        ( taskgen_system ~utilization seed,
-          taskgen_system ~utilization seed,
-          taskgen_system ~utilization seed )
+        (taskgen_system ~utilization seed, taskgen_system ~utilization seed)
       with
-      | None, _, _ | _, None, _ | _, _, None -> QCheck.assume_fail ()
-      | Some (reference, mtf), Some (skip_sys, _), Some (adaptive_sys, _) ->
+      | None, _ | _, None -> QCheck.assume_fail ()
+      | Some (reference, mtf), Some (adaptive_sys, _) ->
         let ticks = (3 * mtf) + (seed mod 997) in
         let per_tick = Engine.create ~mode:Engine.Per_tick reference in
         Engine.advance per_tick ~ticks;
-        let skip = Engine.create ~mode:Engine.Skip skip_sys in
-        Engine.advance skip ~ticks;
         let adaptive = Engine.create ~mode:Engine.Adaptive adaptive_sys in
         Engine.advance adaptive ~ticks;
-        assert_equivalent
-          ~what:(Printf.sprintf "seed %d: always-skip vs per-tick" seed)
-          reference skip_sys;
         assert_equivalent
           ~what:(Printf.sprintf "seed %d: adaptive vs per-tick" seed)
           reference adaptive_sys;
@@ -128,21 +121,16 @@ let modes_agree ~name ~utilization =
           (Printf.sprintf "seed %d: per-tick simulated" seed)
           ticks (Engine.simulated per_tick);
         check Alcotest.int
-          (Printf.sprintf "seed %d: always-skip simulated" seed)
-          ticks (Engine.simulated skip);
-        check Alcotest.int
           (Printf.sprintf "seed %d: adaptive simulated" seed)
           ticks (Engine.simulated adaptive);
         true)
 
 let modes_agree_sparse =
-  modes_agree
-    ~name:"per-tick = always-skip = adaptive on sparse random modules"
+  modes_agree ~name:"per-tick = adaptive on sparse random modules"
     ~utilization:0.4
 
 let modes_agree_dense =
-  modes_agree
-    ~name:"per-tick = always-skip = adaptive on dense random modules"
+  modes_agree ~name:"per-tick = adaptive on dense random modules"
     ~utilization:0.9
 
 (* --- Dense workloads ----------------------------------------------------- *)
@@ -173,11 +161,11 @@ let every_tick_body = [| Script.Compute 1 |]
    compute tick. *)
 let long_compute_body = [| Script.Compute 1_000_000_000 |]
 
-(* The BENCH_5 regression: always-skip paid a [Clock.next_interesting]
-   probe per executed tick on dense workloads. The adaptive default must
-   pay none when no tick is quiescent — it runs blind batches and never
-   consults the probe — while staying bit-identical to the per-tick
-   reference. *)
+(* The BENCH_5 regression: probing after every executed tick paid a
+   [Clock.next_interesting] probe per tick on dense workloads. The
+   adaptive default must pay none when no tick is quiescent — it runs
+   blind batches and never consults the probe — while staying
+   bit-identical to the per-tick reference. *)
 let adaptive_never_probes_when_dense () =
   let reference = dense_system every_tick_body () in
   System.run reference ~ticks:10_000;
@@ -236,7 +224,7 @@ let steady_state_tick_is_allocation_free () =
    per-tick instant: a two-partition document (A first, so on two cores A
    holds lane 0 and B lane 1) under one 500-tick MTF, interventions
    applied between ticks, and a witness that the cause really occurs in
-   the per-tick reference. Skip and Adaptive must reproduce Per_tick's
+   the per-tick reference. Adaptive must reproduce Per_tick's
    trace, metrics JSON and telemetry frames on one and two cores. *)
 type span_row = {
   cause : string;
@@ -484,16 +472,13 @@ let compute_span_boundaries () =
           in
           check Alcotest.bool (what ^ ": cause occurs") true
             (row.witness ~cores reference);
-          List.iter
-            (fun (label, mode) ->
-              let engine = run_span_row row ~cores mode in
-              assert_equivalent ~what:(what ^ ", " ^ label) reference
-                (Engine.system engine);
-              check Alcotest.bool
-                (what ^ ", " ^ label ^ ": spans skipped")
-                true
-                ((Engine.stats engine).Engine.skipped > 0))
-            [ ("skip", Engine.Skip); ("adaptive", Engine.Adaptive) ])
+          let engine = run_span_row row ~cores Engine.Adaptive in
+          assert_equivalent ~what:(what ^ ", adaptive") reference
+            (Engine.system engine);
+          check Alcotest.bool
+            (what ^ ", adaptive: spans skipped")
+            true
+            ((Engine.stats engine).Engine.skipped > 0))
         row.cores)
     span_rows
 
@@ -501,7 +486,7 @@ let compute_span_boundaries () =
 
 (* The profiler is observational: attaching one must not change a single
    bit of the observable run, and its step/batch/skip tick buckets must
-   partition the simulated horizon exactly — in every mode. The satellite
+   partition the simulated horizon exactly — in both modes. The satellite
    workload exercises all three buckets (sparse spans skip, dense phases
    batch, interesting ticks step). *)
 let profile_ticks = 20_000
@@ -540,13 +525,11 @@ let profiler_buckets_partition_ticks () =
         (label ^ ": profile schema")
         true
         (Astring_contains.contains json "\"schema\":\"air-profile/1\""))
-    [ ("per-tick", Engine.Per_tick); ("skip", Engine.Skip);
-      ("adaptive", Engine.Adaptive) ]
+    [ ("per-tick", Engine.Per_tick); ("adaptive", Engine.Adaptive) ]
 
 (* Mode-specific attribution: per-tick advances are blind batches (no
-   probes, no skips); always-skip pays a probe per executed tick and
-   never batches; the adaptive satellite run uses skips (sparse idle
-   spans) and records a density trajectory. *)
+   probes, no skips); the adaptive satellite run pays probes, uses skips
+   (sparse idle spans) and records a density trajectory. *)
 let profiler_attributes_by_mode () =
   let run mode =
     let profiler = Air_exec.Profiler.create () in
@@ -560,11 +543,10 @@ let profiler_attributes_by_mode () =
   check Alcotest.int "per-tick: no probes" 0 (Air_exec.Profiler.probes p);
   check Alcotest.(list int) "per-tick: no density samples" []
     (Air_exec.Profiler.density_trajectory p);
-  let p, stats = run Engine.Skip in
-  check Alcotest.bool "skip: probes paid" true (stats.Engine.probes > 0);
-  check Alcotest.int "skip: every probe attributed" stats.Engine.probes
-    (Air_exec.Profiler.probes p);
   let p, stats = run Engine.Adaptive in
+  check Alcotest.bool "adaptive: probes paid" true (stats.Engine.probes > 0);
+  check Alcotest.int "adaptive: every probe attributed" stats.Engine.probes
+    (Air_exec.Profiler.probes p);
   check Alcotest.bool "adaptive: skips engaged" true (stats.Engine.skipped > 0);
   check Alcotest.bool "adaptive: density sampled" true
     (Air_exec.Profiler.density_trajectory p <> [])

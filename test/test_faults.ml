@@ -286,6 +286,40 @@ let rate_streams_independent () =
     "r1 unchanged by appending r2" (ticks_of r1.C.template alone)
     (ticks_of r1.C.template joined)
 
+(* Two runs whose events differ only in time are distinguishable: a
+   factory that hands the first execution a module computing 5 ticks
+   before its log line and the second one computing 6 yields traces of
+   equal length and equal event counts, so a fingerprint of counts alone
+   would call the campaign reproducible. *)
+let fingerprint_sees_event_times () =
+  let calls = ref 0 in
+  let make () =
+    incr calls;
+    (* [execute] builds a campaign target and a baseline: two calls. *)
+    let work = if !calls <= 2 then 5 else 6 in
+    let p0 = Ident.Partition_id.make 0 in
+    let p =
+      Partition.make ~id:p0 ~name:"P" [ Process.spec ~base_priority:1 "t" ]
+    in
+    let schedule =
+      Schedule.make ~id:(Ident.Schedule_id.make 0) ~name:"S" ~mtf:50
+        ~requirements:[ { Schedule.partition = p0; cycle = 50; duration = 50 } ]
+        [ { Schedule.partition = p0; offset = 0; duration = 50 } ]
+    in
+    E.Module
+      (System.create
+         (System.config
+            ~partitions:
+              [ System.partition_setup p
+                  [ Air_pos.Script.make ~on_end:Air_pos.Script.Stop
+                      [ Air_pos.Script.Compute work; Air_pos.Script.Log "x" ]
+                  ] ]
+            ~schedules:[ schedule ] ()))
+  in
+  let spec = C.spec ~name:"timing" ~seed:1 ~horizon:100 () in
+  check Alcotest.bool "runs differing only in event times" false
+    (E.reproducible ~make spec)
+
 (* --- Negative: a misconfigured HM table is flagged ----------------------- *)
 
 let misconfigured_hm_flagged () =
@@ -336,4 +370,6 @@ let suite =
     Alcotest.test_case "rate substreams are independent" `Quick
       rate_streams_independent;
     Alcotest.test_case "misconfigured HM table is flagged" `Quick
-      misconfigured_hm_flagged ]
+      misconfigured_hm_flagged;
+    Alcotest.test_case "fingerprints see event times" `Quick
+      fingerprint_sees_event_times ]

@@ -2,9 +2,8 @@
    a constellation across domains must be bit-identical to the sequential
    Cluster.run — same fingerprints (clocks, bus, traces, telemetry, causal
    flows), same fault-campaign verdicts — for any domain count, any
-   topology and any window chunking. Also the next_arrival regression: a
-   message parked in a forwarding gateway must bound the next arrival even
-   when the in-flight heap is empty. *)
+   topology and any window chunking. Also a forwarding relay: a message
+   parked in a forwarding gateway must be re-drained across windows. *)
 
 open Air_sim
 open Air_model
@@ -200,13 +199,12 @@ let qcheck_equivalence =
     (QCheck.make ~print:print_scenario scenario_gen)
     (fun s -> String.equal (sequential_fingerprint s) (fleet_fingerprint s))
 
-(* --- The forwarding relay (next_arrival regression + cross-window hop) ----- *)
+(* --- The forwarding relay (cross-window hop) ------------------------------ *)
 
 (* A -> B -> C: A sends a single message; B's RELAY port is both the
    target of A's link and the gateway of B's own link to C — pure
    store-and-forward, no partition involvement. One message means the
-   in-flight heap is empty while the relay holds it: exactly the state
-   the old next_arrival misjudged. *)
+   in-flight heap is empty while the relay holds it. *)
 let relay_sender () =
   let sat = pid 0 in
   let network =
@@ -291,49 +289,6 @@ let make_relay () =
         Cluster.link ~from_module:1 ~from_port:"RELAY" ~to_module:2
           ~to_port:"TM_IN" () ]
     [ relay_sender (); relay_hop (); relay_ground () ]
-
-let next_arrival_sees_pending_gateway () =
-  let cluster = make_relay () in
-  (* Step until the first hop has delivered into B's relay gateway and the
-     heap is momentarily empty: the old next_arrival answered None here,
-     silently hiding the second hop from any skip-ahead consumer. *)
-  let relay = (Cluster.systems cluster).(1) in
-  let parked () =
-    Router.pending (System.router relay) ~port:"RELAY" > 0
-    && (Cluster.stats cluster).Cluster.in_flight = 0
-  in
-  let guard = ref 0 in
-  while (not (parked ())) && !guard < 200 do
-    Cluster.step cluster;
-    incr guard
-  done;
-  check Alcotest.bool "reached the parked state" true (parked ());
-  let bound =
-    match Cluster.next_arrival cluster with
-    | None ->
-      Alcotest.fail
-        "next_arrival ignored the message parked in the forwarding gateway"
-    | Some t -> t
-  in
-  check Alcotest.bool "bound lies in the future" true
-    (bound > Cluster.now cluster);
-  (* The bound discriminates by destination: the parked message heads to
-     module 2, nothing heads to module 1. *)
-  check Alcotest.bool "bound visible for dest 2" true
-    (Cluster.next_arrival_for cluster ~dest:2 <> None);
-  check Alcotest.bool "no bound for dest 1" true
-    (Cluster.next_arrival_for cluster ~dest:1 = None);
-  (* Conservative: the true second-hop arrival is never earlier. *)
-  let transferred () = (Cluster.stats cluster).Cluster.transferred in
-  let before = transferred () in
-  let guard = ref 0 in
-  while transferred () = before && !guard < 200 do
-    Cluster.step cluster;
-    incr guard
-  done;
-  check Alcotest.bool "second hop delivered" true (transferred () > before);
-  check Alcotest.bool "bound was conservative" true
-    (bound <= Cluster.now cluster)
 
 let relay_fleet_identity () =
   (* The two-hop forward crosses shard and window boundaries; the fleet
@@ -467,8 +422,6 @@ let suite =
     Alcotest.test_case "fleet: deterministic across runs" `Quick
       fleet_is_deterministic;
     QCheck_alcotest.to_alcotest qcheck_equivalence;
-    Alcotest.test_case "cluster: next_arrival sees pending gateways" `Quick
-      next_arrival_sees_pending_gateway;
     Alcotest.test_case "fleet: relay forwards across windows" `Quick
       relay_fleet_identity;
     Alcotest.test_case "fleet: campaign matches sequential verdicts" `Quick

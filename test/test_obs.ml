@@ -110,10 +110,6 @@ let report_renders_all_kinds () =
       check Alcotest.bool (needle ^ " in text report") true
         (contains ~needle text))
     [ "c"; "g"; "h"; "tick"; "p50=3 p90=3 p99=3" ];
-  let sexp = Report.to_sexp ~events snapshot in
-  check Alcotest.bool "sexp shape" true (contains ~needle:"(metrics" sexp);
-  check Alcotest.bool "sexp percentiles" true
-    (contains ~needle:"(p50 3)" sexp);
   let json = Report.to_json ~events snapshot in
   List.iter
     (fun needle ->
@@ -136,24 +132,6 @@ let json_escapes_control_chars () =
   check Alcotest.bool "no raw newline" false (contains ~needle:"\n" json);
   check Alcotest.string "escape function itself" "a\\nb\\u0001c"
     (Report.json_escape "a\nb\x01c")
-
-(* Metric names with spaces, quotes or parens must come out of the sexp
-   report as quoted atoms the configuration parser reads back intact. *)
-let sexp_escapes_awkward_names () =
-  let reg = Metrics.create () in
-  let awkward = "latency (p99) \"worst\" \\path" in
-  Metrics.incr (Metrics.counter reg awkward);
-  let sexp = Report.to_sexp (Metrics.snapshot reg) in
-  match Air_config.Sexp.parse_one sexp with
-  | Error e -> Alcotest.failf "report does not re-parse: %a"
-                 Air_config.Sexp.pp_error e
-  | Ok doc ->
-    let rec atoms = function
-      | Air_config.Sexp.Atom a -> [ a ]
-      | Air_config.Sexp.List l -> List.concat_map atoms l
-    in
-    check Alcotest.bool "name round-trips" true
-      (List.mem awkward (atoms doc))
 
 (* --- System integration ----------------------------------------------------- *)
 
@@ -256,8 +234,6 @@ let suite =
       report_renders_all_kinds;
     Alcotest.test_case "report: control chars escaped" `Quick
       json_escapes_control_chars;
-    Alcotest.test_case "report: sexp atoms round-trip" `Quick
-      sexp_escapes_awkward_names;
     Alcotest.test_case "system: one shared registry" `Quick
       system_shares_one_registry;
     Alcotest.test_case "system: event counts mirror trace" `Quick

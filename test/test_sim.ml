@@ -188,26 +188,6 @@ let heap_ordering () =
   check Alcotest.(list int) "sorted" [ 1; 2; 3; 5; 8; 9 ] (Heap.to_sorted_list h);
   check Alcotest.int "length preserved" 6 (Heap.length h)
 
-let heap_peek_key () =
-  let h = Heap.create ~cmp:(fun (a, _) (b, _) -> Int.compare a b) in
-  check
-    (Alcotest.option Alcotest.int)
-    "empty" None
-    (Heap.peek_key h ~key:fst);
-  Heap.push h (7, "slow");
-  Heap.push h (3, "soon");
-  Heap.push h (9, "late");
-  check
-    (Alcotest.option Alcotest.int)
-    "minimum key" (Some 3)
-    (Heap.peek_key h ~key:fst);
-  check Alcotest.int "non-destructive" 3 (Heap.length h);
-  ignore (Heap.pop h);
-  check
-    (Alcotest.option Alcotest.int)
-    "next key" (Some 7)
-    (Heap.peek_key h ~key:fst)
-
 let qcheck_heap_sorts =
   QCheck.Test.make ~name:"heap drains in sorted order"
     QCheck.(list int)
@@ -292,7 +272,6 @@ let suite =
     Alcotest.test_case "vec: pop_last" `Quick vec_pop_last;
     Alcotest.test_case "vec: iteration" `Quick vec_iter_fold;
     Alcotest.test_case "heap: ordering" `Quick heap_ordering;
-    Alcotest.test_case "heap: peek_key" `Quick heap_peek_key;
     qcheck qcheck_heap_sorts;
     Alcotest.test_case "trace: basics" `Quick trace_basics;
     Alcotest.test_case "trace: between is half-open" `Quick

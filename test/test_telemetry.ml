@@ -106,13 +106,13 @@ let accumulate_one_frame () =
   let t = Telemetry.create ~partition_count:2 () in
   Telemetry.prime t ~schedule:0 ~allotted:[| 10; 8 |];
   for _ = 1 to 10 do
-    Telemetry.on_tick t ~active:(Some 0)
+    Telemetry.on_tick t ~active:0
   done;
   for _ = 1 to 6 do
-    Telemetry.on_tick t ~active:(Some 1)
+    Telemetry.on_tick t ~active:1
   done;
   for _ = 1 to 4 do
-    Telemetry.on_tick t ~active:None
+    Telemetry.on_tick t ~active:(-1)
   done;
   Telemetry.on_dispatch t ~partition:0 ~jitter:0;
   Telemetry.on_dispatch t ~partition:1 ~jitter:3;
@@ -156,7 +156,7 @@ let accumulate_one_frame () =
   check Alcotest.int "reset" 0 (Telemetry.ticks_accumulated t);
   check Alcotest.int "next schedule primed" 1
     (Telemetry.current_schedule t);
-  Telemetry.on_tick t ~active:(Some 0);
+  Telemetry.on_tick t ~active:0;
   let g = Telemetry.close_frame t ~now:24 ~next_schedule:1
       ~next_allotted:[| 4; 4 |]
   in
@@ -174,7 +174,7 @@ let retention_ring () =
   in
   Telemetry.prime t ~schedule:0 ~allotted:[| 10 |];
   for k = 1 to 5 do
-    Telemetry.on_tick t ~active:(Some 0);
+    Telemetry.on_tick t ~active:0;
     ignore
       (Telemetry.close_frame t ~now:(k * 10) ~next_schedule:0
          ~next_allotted:[| 10 |])
@@ -191,8 +191,8 @@ let flush_partial_frame () =
   Telemetry.prime t ~schedule:0 ~allotted:[| 10 |];
   check Alcotest.bool "nothing to flush" true
     (Telemetry.flush t ~now:0 = None);
-  Telemetry.on_tick t ~active:(Some 0);
-  Telemetry.on_tick t ~active:None;
+  Telemetry.on_tick t ~active:0;
+  Telemetry.on_tick t ~active:(-1);
   (match Telemetry.flush t ~now:2 with
   | None -> Alcotest.fail "expected a partial frame"
   | Some f ->
@@ -205,14 +205,14 @@ let flush_partial_frame () =
 let frame_with t ~ticks =
   Telemetry.prime t ~schedule:0 ~allotted:[| ticks |];
   for _ = 1 to ticks do
-    Telemetry.on_tick t ~active:(Some 0)
+    Telemetry.on_tick t ~active:0
   done
 
 let watchdog_breaches () =
   let t = Telemetry.create ~partition_count:2 () in
   Telemetry.prime t ~schedule:0 ~allotted:[| 10; 10 |];
   for _ = 1 to 20 do
-    Telemetry.on_tick t ~active:(Some 0)
+    Telemetry.on_tick t ~active:0
   done;
   for _ = 1 to 100 do
     Telemetry.on_dispatch t ~partition:0 ~jitter:9
