@@ -115,10 +115,14 @@ interference-smoke:
 # the benchmark harness (bench/e2e), whose adaptive run must reproduce
 # its per-tick or sequential-cluster fingerprint (campaigns: contained
 # and reproducible). Fails unless every result line reads
-# "correct": true.
+# "correct": true, and unless the round's peak_rss_mb stays under the
+# memory ceiling of leo (40 MB) and constellation (80 MB). Those two keep
+# their whole event traces; packed entries hold them near 30 and 56 MB,
+# where a queue of boxed tuples took 61 and 137 MB.
 e2e-smoke:
 	dune build bench/e2e/e2e.exe
-	@for w in leo leo-observed-2core constellation campaign-sweep; do \
+	@for w in leo:40 leo-observed-2core constellation:80 campaign-sweep; do \
+	  ceiling=$${w#*:}; w=$${w%:*}; \
 	  line=$$(dune exec --display=quiet bench/e2e/e2e.exe -- \
 	    --workload $$w --seconds 0 | tail -n 1); \
 	  echo "$$w: $$line"; \
@@ -126,6 +130,10 @@ e2e-smoke:
 	    *'"correct": true'*) ;; \
 	    *) echo "e2e-smoke: $$w failed"; exit 1 ;; \
 	  esac; \
+	  test "$$ceiling" = "$$w" && continue; \
+	  rss=$$(echo "$$line" | sed -n 's/.*"peak_rss_mb": {"value": \([0-9.]*\).*/\1/p'); \
+	  awk -v rss="$$rss" -v max="$$ceiling" 'BEGIN { exit !(rss != "" && rss <= max) }' \
+	    || { echo "e2e-smoke: $$w peak_rss_mb $$rss MB over $$ceiling MB"; exit 1; }; \
 	done
 
 # Configuration robustness pass: air_validate accepts the four shipped

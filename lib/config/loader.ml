@@ -353,14 +353,20 @@ let decode_port env s =
   in
   let* max_message_size = with_default f "max-size" (one int) 64 in
   let form = tag ^ " " ^ name in
+  let known kind_field =
+    assert_no_extra f
+      ~known:[ "name"; "partition"; "direction"; "max-size"; kind_field ]
+  in
   match tag with
   | "sampling-port" ->
     let* refresh = required f "refresh" (one time) in
+    let* () = known "refresh" in
     checked form (fun () ->
         Port.sampling_port ~name ~partition ~direction ~refresh
           ~max_message_size)
   | "queuing-port" ->
     let* depth = with_default f "depth" (one int) 8 in
+    let* () = known "depth" in
     checked form (fun () ->
         Port.queuing_port ~name ~partition ~direction ~depth ~max_message_size)
   | _ -> error "expected sampling-port or queuing-port, got %s" tag

@@ -87,7 +87,9 @@ let create (cfg : config) =
   let protection =
     Protection.create ~metrics ~contexts:(partition_count + 1) maps
   in
-  let trace = Trace.create ?capacity:cfg.trace_capacity () in
+  let trace =
+    Trace.create ~codec:Event.codec ?capacity:cfg.trace_capacity ()
+  in
   let events = Array.make (Array.length Event.labels) 0 in
   (* The system record is knotted with the per-partition closures through
      this forward reference. *)

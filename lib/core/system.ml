@@ -539,21 +539,23 @@ let regions_of t pid =
   | Some map -> map.Memory.regions
 
 let violations t =
-  List.filter_map
-    (fun (time, ev) ->
-      match ev with
-      | Event.Deadline_violation { process; deadline } ->
-        Some (time, process, deadline)
-      | _ -> None)
-    (Trace.to_list t.trace)
+  List.rev
+    (Trace.fold
+       (fun acc time ev ->
+         match ev with
+         | Event.Deadline_violation { process; deadline } ->
+           (time, process, deadline) :: acc
+         | _ -> acc)
+       [] t.trace)
 
 let activity t =
-  List.filter_map
-    (fun (time, ev) ->
-      match ev with
-      | Event.Context_switch { to_; _ } -> Some (time, to_)
-      | _ -> None)
-    (Trace.to_list t.trace)
+  List.rev
+    (Trace.fold
+       (fun acc time ev ->
+         match ev with
+         | Event.Context_switch { to_; _ } -> (time, to_) :: acc
+         | _ -> acc)
+       [] t.trace)
 
 (* --- Operator interventions -------------------------------------------- *)
 

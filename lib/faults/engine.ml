@@ -348,9 +348,10 @@ let pp_applied ppf = function
 (* Every observation enters the digest as data, in one [Marshal] image
    without sharing, so structurally equal runs digest alike: the clock,
    trace volume, HM and violation counts, halt reason, partition modes,
-   per-kind event totals, fault outcomes, every retained event with its
-   instant, and the telemetry frames. Counts alone would equate two runs
-   whose events differ only in time. *)
+   per-kind event totals, fault outcomes, the digest of every retained
+   event with its instant (taken from the packed entries, not decoded), and
+   the telemetry frames. Counts alone would equate two runs whose events
+   differ only in time. *)
 let fingerprint_of sys outcomes =
   let trace = Air.System.trace sys in
   let observed =
@@ -362,7 +363,7 @@ let fingerprint_of sys outcomes =
       List.map (Air.System.partition_mode sys) (Air.System.partition_ids sys),
       Air.System.event_counts sys,
       outcomes,
-      Trace.to_list trace,
+      Trace.digest trace,
       Air.System.telemetry_frames sys )
   in
   Digest.to_hex

@@ -43,17 +43,12 @@ let blame_of run =
     run.Engine.plan;
   (scoped, !module_scope)
 
-let output_counts sys =
-  let counts = Hashtbl.create 8 in
-  Trace.iter
-    (fun _ ev ->
-      match ev with
-      | Event.Application_output { partition; _ } ->
-        let p = Partition_id.index partition in
-        Hashtbl.replace counts p (1 + Option.value ~default:0 (Hashtbl.find_opt counts p))
-      | _ -> ())
-    (Air.System.trace sys);
-  counts
+let count_output counts = function
+  | Event.Application_output { partition; _ } ->
+    let p = Partition_id.index partition in
+    Hashtbl.replace counts p
+      (1 + Option.value ~default:0 (Hashtbl.find_opt counts p))
+  | _ -> ()
 
 (* Replay the configured HM tables over the trace: every HM error event
    must be answered by exactly the action a fresh table lookup resolves to
@@ -61,10 +56,9 @@ let output_counts sys =
    [Hm.t] counts identically because it sees the same errors in the same
    order. An error with no same-instant action event before the next error
    is a log-only trap (no resolution happened), skipped on both sides. *)
-let replay_actions ~fail ~count sys =
+let replay_actions ~fail ~count sys events =
   let tables = Air.System.hm_tables sys in
   let hm = Air.Hm.create ~tables () in
-  let events = Array.of_list (Trace.to_list (Air.System.trace sys)) in
   let n = Array.length events in
   Array.iteri
     (fun i (time, ev) ->
@@ -159,9 +153,23 @@ let check (run : Engine.run) =
   let count () = incr checks in
   let scoped, module_scope = blame_of run in
   let excused p = module_scope || Hashtbl.mem scoped p in
+  (* The campaign trace's deadline misses, HM errors and actions and output
+     lines, decoded once for the three walks below. Dropping the other
+     kinds changes no walk: instants never decrease along a trace, so no
+     dropped event can separate an HM error from a same-instant action. *)
+  let events =
+    Array.of_list
+      (Trace.filter
+         (fun _ -> function
+           | Event.Deadline_violation _ | Event.Application_output _
+           | Event.Hm_error _ | Event.Hm_process_action _
+           | Event.Hm_partition_action _ | Event.Hm_module_action _ -> true
+           | _ -> false)
+         (Air.System.trace sys))
+  in
   (* Deadline and HM containment: walk the campaign trace. *)
-  Trace.iter
-    (fun time ev ->
+  Array.iter
+    (fun (time, ev) ->
       match ev with
       | Event.Deadline_violation { process; _ } ->
         count ();
@@ -195,7 +203,7 @@ let check (run : Engine.run) =
                  "%a error without a blamed partition at %a" Error.pp_code
                  code Time.pp time)))
       | _ -> ())
-    (Air.System.trace sys);
+    events;
   (* Mode containment against the baseline. *)
   if not module_scope then
     List.iter
@@ -222,8 +230,9 @@ let check (run : Engine.run) =
   | _ -> ());
   (* Output continuity for untargeted partitions. *)
   if not module_scope then begin
-    let got = output_counts sys in
-    let want = output_counts base in
+    let got = Hashtbl.create 8 and want = Hashtbl.create 8 in
+    Array.iter (fun (_, ev) -> count_output got ev) events;
+    Trace.iter (fun _ ev -> count_output want ev) (Air.System.trace base);
     List.iter
       (fun pid ->
         let p = Partition_id.index pid in
@@ -279,7 +288,7 @@ let check (run : Engine.run) =
       (Air.System.telemetry_frames sys)
   | (true | false), _ -> ());
   (* HM action matching (stateful table replay). *)
-  replay_actions ~fail ~count sys;
+  replay_actions ~fail ~count sys events;
   (* Guaranteed detection. *)
   List.iter
     (fun (o : Engine.outcome) ->

@@ -153,6 +153,128 @@ let pp ppf = function
   | Module_halt { reason } -> Format.fprintf ppf "MODULE HALT: %s" reason
   | Fault_injected { label } -> Format.fprintf ppf "FAULT INJECTED: %s" label
 
+(* --- Packed trace entries ------------------------------------------------
+
+   Header, low bits first: the trace's two flags, the 5-bit [kind], then up
+   to three fields [a] (16 bits), [b] (16 bits) and [c] (a small tag). An
+   optional partition is [0] for [None], [index + 1] otherwise. An index
+   that does not fit its field, and the rare HM, halt and fault events,
+   are stored boxed. *)
+
+let field_bits = 16
+let field_mask = (1 lsl field_bits) - 1
+
+let small kind a b c =
+  if (a lor b) lsr field_bits = 0 then
+    (kind lsl 2) lor (a lsl 7) lor (b lsl (7 + field_bits))
+    lor (c lsl (7 + (2 * field_bits)))
+  else Trace.boxed
+
+let opt = function None -> 0 | Some p -> Partition_id.index p + 1
+
+let unopt i = if i = 0 then None else Some (Partition_id.make (i - 1))
+
+let process kind p c =
+  let partition = Partition_id.index (Process_id.partition p) in
+  small kind partition (Process_id.index p) c
+
+let process_of a b = Process_id.make (Partition_id.make a) b
+
+(* Tag tables, indexed as the [*_tag] functions number them. *)
+let change_actions =
+  Schedule.[| No_action; Warm_restart_partition; Cold_restart_partition |]
+
+let modes = Partition.[| Normal; Idle; Cold_start; Warm_start |]
+let states = Process.[| Dormant; Ready; Running; Waiting |]
+
+let change_tag : Schedule.change_action -> int = function
+  | No_action -> 0
+  | Warm_restart_partition -> 1
+  | Cold_restart_partition -> 2
+
+let mode_tag : Partition.mode -> int = function
+  | Normal -> 0
+  | Idle -> 1
+  | Cold_start -> 2
+  | Warm_start -> 3
+
+let state_tag : Process.state -> int = function
+  | Dormant -> 0
+  | Ready -> 1
+  | Running -> 2
+  | Waiting -> 3
+
+let header = function
+  | Context_switch { from; to_ } -> small 0 (opt from) (opt to_) 0
+  | Schedule_switch_request { by; target } ->
+    small 1 (opt by) (Schedule_id.index target) 0
+  | Schedule_switch { from; to_ } ->
+    small 2 (Schedule_id.index from) (Schedule_id.index to_) 0
+  | Change_action { partition; action } ->
+    small 3 (Partition_id.index partition) (change_tag action) 0
+  | Partition_mode_change { partition; mode } ->
+    small 4 (Partition_id.index partition) (mode_tag mode) 0
+  | Process_state_change { process = p; state } ->
+    process 5 p (state_tag state)
+  | Process_dispatched { process = p } -> process 6 p 0
+  | Deadline_registered { process = p; _ } -> process 7 p 0
+  | Deadline_unregistered { process = p } -> process 8 p 0
+  | Deadline_violation { process = p; _ } -> process 9 p 0
+  | Port_send _ -> (14 lsl 2) lor Trace.text
+  | Port_receive _ -> (15 lsl 2) lor Trace.text
+  | Port_overflow _ -> (16 lsl 2) lor Trace.text
+  | Memory_access { partition; granted; _ } ->
+    small 17 (Partition_id.index partition) (Bool.to_int granted) 0
+  | Application_output { partition; _ } ->
+    small 18 (Partition_id.index partition) 0 0 lor Trace.text
+  | Hm_error _ | Hm_process_action _ | Hm_partition_action _
+  | Hm_module_action _ | Module_halt _ | Fault_injected _ ->
+    Trace.boxed
+
+let wide = function
+  | Deadline_registered { deadline; _ } | Deadline_violation { deadline; _ } ->
+    deadline
+  | Port_send { bytes; _ } | Port_receive { bytes; _ } -> bytes
+  | Memory_access { address; _ } -> address
+  | _ -> 0
+
+let text = function
+  | Port_send { port; _ } | Port_receive { port; _ } | Port_overflow { port }
+    ->
+    port
+  | Application_output { line; _ } -> line
+  | _ -> ""
+
+let decode h wide text =
+  let a = (h lsr 7) land field_mask
+  and b = (h lsr (7 + field_bits)) land field_mask
+  and c = h lsr (7 + (2 * field_bits)) in
+  match (h lsr 2) land 31 with
+  | 0 -> Context_switch { from = unopt a; to_ = unopt b }
+  | 1 -> Schedule_switch_request { by = unopt a; target = Schedule_id.make b }
+  | 2 -> Schedule_switch { from = Schedule_id.make a; to_ = Schedule_id.make b }
+  | 3 ->
+    Change_action
+      { partition = Partition_id.make a; action = change_actions.(b) }
+  | 4 ->
+    Partition_mode_change { partition = Partition_id.make a; mode = modes.(b) }
+  | 5 -> Process_state_change { process = process_of a b; state = states.(c) }
+  | 6 -> Process_dispatched { process = process_of a b }
+  | 7 -> Deadline_registered { process = process_of a b; deadline = wide }
+  | 8 -> Deadline_unregistered { process = process_of a b }
+  | 9 -> Deadline_violation { process = process_of a b; deadline = wide }
+  | 14 -> Port_send { port = text; bytes = wide }
+  | 15 -> Port_receive { port = text; bytes = wide }
+  | 16 -> Port_overflow { port = text }
+  | 17 ->
+    Memory_access
+      { partition = Partition_id.make a; address = wide; granted = b = 1 }
+  | 18 -> Application_output { partition = Partition_id.make a; line = text }
+  | k -> invalid_arg (Printf.sprintf "Event.decode: kind %d is kept boxed" k)
+
+let codec =
+  { Trace.header; wide; text; decode; blank = Module_halt { reason = "" } }
+
 let is_deadline_violation = function
   | Deadline_violation _ -> true
   | _ -> false

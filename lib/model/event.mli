@@ -90,6 +90,14 @@ val labels : string array
 val label : t -> string
 (** [labels.(kind ev)]. *)
 
+val codec : t Trace.codec
+(** The packed form of every event ({!Trace.create}): time, a header with
+    the kind and the small fields (partition, process and schedule indices,
+    state, mode, change action), and a wide payload (deadline, byte count
+    or address). Port names and output lines go to the chunk's string
+    column. HM, halt and fault events, and any event whose index does not
+    fit its 16-bit field, are kept boxed. *)
+
 (** {1 Trace queries used by experiments} *)
 
 val is_deadline_violation : t -> bool

@@ -1,17 +1,46 @@
-(** Time-stamped event logs.
+(** Time-stamped event logs, packed.
 
-    A ['a Trace.t] collects [(time, 'a)] pairs in arrival order. The full
-    system uses it with the event type of the AIR core; tests use it with
-    small ad-hoc variants. Recording can be bounded: the trace then keeps the
-    most recent [capacity] events (the prototype's VITRAL windows behave the
-    same way). *)
+    A ['a Trace.t] collects [(time, 'a)] pairs in arrival order. Each entry
+    is kept as three ints — the time, a header and a wide payload — in
+    [int array] chunks of at most 256 entries, so growth never copies a kept
+    entry. A chunk gets a string column only once it holds an entry with
+    text, and a column of boxed values only once it holds an entry the codec
+    keeps whole. The codec given to {!create} maps values to and from that
+    form; reads decode fresh values.
+
+    Recording can be bounded: the trace then keeps the most recent
+    [capacity] events (the prototype's VITRAL windows behave the same way),
+    as a ring over the same chunks in which nothing kept for an entry
+    outlives its slot. *)
+
+type 'a codec = {
+  header : 'a -> int;
+      (** The value's kind and small fields. Its two low bits are flags the
+          trace reads: {!text} (keep [text v] too) and {!boxed} (keep [v]
+          itself; [wide], [text] and [decode] are then not called). *)
+  wide : 'a -> int;  (** The payload that needs a whole int. *)
+  text : 'a -> string;
+  decode : int -> int -> string -> 'a;
+      (** [decode header wide text], [text] being [""] without the flag. *)
+  blank : 'a;  (** Fills a boxed column where no boxed entry is. *)
+}
+(** [header], [wide] and [text] run on every {!record} and should not
+    allocate. *)
+
+val text : int
+(** Header flag: the entry carries [codec.text v]. *)
+
+val boxed : int
+(** Header flag: the entry is kept as the value itself. *)
 
 type 'a t
 
-val create : ?capacity:int -> unit -> 'a t
-(** Unbounded by default. [capacity], when given, must be positive. *)
+val create : codec:'a codec -> ?capacity:int -> unit -> 'a t
+(** Unbounded by default. [capacity], when given, must be positive. Allocates
+    no chunk: the first {!record} does. *)
 
 val record : 'a t -> Time.t -> 'a -> unit
+(** Allocates nothing but chunk storage. *)
 
 val length : 'a t -> int
 (** Number of events currently retained. *)
@@ -25,6 +54,10 @@ val to_list : 'a t -> (Time.t * 'a) list
 val events : 'a t -> 'a list
 
 val iter : (Time.t -> 'a -> unit) -> 'a t -> unit
+(** Oldest first; allocates nothing per entry but the decoded value. So do
+    {!fold} and {!count}. *)
+
+val fold : ('acc -> Time.t -> 'a -> 'acc) -> 'acc -> 'a t -> 'acc
 
 val filter : (Time.t -> 'a -> bool) -> 'a t -> (Time.t * 'a) list
 
@@ -39,3 +72,9 @@ val count : ('a -> bool) -> 'a t -> int
 val find_first : ('a -> bool) -> 'a t -> (Time.t * 'a) option
 
 val find_last : ('a -> bool) -> 'a t -> (Time.t * 'a) option
+
+val digest : 'a t -> Digest.t
+(** Digest of the retained entries as stored, oldest first: each entry's
+    three ints, its text and the [Marshal] image of its boxed value (which
+    must hold no closure). Equal retained traces under one codec digest
+    alike; nothing is decoded. *)

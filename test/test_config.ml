@@ -304,6 +304,20 @@ let loader_returns_constructor_errors () =
       ("(max-size 64)", "(max-size 0)", "sampling-port ATT_OUT");
       ("(refresh 2000)", "(refresh 0)", "sampling-port ATT_OUT") ]
 
+(* A port form accepts its own fields only: a queuing port has no refresh
+   period, and a misspelt max-size must not silently keep the default. *)
+let loader_rejects_unknown_port_fields () =
+  let leo = read_text (config_path "leo_satellite.air") in
+  List.iter
+    (fun (sub, by, want) ->
+      match Loader.load (replace_first ~sub ~by leo) with
+      | Error e -> check Alcotest.string by want e
+      | Ok _ -> Alcotest.failf "%s accepted" by)
+    [ ("(depth 8)", "(depth 8) (refresh 5)",
+       "queuing-port: unknown field refresh");
+      ("(max-size 64)", "(max-szie 128)",
+       "sampling-port: unknown field max-szie") ]
+
 (* An unknown keyword is reported with its field path and the table's
    keywords. *)
 let loader_lists_keywords () =
@@ -485,6 +499,8 @@ let suite =
       loader_syntax_error_reported;
     Alcotest.test_case "loader: constructor rejections are errors" `Quick
       loader_returns_constructor_errors;
+    Alcotest.test_case "loader: port forms reject unknown fields" `Quick
+      loader_rejects_unknown_port_fields;
     Alcotest.test_case "loader: keyword errors list the table" `Quick
       loader_lists_keywords;
     Alcotest.test_case "loader: cluster and fleet modules rejected" `Quick

@@ -200,8 +200,16 @@ let qcheck_heap_sorts =
 
 (* --- Trace -------------------------------------------------------------- *)
 
+(* Strings kept whole in the string column. *)
+let strings =
+  { Trace.header = (fun _ -> Trace.text);
+    wide = (fun _ -> 0);
+    text = Fun.id;
+    decode = (fun _ _ s -> s);
+    blank = "" }
+
 let trace_basics () =
-  let tr = Trace.create () in
+  let tr = Trace.create ~codec:strings () in
   Trace.record tr 1 "a";
   Trace.record tr 5 "b";
   Trace.record tr 9 "c";
@@ -223,7 +231,7 @@ let trace_basics () =
    excluded, the one at [from] included, and adjacent intervals tile the
    trace without overlap. *)
 let trace_between_half_open () =
-  let tr = Trace.create () in
+  let tr = Trace.create ~codec:strings () in
   List.iter (fun t -> Trace.record tr t (string_of_int t)) [ 0; 2; 5; 9 ];
   check Alcotest.(list (pair int string)) "event at until excluded"
     [ (2, "2"); (5, "5") ]
@@ -238,7 +246,7 @@ let trace_between_half_open () =
     (Trace.to_list tr) tiled
 
 let trace_capacity () =
-  let tr = Trace.create ~capacity:2 () in
+  let tr = Trace.create ~codec:strings ~capacity:2 () in
   Trace.record tr 1 "a";
   Trace.record tr 2 "b";
   Trace.record tr 3 "c";

@@ -393,6 +393,280 @@ let system_trace_passes_checker () =
   check Alcotest.int "a real run satisfies the invariants" 0
     (List.length violations)
 
+(* --- Packed event log ----------------------------------------------------- *)
+
+module Trace = Air_sim.Trace
+
+(* Small indices, plus indices at and past every plausible packed field
+   width: they must round-trip through boxed storage, never truncated. *)
+let index_gen =
+  QCheck.Gen.(
+    frequency
+      [ (4, int_range 0 20);
+        ( 1,
+          oneofl
+            (max_int
+            :: List.concat_map
+                 (fun k -> List.map (( + ) (1 lsl k)) [ -2; -1; 0; 1 ])
+                 [ 8; 15; 16; 17; 31; 32 ]) ) ])
+
+let text_gen =
+  QCheck.Gen.(
+    oneof
+      [ return "";
+        string_size (int_range 0 12);
+        oneofl [ "é"; "τ1,2 → χ2"; "lastSwitch=42"; "\000" ] ])
+
+let event_gen =
+  let open QCheck.Gen in
+  let pid = map Ident.Partition_id.make index_gen in
+  let pid_opt = oneof [ return None; map Option.some pid ] in
+  let sid = map Ident.Schedule_id.make index_gen in
+  let proc = map2 Ident.Process_id.make pid index_gen in
+  let deadline =
+    oneof [ int_range 0 5000; oneofl [ Air_sim.Time.infinity; 1 lsl 40 ] ]
+  in
+  let modes = Partition.[ Normal; Idle; Cold_start; Warm_start ] in
+  let rec process_action depth =
+    let flat =
+      oneof
+        [ oneofl
+            Error.
+              [ Ignore_error; Restart_process; Stop_process;
+                Stop_partition_of_process ];
+          map (fun m -> Error.Restart_partition_of_process m) (oneofl modes) ]
+    in
+    if depth = 0 then flat
+    else
+      frequency
+        [ (2, flat);
+          ( 1,
+            map2
+              (fun n a -> Error.Log_then (n, a))
+              (int_range 0 5)
+              (process_action (depth - 1)) ) ]
+  in
+  oneof
+    [ map2 (fun from to_ -> Event.Context_switch { from; to_ }) pid_opt pid_opt;
+      map2
+        (fun by target -> Event.Schedule_switch_request { by; target })
+        pid_opt sid;
+      map2 (fun from to_ -> Event.Schedule_switch { from; to_ }) sid sid;
+      map2
+        (fun partition action -> Event.Change_action { partition; action })
+        pid
+        (oneofl
+           Schedule.
+             [ No_action; Warm_restart_partition; Cold_restart_partition ]);
+      map2
+        (fun partition mode -> Event.Partition_mode_change { partition; mode })
+        pid (oneofl modes);
+      map2
+        (fun process state -> Event.Process_state_change { process; state })
+        proc
+        (oneofl Process.[ Dormant; Ready; Running; Waiting ]);
+      map (fun process -> Event.Process_dispatched { process }) proc;
+      map2
+        (fun process deadline ->
+          Event.Deadline_registered { process; deadline })
+        proc deadline;
+      map (fun process -> Event.Deadline_unregistered { process }) proc;
+      map2
+        (fun process deadline ->
+          Event.Deadline_violation { process; deadline })
+        proc deadline;
+      (let* level =
+         oneofl Error.[ Process_level; Partition_level; Module_level ]
+       in
+       let* code = oneofl Error.all_codes in
+       let* partition = pid_opt in
+       let* process = oneof [ return None; map Option.some proc ] in
+       let+ detail = text_gen in
+       Event.Hm_error { level; code; partition; process; detail });
+      map2
+        (fun process action -> Event.Hm_process_action { process; action })
+        proc (process_action 3);
+      map2
+        (fun partition action ->
+          Event.Hm_partition_action { partition; action })
+        pid
+        (oneofl
+           Error.
+             [ Partition_ignore; Partition_idle; Partition_warm_restart;
+               Partition_cold_restart ]);
+      map
+        (fun action -> Event.Hm_module_action { action })
+        (oneofl Error.[ Module_ignore; Module_shutdown; Module_reset ]);
+      map2
+        (fun port bytes -> Event.Port_send { port; bytes })
+        text_gen index_gen;
+      map2
+        (fun port bytes -> Event.Port_receive { port; bytes })
+        text_gen index_gen;
+      map (fun port -> Event.Port_overflow { port }) text_gen;
+      map3
+        (fun partition address granted ->
+          Event.Memory_access { partition; address; granted })
+        pid index_gen bool;
+      map2
+        (fun partition line -> Event.Application_output { partition; line })
+        pid text_gen;
+      map (fun reason -> Event.Module_halt { reason }) text_gen;
+      map (fun label -> Event.Fault_injected { label }) text_gen ]
+
+(* Non-decreasing instants, repeats included, as the runtime stamps them. *)
+let entries_gen =
+  QCheck.Gen.(
+    map
+      (fun steps ->
+        List.rev
+          (snd
+             (List.fold_left
+                (fun (now, acc) (dt, ev) -> (now + dt, (now + dt, ev) :: acc))
+                (0, []) steps)))
+      (list_size (int_range 0 1600) (pair (int_range 0 3) event_gen)))
+
+let print_entries entries =
+  String.concat "\n"
+    (List.map (fun (t, ev) -> Format.asprintf "%d %a" t Event.pp ev) entries)
+
+let rec drop n = function _ :: rest when n > 0 -> drop (n - 1) rest | l -> l
+
+(* One trace of [capacity] against the plain list of what it should keep. *)
+let agrees_with_model entries capacity =
+  let tr = Trace.create ~codec:Event.codec ?capacity () in
+  List.iter (fun (time, ev) -> Trace.record tr time ev) entries;
+  let n = List.length entries in
+  let kept =
+    match capacity with None -> entries | Some c -> drop (n - c) entries
+  in
+  let printed l =
+    List.map (fun (t, ev) -> (t, Format.asprintf "%a" Event.pp ev)) l
+  in
+  let preds =
+    [ Event.is_hm_error; (fun ev -> Event.kind ev mod 3 = 0); (fun _ -> false) ]
+  in
+  let last = match List.rev entries with (t, _) :: _ -> t | [] -> 0 in
+  let refill = Trace.create ~codec:Event.codec () in
+  List.iter (fun (time, ev) -> Trace.record refill time ev) kept;
+  Trace.to_list tr = kept
+  && printed (Trace.to_list tr) = printed kept
+  && List.rev (Trace.fold (fun acc t ev -> (t, ev) :: acc) [] tr) = kept
+  && Trace.length tr = List.length kept
+  && Trace.total tr = n
+  && List.for_all
+       (fun p ->
+         let hits = List.filter (fun (_, ev) -> p ev) kept in
+         Trace.count p tr = List.length hits
+         && Trace.find_first p tr = List.nth_opt hits 0
+         && Trace.find_last p tr = List.nth_opt (List.rev hits) 0)
+       preds
+  && List.for_all
+       (fun (from, until) ->
+         Trace.between tr from until
+         = List.filter (fun (t, _) -> from <= t && t < until) kept)
+       [ (0, last + 1); (last / 3, last / 2); (last / 2, last / 2); (last, 0) ]
+  && Trace.digest tr = Trace.digest refill
+
+let qcheck_packed_log =
+  QCheck.Test.make ~count:40
+    ~name:"packed log: every query agrees with a list model"
+    (QCheck.make ~print:print_entries entries_gen)
+    (fun entries ->
+      List.for_all (agrees_with_model entries)
+        [ None; Some 1; Some 255; Some 256; Some 257; Some 775 ])
+
+(* Recording stores ints and pointers only: once a ring's chunks and
+   columns exist, ten thousand events (plain, text and boxed) leave the
+   minor heap untouched ([Gc.minor_words] itself boxes a float). *)
+let packed_log_record_is_allocation_free () =
+  let events =
+    [| Event.Process_dispatched { process = proc 1 2 };
+       Event.Port_send { port = "FRAMES"; bytes = 64 };
+       Event.Fault_injected { label = "wild-access" };
+       Event.Deadline_registered { process = proc 0 0; deadline = 900 } |]
+  in
+  let tr = Trace.create ~codec:Event.codec ~capacity:1024 () in
+  let feed n =
+    for i = 0 to n - 1 do
+      Trace.record tr i events.(i land 3)
+    done
+  in
+  feed 2048;
+  let calibration =
+    let a = Gc.minor_words () in
+    let b = Gc.minor_words () in
+    b -. a
+  in
+  let before = Gc.minor_words () in
+  feed 10_000;
+  let after = Gc.minor_words () in
+  check (Alcotest.float 0.) "minor words across 10000 records" calibration
+    (after -. before)
+
+let leo_path = "../examples/configs/leo_satellite.air"
+
+(* The unbounded trace of a shipped module costs at most 5 words per kept
+   event, strings and chunk tables included (a queue of boxed tuples took
+   10.8). *)
+let packed_log_words_per_event () =
+  let cfg =
+    match Air_config.Loader.load_file leo_path with
+    | Ok cfg -> cfg
+    | Error e -> Alcotest.fail e
+  in
+  let sys = Air.System.create cfg in
+  Air_exec.Engine.advance (Air_exec.Engine.create sys) ~ticks:200_000;
+  let trace = Air.System.trace sys in
+  let words = Obj.reachable_words (Obj.repr trace) in
+  let per_event = float_of_int words /. float_of_int (Trace.length trace) in
+  check Alcotest.bool
+    (Printf.sprintf "%.2f words per event (%d events)" per_event
+       (Trace.length trace))
+    true (per_event <= 5.)
+
+(* A ring keeps nothing of what it evicted: a million fresh strings later
+   it is no bigger than after two laps. *)
+let packed_log_ring_forgets () =
+  let tr = Trace.create ~codec:Event.codec ~capacity:4096 () in
+  let feed from until =
+    for i = from to until - 1 do
+      let fresh = Printf.sprintf "lastSwitch=%d" i in
+      Trace.record tr i
+        (if i mod 7 = 0 then Event.Fault_injected { label = fresh }
+         else Event.Application_output { partition = pid 0; line = fresh })
+    done
+  in
+  feed 0 8192;
+  let early = Obj.reachable_words (Obj.repr tr) in
+  feed 8192 1_000_000;
+  let late = Obj.reachable_words (Obj.repr tr) in
+  check Alcotest.int "kept" 4096 (Trace.length tr);
+  check Alcotest.bool
+    (Printf.sprintf "%d words at the end, %d after 8192 events" late early)
+    true
+    (late <= 2 * early);
+  (* The text and the boxed value a slot held die with the entry even when
+     the entry taking the slot has neither. *)
+  let small = Trace.create ~codec:Event.codec ~capacity:2 () in
+  let gone = Weak.create 2 in
+  let[@inline never] fill () =
+    let line = String.make 3 'x' and label = String.make 3 'y' in
+    Weak.set gone 0 (Some line);
+    Weak.set gone 1 (Some label);
+    Trace.record small 0 (Event.Application_output { partition = pid 0; line });
+    Trace.record small 1 (Event.Fault_injected { label })
+  in
+  fill ();
+  List.iter
+    (fun t ->
+      Trace.record small t (Event.Context_switch { from = None; to_ = None }))
+    [ 2; 3 ];
+  Gc.full_major ();
+  check Alcotest.bool "evicted text collected" false (Weak.check gone 0);
+  check Alcotest.bool "evicted boxed value collected" false (Weak.check gone 1);
+  check Alcotest.int "the ring itself is alive" 2 (Trace.length small)
+
 let suite =
   [ Alcotest.test_case "span: nesting" `Quick span_nesting;
     Alcotest.test_case "span: independent tracks" `Quick
@@ -428,4 +702,11 @@ let suite =
     Alcotest.test_case "system: chrome trace valid" `Quick
       system_chrome_trace_is_valid;
     Alcotest.test_case "system: real run passes checker" `Quick
-      system_trace_passes_checker ]
+      system_trace_passes_checker;
+    QCheck_alcotest.to_alcotest qcheck_packed_log;
+    Alcotest.test_case "packed log: recording is allocation-free" `Quick
+      packed_log_record_is_allocation_free;
+    Alcotest.test_case "packed log: at most 5 words per event" `Quick
+      packed_log_words_per_event;
+    Alcotest.test_case "packed log: a ring forgets what it evicts" `Quick
+      packed_log_ring_forgets ]
