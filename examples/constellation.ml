@@ -9,9 +9,10 @@
 
    - sequentially, module by module, through [Air.Cluster.run];
    - in parallel across OCaml domains through [Air_fleet.Fleet], whose
-     conservative lookahead windows (bounded by the minimum ISL latency)
-     and deterministic barrier merge make the parallel run bit-identical
-     to the sequential one — same traces, counters and fingerprint.
+     conservative windows (each ending one minimum ISL latency after the
+     earliest tick any satellite could send) and deterministic barrier
+     merge make the parallel run bit-identical to the sequential one —
+     same traces, counters and fingerprint.
 
    The same holds under fault injection: a seeded campaign striking the
    ISL bus reaches the same verdicts whatever the domain count.

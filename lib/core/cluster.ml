@@ -203,6 +203,11 @@ let take_due t ~upto =
   in
   go []
 
+let next_arrival t =
+  match Heap.peek t.in_flight with
+  | Some tr -> tr.arrival
+  | None -> Time.infinity
+
 let account t ~transferred ~dropped =
   t.transferred <- t.transferred + transferred;
   t.dropped <- t.dropped + dropped

@@ -130,6 +130,11 @@ val take_due : t -> upto:Time.t -> transfer list
     order [(arrival, seq)] — the window's incoming traffic, for the
     caller to deliver at the right module-local instants. *)
 
+val next_arrival : t -> Time.t
+(** Arrival instant of the earliest in-flight transfer — the first
+    instant the bus can wake a module — or {!Time.infinity} when nothing
+    is in flight. O(1). *)
+
 val account : t -> transferred:int -> dropped:int -> unit
 (** Merge externally-accumulated delivery counters (per-shard counts) into
     the cluster's totals. *)

@@ -33,6 +33,7 @@ type ctl = {
   mutable epoch : int;
   mutable w_from : Time.t;
   mutable w_upto : Time.t;
+  mutable w_last : bool;
   mutable pending : int;
   mutable stop : bool;
   mutable failed : exn option;
@@ -48,6 +49,13 @@ type t = {
          (drain) order. *)
   shard_modules : int array array;
   mutable engines : Air_exec.Engine.t array;
+  at : Time.t array;
+      (* Per module: the barrier it has been advanced to. A module with
+         nothing to do in a window lags behind the cluster clock until it
+         next enters one; the last window of every run catches all up. *)
+  next : Time.t array;
+      (* Per module: the earliest tick at which it could do more than let
+         time pass ({!next_work}), refreshed whenever it runs. *)
   agendas : Cluster.transfer list array;
       (* Per module, the current window's arrivals in reverse delivery
          order (reversed once at use). *)
@@ -118,7 +126,9 @@ let run_module t si mi ~from ~upto =
   let eng = t.engines.(mi) in
   let sys = (Cluster.systems t.cluster).(mi) in
   let sh = Air_obs.Fleet_stats.shard t.stats si in
-  let cur = ref from in
+  (* A lagging module's first advance also skips the quiet ticks it
+     missed. *)
+  let cur = ref t.at.(mi) in
   let force = ref (if t.forced.(mi) then Some (from + 1) else None) in
   let advance target =
     (match !force with
@@ -150,9 +160,23 @@ let run_module t si mi ~from ~upto =
       if Time.(tr.arrival < upto) then force := Some (tr.arrival + 1))
     (List.rev t.agendas.(mi));
   t.agendas.(mi) <- [];
-  advance upto
+  advance upto;
+  t.at.(mi) <- upto
 
-let run_shard t si ~from ~upto =
+(* The earliest tick at which module [mi], advanced to its barrier, could
+   do more than let time pass: the skip-ahead probe's answer when it is
+   quiescent, its very next tick when it is not, never once halted. *)
+let next_work t mi =
+  let sys = (Cluster.systems t.cluster).(mi) in
+  if Option.is_some (System.halted sys) then Time.infinity
+  else if System.quiescent sys then
+    Air_exec.Clock.next_interesting sys ~until:Time.infinity
+  else t.at.(mi)
+
+(* A module enters the window when it has an arrival, an occupied gateway
+   or work due inside it, and every module enters the last window of a
+   run, so that every return is a barrier. *)
+let run_shard t si ~from ~upto ~last =
   let sh = Air_obs.Fleet_stats.shard t.stats si in
   let engine_sums () =
     Array.fold_left
@@ -163,7 +187,17 @@ let run_shard t si ~from ~upto =
   in
   let stepped0, skipped0 = engine_sums () in
   let traffic0 = sh.sh_sent + sh.sh_delivered + sh.sh_dropped in
-  Array.iter (fun mi -> run_module t si mi ~from ~upto) t.shard_modules.(si);
+  Array.iter
+    (fun mi ->
+      if
+        last || t.forced.(mi)
+        || t.agendas.(mi) <> []
+        || Time.(t.next.(mi) < upto)
+      then begin
+        run_module t si mi ~from ~upto;
+        t.next.(mi) <- next_work t mi
+      end)
+    t.shard_modules.(si);
   let stepped1, skipped1 = engine_sums () in
   sh.sh_stepped <- sh.sh_stepped + (stepped1 - stepped0);
   sh.sh_skipped <- sh.sh_skipped + (skipped1 - skipped0);
@@ -175,23 +209,36 @@ let run_shard t si ~from ~upto =
 
 (* --- Barrier work (coordinator only) ------------------------------------ *)
 
-(* Pop the window's incoming traffic off the bus and hand each transfer to
-   its target module's agenda; flag modules whose gateways already hold
-   messages (delivered or redelivered into a forwarding port since their
-   last drain) so the window's first tick pumps them — the sequential
-   cluster would drain them at [from + 1]. *)
-let distribute t ~upto =
+(* Open the window after the barrier [from] and return its end. Flag
+   modules whose gateways already hold messages (delivered or redelivered
+   into a forwarding port since their last drain) so the window's first
+   tick pumps them — the sequential cluster would drain them at
+   [from + 1]. No module can send before tick [n], the earliest of every
+   module's next work, the earliest arrival on the bus and, when a
+   gateway is occupied, [from] itself; a send in tick [k] drains at
+   [k + 1] and arrives no earlier than [k + 1 + L], so nothing sent inside
+   [(from, n + L]] arrives inside it. Pop the window's incoming traffic
+   off the bus and hand each transfer to its target module's agenda. *)
+let distribute t ~from ~fin =
   Array.fill t.forced 0 (Array.length t.forced) false;
   let sys = Cluster.systems t.cluster in
+  let n =
+    ref (Array.fold_left Time.min (Cluster.next_arrival t.cluster) t.next)
+  in
   Array.iter
     (fun (l : Cluster.link) ->
-      if System.remote_pending sys.(l.from_module) ~port:l.from_port > 0 then
-        t.forced.(l.from_module) <- true)
+      if System.remote_pending sys.(l.from_module) ~port:l.from_port > 0
+      then begin
+        t.forced.(l.from_module) <- true;
+        n := from
+      end)
     t.links;
+  let upto = Time.min fin (Time.add (Time.max from !n) t.lookahead) in
   List.iter
     (fun (tr : Cluster.transfer) ->
       t.agendas.(tr.target_module) <- tr :: t.agendas.(tr.target_module))
-    (Cluster.take_due t.cluster ~upto)
+    (Cluster.take_due t.cluster ~upto);
+  upto
 
 (* Replay every buffered drain through the cluster in the sequential pump
    order — (clock, link, fifo) — reproducing bus occupancy, arrival
@@ -241,9 +288,9 @@ let worker t ctl si =
     end
     else begin
       my_epoch := ctl.epoch;
-      let from = ctl.w_from and upto = ctl.w_upto in
+      let from = ctl.w_from and upto = ctl.w_upto and last = ctl.w_last in
       Mutex.unlock ctl.mu;
-      (try run_shard t si ~from ~upto
+      (try run_shard t si ~from ~upto ~last
        with e ->
          Mutex.lock ctl.mu;
          if ctl.failed = None then ctl.failed <- Some e;
@@ -263,6 +310,7 @@ let ensure_workers t =
         epoch = 0;
         w_from = 0;
         w_upto = 0;
+        w_last = false;
         pending = 0;
         stop = false;
         failed = None }
@@ -294,21 +342,25 @@ let run t ~ticks =
   if t.closed then invalid_arg "Fleet.run: fleet is closed";
   if ticks > 0 then begin
     ensure_workers t;
+    (* Callers may inject faults between runs, which can wake any
+       module. *)
+    Array.iteri (fun mi _ -> t.next.(mi) <- next_work t mi) t.next;
     let fin = Time.add (Cluster.now t.cluster) ticks in
     let rec loop from =
       if Time.(from < fin) then begin
-        let upto = Time.min fin (Time.add from t.lookahead) in
-        distribute t ~upto;
+        let upto = distribute t ~from ~fin in
+        let last = upto = fin in
         (match t.ctl with
         | Some ctl ->
           Mutex.lock ctl.mu;
           ctl.w_from <- from;
           ctl.w_upto <- upto;
+          ctl.w_last <- last;
           ctl.pending <- t.domains - 1;
           ctl.epoch <- ctl.epoch + 1;
           Condition.broadcast ctl.cv;
           Mutex.unlock ctl.mu;
-          run_shard t 0 ~from ~upto;
+          run_shard t 0 ~from ~upto ~last;
           Mutex.lock ctl.mu;
           let t0 = Unix.gettimeofday () in
           while ctl.pending > 0 do
@@ -321,7 +373,7 @@ let run t ~ticks =
           ctl.failed <- None;
           Mutex.unlock ctl.mu;
           (match failure with Some e -> raise e | None -> ())
-        | None -> run_shard t 0 ~from ~upto);
+        | None -> run_shard t 0 ~from ~upto ~last);
         merge t ~upto;
         loop upto
       end
@@ -359,6 +411,8 @@ let create ?(domains = 1) cluster =
       links_of;
       shard_modules;
       engines = [||];
+      at = Array.make n (Cluster.now cluster);
+      next = Array.make n Time.zero;
       agendas = Array.make n [];
       forced = Array.make n false;
       outboxes = Array.init domains (fun _ -> ref []);
@@ -454,6 +508,6 @@ let execute_campaign ?turbo ?(domains = 1) ?(observed = 0) ~make spec =
     fleets := fleet :: !fleets;
     campaign_target ~observed fleet
   in
-  let result = Air_faults.Engine.execute ?turbo ~make:mk spec in
-  List.iter close !fleets;
-  result
+  Fun.protect
+    ~finally:(fun () -> List.iter close !fleets)
+    (fun () -> Air_faults.Engine.execute ?turbo ~make:mk spec)

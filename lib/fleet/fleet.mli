@@ -6,15 +6,23 @@
 
     {ul
     {- {b Lookahead.} The cluster's minimum link latency [L]
-       ({!Air.Cluster.lookahead}) bounds how early a message drained at
-       clock [c] can arrive ([c + L]), so between two barriers at [T] and
-       [T + W], [W <= L], every delivery is already known at [T] — no
-       traffic produced inside the window can land inside it.}
-    {- {b Windows.} Each module advances privately through its own
-       {!Air_exec.Engine} (adaptive skip-ahead), segmented at its arrival
-       instants; a per-tick hook pumps its gateways into the shard's
-       mailbox, tagged with the sequential drain position
-       [(clock, link, fifo)].}
+       ({!Air.Cluster.lookahead}) bounds how early a message can arrive:
+       a send made in tick [k] drains at [k + 1] and arrives no earlier
+       than [k + 1 + L].}
+    {- {b Windows.} A window runs from a barrier [T] to
+       [min (end of run) (N + L)], where [N] is the earliest tick at which
+       anything could send: the smallest of each module's next tick of
+       work (its skip-ahead probe when quiescent, its next tick when not,
+       never once halted), the earliest in-flight arrival, and [T] when a
+       gateway holds messages. No traffic produced inside the window can
+       land inside it, so every delivery is already known at [T].}
+    {- {b Private advance.} Only modules with an arrival, an occupied
+       gateway or work inside the window enter it; the others lag and
+       catch up with one skip when they next enter one. Each advances
+       through its own {!Air_exec.Engine} (adaptive skip-ahead),
+       segmented at its arrival instants; a per-tick hook pumps its
+       gateways into the shard's mailbox, tagged with the sequential
+       drain position [(clock, link, fifo)].}
     {- {b Deterministic merge.} At the barrier the coordinator replays
        all buffered sends through the shared bus in that exact sequential
        order, reproducing bus occupancy, arrival instants and
@@ -23,8 +31,8 @@
        and fault-campaign verdicts are independent of the domain count.}}
 
     The protocol needs no explicit null messages: the barrier itself is
-    the null message, granting every shard the same horizon. Windows in
-    which a shard executes nothing are counted as {e null windows} in
+    the null message. Windows in which a shard executes nothing and moves
+    no message are counted as {e null windows} in
     {!Air_obs.Fleet_stats}. *)
 
 open Air
@@ -42,9 +50,13 @@ val create : ?domains:int -> Cluster.t -> t
 
 val run : t -> ticks:int -> unit
 (** Advance the whole fleet by [ticks] global clock ticks — bit-identical
-    to [Cluster.run ~ticks] on the same cluster. Returns at a barrier:
-    clock, modules, bus and counters all agree with the sequential run at
-    the same instant. *)
+    to [Cluster.run ~ticks] on the same cluster. Between barriers,
+    modules with nothing to do lag behind the cluster clock; every module
+    is brought up to date before [run] returns, so every return is a
+    barrier: clock, modules, bus and counters all agree with the
+    sequential run at the same instant. Injecting faults into modules or
+    the bus between runs is safe: each run recomputes every module's next
+    tick of work before its first window. *)
 
 val close : t -> unit
 (** Join the worker domains. Idempotent; the fleet cannot run again. *)
@@ -79,6 +91,7 @@ val execute_campaign :
   Air_faults.Engine.run
 (** {!Air_faults.Engine.execute} with fleet targets built from [make]
     (called once for the campaign and once for the fault-free baseline);
-    the fleets are closed before returning. Outcomes and fingerprint are
+    the fleets are closed on every exit, also when the campaign raises.
+    Outcomes and fingerprint are
     bit-identical to the sequential cluster campaign for any domain
     count. *)

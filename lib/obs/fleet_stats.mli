@@ -2,13 +2,14 @@
 
     One record per shard (group of modules advanced by one domain) plus a
     fleet-wide summary frame. The conservative windowed protocol has no
-    explicit null messages — a window barrier {e is} the null message,
-    granting every shard the same lookahead horizon — so the analogue
-    counted here is the {e null window}: a window in which a shard
-    executed no tick and moved no message, i.e. pure synchronization
-    overhead. The counters are filled by the fleet engine; this module
-    only holds and renders them (text summary and JSON,
-    schema ["air-fleet-stats/1"]). *)
+    explicit null messages — a window barrier {e is} the null message —
+    so the analogue counted here is the {e null window}: a window in which
+    a shard executed no tick and moved no message, i.e. pure
+    synchronization overhead. Windows end at the earliest instant a send
+    could arrive, so a one-domain fleet's null windows are mostly the
+    catch-up windows that end each run. The counters are filled by the
+    fleet engine; this module only holds and renders them (text summary
+    and JSON, schema ["air-fleet-stats/1"]). *)
 
 type shard = {
   sh_id : int;
@@ -16,7 +17,10 @@ type shard = {
   mutable sh_windows : int;  (** Windows participated in. *)
   mutable sh_null_windows : int;
       (** Windows with zero executed ticks and no traffic — pure horizon
-          grants (the null-message analogue of the CMB protocol). *)
+          grants (the null-message analogue of the CMB protocol): a
+          shard none of whose modules had work in the window, or a
+          run's last window, which only brings lagging modules up to
+          date. *)
   mutable sh_stepped : int;  (** Ticks executed through per-tick paths. *)
   mutable sh_skipped : int;  (** Ticks collapsed by skip-ahead. *)
   mutable sh_sent : int;  (** Gateway messages buffered for replay. *)

@@ -45,19 +45,28 @@ let owners_of_activity ~from ~until switches =
   fill initial after;
   owners
 
+(* Each switch hands the processor to its owner until the next one; sum
+   every such span, clipped to [\[from, until)], in one pass over the
+   history — a long run's summary allocates nothing per tick. *)
 let occupancy ~partitions ~from ~until switches =
-  let owners = owners_of_activity ~from ~until switches in
-  let count target =
-    Array.fold_left
-      (fun acc owner ->
-        match (owner, target) with
-        | None, None -> acc + 1
-        | Some p, Some q when Partition_id.equal p q -> acc + 1
-        | _ -> acc)
-      0 owners
+  let held = Hashtbl.create 8 in
+  let key = function None -> -1 | Some p -> Partition_id.index p in
+  let ticks owner =
+    Option.value ~default:0 (Hashtbl.find_opt held (key owner))
   in
-  List.map (fun p -> (Some p, count (Some p))) partitions
-  @ [ (None, count None) ]
+  let credit owner lo hi =
+    let lo = Stdlib.max lo from and hi = Stdlib.min hi until in
+    if lo < hi then Hashtbl.replace held (key owner) (ticks owner + hi - lo)
+  in
+  let rec walk owner since = function
+    | [] -> credit owner since until
+    | (t, next) :: rest ->
+      credit owner since t;
+      walk next t rest
+  in
+  walk None from switches;
+  List.map (fun p -> (Some p, ticks (Some p))) partitions
+  @ [ (None, ticks None) ]
 
 let render_rows ~width ~labels ~horizon cell_owner =
   let buf = Buffer.create 1024 in

@@ -1,11 +1,13 @@
 (* Standalone validator for the fleet-smoke make target: load an
    (air-fleet ...) document, advance one copy sequentially through
-   [Air.Cluster.run] and two more through the parallel engine at
-   different domain counts, and require all three observable
-   fingerprints to be byte-identical — the bit-identity acceptance
-   criterion, enforced outside the test harness on the shipped
-   constellation document. Also lints the engine's stats JSON. Exits
-   nonzero on the first problem. *)
+   [Air.Cluster.run] and three more through the parallel engine at 1, 2
+   and 4 domains, and require all four observable fingerprints to be
+   byte-identical — the bit-identity acceptance criterion, enforced
+   outside the test harness on the shipped constellation document. Also
+   lints the engine's stats JSON, and requires the one-domain run to need
+   fewer than [ticks / (2 L)] windows: windows end at the earliest
+   possible send, not every lookahead [L]. Exits nonzero on the first
+   problem. *)
 
 module Fleet = Air_fleet.Fleet
 
@@ -21,6 +23,12 @@ let parallel_fingerprint path ~domains ~ticks =
   let fleet = Fleet.create ~domains cluster in
   Fleet.run fleet ~ticks;
   Fleet.close fleet;
+  let windows = Air_obs.Fleet_stats.windows (Fleet.stats fleet) in
+  let lookahead = Air.Cluster.lookahead cluster in
+  if domains = 1 && windows >= ticks / (2 * lookahead) then
+    fail "1-domain fleet needed %d windows for %d ticks (lookahead %d): \
+          windows no longer end at the earliest possible send"
+      windows ticks lookahead;
   let stats_json = Air_obs.Fleet_stats.to_json (Fleet.stats fleet) in
   (match Json_lint.check stats_json with
   | Ok () -> ()
@@ -51,8 +59,8 @@ let () =
       if not (String.equal sequential parallel) then
         fail "%d-domain fleet diverged from the sequential run:\n  %s\n  %s"
           domains sequential parallel)
-    [ 2; 4 ];
+    [ 1; 2; 4 ];
   Printf.printf
-    "fleet smoke OK: %d ticks, %d transfers, 2- and 4-domain runs \
+    "fleet smoke OK: %d ticks, %d transfers, 1-, 2- and 4-domain runs \
      bit-identical to sequential (%s)\n"
     ticks stats.Air.Cluster.transferred sequential

@@ -309,6 +309,147 @@ let relay_fleet_identity () =
         reference (Fleet.fingerprint c))
     [ 2; 3 ]
 
+(* --- Event-driven windows ---------------------------------------------------- *)
+
+(* One partition holding a single window over a [mtf]-tick frame, an
+   ingress port RX and a ring gateway TX0 fed by SRC. [scripts] are the
+   partition's processes, by name. *)
+let satellite ?hm_tables ?telemetry ?(autostart = []) ~mtf scripts =
+  let sat = pid 0 in
+  let network =
+    { Port.ports =
+        [ Port.queuing_port ~name:"RX" ~partition:sat
+            ~direction:Port.Destination ~depth:16 ~max_message_size:32;
+          Port.queuing_port ~name:"SRC" ~partition:sat
+            ~direction:Port.Source ~depth:8 ~max_message_size:32;
+          Port.queuing_port ~name:"TX0" ~partition:sat
+            ~direction:Port.Destination ~depth:8 ~max_message_size:32 ];
+      channels = [ { Port.source = "SRC"; destinations = [ "TX0" ] } ] }
+  in
+  let p =
+    Partition.make ~id:sat ~name:"SAT"
+      (List.map (fun (name, _) -> Process.spec ~base_priority:5 name) scripts)
+  in
+  let schedule =
+    Schedule.make ~id:(sid 0) ~name:"solo" ~mtf
+      ~requirements:[ q sat mtf mtf ]
+      [ w sat 0 mtf ]
+  in
+  System.create
+    (System.config ~network ?hm_tables ?telemetry
+       ~causal:(Air_obs.Causal.create ())
+       ~partitions:
+         [ System.partition_setup ~autostart p (List.map snd scripts) ]
+       ~schedules:[ schedule ] ())
+
+let listener =
+  ( "rx",
+    Script.make
+      [ Script.Receive_queuing ("RX", Time.infinity); Script.Log "heard" ] )
+
+let ring_of ?(latency = 4) modules =
+  Cluster.create
+    ~bus:{ Cluster.latency; bytes_per_tick = 16 }
+    ~links:
+      (Topology.links ~latency ~gateway:"TX" ~ingress:"RX" Topology.Ring
+         ~n:(List.length modules))
+    modules
+
+(* Equal fingerprints after [drive] on a sequential cluster and on fleets
+   of each domain count; [drive] gets the run function and the cluster. *)
+let fleet_matches_sequential ~what ~make ~domains drive =
+  let reference = make () in
+  drive (fun ticks -> Cluster.run reference ~ticks) reference;
+  List.iter
+    (fun domains ->
+      let c = make () in
+      let fleet = Fleet.create ~domains c in
+      drive (fun ticks -> Fleet.run fleet ~ticks) c;
+      Fleet.close fleet;
+      check Alcotest.string
+        (Printf.sprintf "%s: %d-domain fleet == sequential" what domains)
+        (Fleet.fingerprint reference) (Fleet.fingerprint c))
+    domains;
+  reference
+
+let fault_between_runs_wakes_sender () =
+  (* Both satellites idle until their 1000-tick frame ends, so at tick 100
+     every module's next work lies at the frame's end. Starting the
+     dormant sender there makes it send at once: the run after the
+     injection must see that, not the bound cached before it. *)
+  let make () =
+    ring_of
+      [ satellite ~mtf:1000 ~autostart:[ ("tx", false) ]
+          [ listener;
+            ( "tx",
+              Script.make ~on_end:Script.Stop
+                [ Script.Send_queuing ("SRC", "wake") ] ) ];
+        satellite ~mtf:1000 [ listener ] ]
+  in
+  let reference =
+    fleet_matches_sequential ~what:"wake between runs" ~make ~domains:[ 1; 2 ]
+      (fun run c ->
+        run 100;
+        (match
+           System.start_process (Cluster.systems c).(0) (pid 0) ~name:"tx"
+         with
+        | Ok () -> ()
+        | Error e -> Alcotest.fail e);
+        run 300)
+  in
+  check Alcotest.int "the woken send crossed the bus" 1
+    (Cluster.stats reference).Cluster.transferred
+
+(* A satellite that sends one beacon every [every] ticks and otherwise
+   idles, on an [mtf]-tick frame: every module idles for many frames and
+   wakes out of phase with the others. *)
+let idler ~mtf ~every =
+  satellite ~mtf
+    [ listener;
+      ( "beacon",
+        Script.make
+          [ Script.Timed_wait every;
+            Script.Compute 2;
+            Script.Send_queuing ("SRC", "b") ] ) ]
+
+let staggered_idlers_and_a_halt () =
+  (* The last module's frame leaves no idle slack and its watchdog wants
+     one tick, so the HM shuts it down at its first frame close, 600
+     ticks in: from then on it never has work of its own, but the ring
+     still delivers into it. Runs in odd chunks so barriers fall
+     anywhere. *)
+  let halting () =
+    satellite ~mtf:600
+      ~hm_tables:
+        { Hm.default_tables with
+          Hm.module_actions =
+            [ (Error.Temporal_degradation, Error.Module_shutdown) ] }
+      ~telemetry:
+        (Air_obs.Telemetry.config
+           ~default_watchdog:(Air_obs.Telemetry.watchdog ~min_slack:1 ())
+           ())
+      [ listener;
+        ( "beacon",
+          Script.make
+            [ Script.Timed_wait 250; Script.Send_queuing ("SRC", "h") ] ) ]
+  in
+  let make () =
+    ring_of ~latency:3
+      [ idler ~mtf:40 ~every:370; idler ~mtf:50 ~every:455;
+        idler ~mtf:70 ~every:610; idler ~mtf:30 ~every:1130; halting () ]
+  in
+  let reference =
+    fleet_matches_sequential ~what:"idlers" ~make ~domains:[ 1; 2; 3; 4 ]
+      (fun run _ -> List.iter run [ 577; 1; 1800; 622 ])
+  in
+  let systems = Cluster.systems reference in
+  check Alcotest.bool "the last module halted" true
+    (System.halted systems.(4) <> None);
+  check Alcotest.bool "others kept running" true
+    (System.halted systems.(0) = None);
+  check Alcotest.bool "beacons crossed the bus" true
+    ((Cluster.stats reference).Cluster.transferred > 10)
+
 (* --- Fault campaigns over fleets ------------------------------------------- *)
 
 let campaign_spec =
@@ -344,6 +485,50 @@ let campaign_reproducible () =
   let make () = make_constellation campaign_scenario in
   let one () = (Fleet.execute_campaign ~domains:3 ~make campaign_spec).E.fingerprint in
   check Alcotest.string "same seed, same fleet campaign" (one ()) (one ())
+
+(* This process's thread count, from /proc/self/status, once it stops
+   changing: a joined domain's thread may take a moment to leave it. *)
+let threads () =
+  let read () =
+    In_channel.with_open_text "/proc/self/status" (fun ic ->
+        let rec scan () =
+          match In_channel.input_line ic with
+          | None -> Alcotest.fail "/proc/self/status: no Threads line"
+          | Some line when String.starts_with ~prefix:"Threads:" line ->
+            Scanf.sscanf line "Threads: %d" Fun.id
+          | Some _ -> scan ()
+        in
+        scan ())
+  in
+  let rec settle last tries =
+    Unix.sleepf 0.005;
+    let now = read () in
+    if now = last || tries = 0 then now else settle now (tries - 1)
+  in
+  settle (read ()) 100
+
+let raising_campaign_joins_workers () =
+  (* There is no partition 99: the injection raises after the first
+     advance has spawned the campaign fleet's worker domain. *)
+  let spec =
+    C.spec ~seed:7 ~horizon:400
+      ~injections:
+        [ { C.at = 100;
+            fault = F.Clock_jitter { partition = 99; ticks = 3 } } ]
+      ()
+  in
+  let make () = make_constellation campaign_scenario in
+  let attempt () =
+    match Fleet.execute_campaign ~domains:2 ~make spec with
+    | _ -> Alcotest.fail "a jitter on a missing partition must raise"
+    | exception Invalid_argument _ -> ()
+  in
+  attempt ();
+  let before = threads () in
+  for _ = 1 to 5 do
+    attempt ()
+  done;
+  check Alcotest.int "threads after five raising campaigns" before (threads ())
 
 (* --- Construction and bookkeeping ------------------------------------------ *)
 
@@ -424,10 +609,16 @@ let suite =
     QCheck_alcotest.to_alcotest qcheck_equivalence;
     Alcotest.test_case "fleet: relay forwards across windows" `Quick
       relay_fleet_identity;
+    Alcotest.test_case "fleet: a fault between runs wakes a sender" `Quick
+      fault_between_runs_wakes_sender;
+    Alcotest.test_case "fleet: staggered idlers and a halted module" `Quick
+      staggered_idlers_and_a_halt;
     Alcotest.test_case "fleet: campaign matches sequential verdicts" `Quick
       campaign_matches_sequential;
     Alcotest.test_case "fleet: campaign reproducible" `Quick
       campaign_reproducible;
+    Alcotest.test_case "fleet: a raising campaign joins its workers" `Quick
+      raising_campaign_joins_workers;
     Alcotest.test_case "fleet: zero lookahead rejected" `Quick
       zero_lookahead_rejected;
     Alcotest.test_case "fleet: stats account progress" `Quick

@@ -143,6 +143,68 @@ let gantt_occupancy_reconstruction () =
   check Alcotest.int "P2" 15 (List.assoc (Some p1) occ);
   check Alcotest.int "idle" 5 (List.assoc None occ)
 
+(* The per-tick model of [occupancy]: tick [i] belongs to the owner of the
+   last switch at or before it, and to nobody before the first switch. *)
+let occupancy_model ~partitions ~from ~until switches =
+  let owner i =
+    List.fold_left (fun acc (t, o) -> if t <= i then o else acc) None switches
+  in
+  let count target =
+    let n = ref 0 in
+    for i = from to until - 1 do
+      if Option.equal Ident.Partition_id.equal (owner i) target then incr n
+    done;
+    !n
+  in
+  List.map (fun p -> (Some p, count (Some p))) partitions
+  @ [ (None, count None) ]
+
+(* Histories of up to 12 switches, oldest first, over ticks 0..60 (so
+   several share a tick and some fall before [from] or past [until]), to
+   owners 0..4 or idle, against 0 to 3 listed partitions (so some owners
+   are missing from the list). *)
+let occupancy_case_gen =
+  QCheck.Gen.(
+    let* times = list_size (int_range 0 12) (int_range 0 60) in
+    let* owners =
+      list_repeat (List.length times) (opt ~ratio:0.8 (int_range 0 4))
+    in
+    let* listed = int_range 0 3 in
+    let* from = int_range 0 50 in
+    let* span = int_range 0 60 in
+    return
+      ( List.combine (List.sort compare times) owners,
+        listed,
+        from,
+        from + span ))
+
+let print_occupancy_case (switches, listed, from, until) =
+  Printf.sprintf "switches=[%s] partitions=%d from=%d until=%d"
+    (String.concat "; "
+       (List.map
+          (fun (t, o) ->
+            Printf.sprintf "%d:%s" t
+              (match o with None -> "idle" | Some i -> string_of_int i))
+          switches))
+    listed from until
+
+let occupancy_matches_per_tick_model =
+  QCheck.Test.make ~name:"vitral: occupancy equals the per-tick model"
+    ~count:500
+    (QCheck.make ~print:print_occupancy_case occupancy_case_gen)
+    (fun (switches, listed, from, until) ->
+      let switches =
+        List.map
+          (fun (t, o) -> (t, Option.map Ident.Partition_id.make o))
+          switches
+      in
+      let partitions = List.init listed Ident.Partition_id.make in
+      let plain =
+        List.map (fun (o, n) -> (Option.map Ident.Partition_id.index o, n))
+      in
+      plain (Air_vitral.Gantt.occupancy ~partitions ~from ~until switches)
+      = plain (occupancy_model ~partitions ~from ~until switches))
+
 let gantt_schedule_chart_mentions_windows () =
   let chart = Air_vitral.Gantt.of_schedule Air_workload.Satellite.schedule_1 in
   check Alcotest.bool "has P1 row" true (Astring_contains.contains chart "P1");
@@ -194,6 +256,7 @@ let suite =
     Alcotest.test_case "vitral: grid layout" `Quick window_grid;
     Alcotest.test_case "vitral: occupancy reconstruction" `Quick
       gantt_occupancy_reconstruction;
+    qcheck occupancy_matches_per_tick_model;
     Alcotest.test_case "vitral: schedule chart" `Quick
       gantt_schedule_chart_mentions_windows;
     Alcotest.test_case "vitral: console routing" `Quick console_routing ]
