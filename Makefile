@@ -30,11 +30,29 @@ bench-diff:
 # Format gate: the build image carries no ocamlformat, so the gate enforces
 # the cheap invariants every formatter run would — no tab characters and no
 # trailing whitespace in OCaml sources or dune files.
+#
+# It also keeps polymorphic min/max off the tick path. Stdlib.min and
+# Stdlib.max are ordinary polymorphic functions, not primitives specialised
+# at int, and dune's dev profile compiles every library with -opaque, so no
+# call is inlined: each one ends in a C call to the generic compare. The
+# libraries a tick runs through use Int.min/Int.max or Time.min/Time.max.
+# The gate flags Stdlib.min/Stdlib.max and unqualified min/max applied to
+# an argument; record fields and labels named min or max (`max = n`,
+# `{ size; max }`, `~max`), text in string literals and text after a
+# comment opener on the same line are not applications.
+MINMAX_PATHS = lib/core lib/exec lib/fleet lib/ipc lib/pos lib/spatial \
+  lib/obs lib/sim/time.ml
+MINMAX = ^(?:[^"(]|\((?!\*)|"(?:[^"\\]|\\.)*")*?(?:\bStdlib\.(?:min|max)\b|(?<![\w.\x27~?])(?<!let )(?:min|max)\s+(?=[\w(!\x27-]))
+
 fmt:
 	@if grep -rnP '\t|[ \t]+$$' --include='*.ml' --include='*.mli' \
 	  --include=dune lib bin test bench; then \
 	  echo 'fmt: tabs or trailing whitespace (listed above)'; exit 1; \
 	else echo 'fmt: clean'; fi
+	@if grep -rnP '$(MINMAX)' --include='*.ml' $(MINMAX_PATHS); then \
+	  echo 'fmt: polymorphic min/max on the tick path (listed above)'; \
+	  exit 1; \
+	else echo 'fmt: no polymorphic min/max'; fi
 
 # End-to-end executive pass: the example module sharded over two cores,
 # advanced once under the skip-ahead executive and once per-tick with the
@@ -140,7 +158,10 @@ e2e-smoke:
 # module documents. Three broken copies of leo_satellite.air (a zero MTF,
 # a zero queue depth, two overlapping windows against eq. (21)) make both
 # air_validate and air_run exit 1 with a "PATH: …" diagnostic and no
-# escaped exception. A --domains or --watch below 1 is a usage error (exit
+# escaped exception. A copy of crosslink.air whose link names a gateway
+# the platform module lacks (ATT_GWW) makes air_run exit 1 with a
+# "PATH: air-cluster: …" diagnostic naming the port, where it once ran the
+# link dead. A --domains or --watch below 1 is a usage error (exit
 # 124), and a fleet run reports the domain count it ran on: --domains 13
 # over the 12-module constellation is clamped to 12.
 SMOKE = _build/config-smoke
@@ -169,6 +190,19 @@ config-smoke:
 	    echo "$$(basename $$tool) $$doc.air: $$(grep -m1 "^$(SMOKE)/" $(SMOKE)/out)"; \
 	  done; \
 	done
+	@cp $(CONFIGS)/platform.air $(CONFIGS)/payload.air $(SMOKE)/
+	@sed 's/(from platform ATT_GW)/(from platform ATT_GWW)/' \
+	  $(CONFIGS)/crosslink.air > $(SMOKE)/gateway.air
+	@$(AIR_RUN) $(SMOKE)/gateway.air -t 200 > $(SMOKE)/out 2>&1; \
+	  code=$$?; \
+	  if [ $$code -ne 1 ] \
+	    || ! grep -q "^$(SMOKE)/gateway.air: air-cluster: .*ATT_GWW" \
+	      $(SMOKE)/out \
+	    || grep -q 'uncaught exception' $(SMOKE)/out; then \
+	    echo "config-smoke: air_run gateway.air exited $$code:"; \
+	    cat $(SMOKE)/out; exit 1; \
+	  fi; \
+	  echo "air_run gateway.air: $$(grep -m1 "^$(SMOKE)/" $(SMOKE)/out)"
 	@$(AIR_RUN) $(CONFIGS)/constellation.air --domains 0 > $(SMOKE)/out 2>&1; \
 	  code=$$?; \
 	  if [ $$code -ne 124 ] || ! grep -q -- "'--domains'" $(SMOKE)/out; then \

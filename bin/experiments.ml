@@ -415,7 +415,8 @@ let e9 () =
     stats.Air_ipc.Router.messages_sent
     (stats.Air_ipc.Router.messages_sent - stats.Air_ipc.Router.overflows)
     stats.Air_ipc.Router.overflows
-    (Air_ipc.Router.pending (System.router sys) ~port:"IN")
+    (let r = System.router sys in
+     Air_ipc.Router.pending r ~port:(Air_ipc.Router.resolve r "IN"))
 
 (* ----------------------------------------------------------------- E10 *)
 

@@ -56,7 +56,7 @@ type env = {
   emit : Event.t -> unit;
   report_process_error : process:int -> Error.code -> detail:string -> unit;
   report_partition_error : Error.code -> detail:string -> unit;
-  notify_port_delivery : Ident.Port_name.t list -> unit;
+  notify_port_delivery : Router.port -> unit;
   mode : unit -> Partition.mode;
   set_mode : Partition.mode -> unit;
 }
@@ -154,25 +154,32 @@ let router_error env ~process = function
   | Router.Wrong_direction _ | Router.Wrong_mode _ -> Done Invalid_mode
   | Router.Message_too_large _ | Router.Empty_message -> Done Invalid_param
 
+(* Events name the port; the router call succeeded, so [port] is one. *)
+let port_name env port = Router.port_name env.router port
+
 let write_sampling_message env ~process ~port msg =
   match
-    Router.write_sampling env.router ~caller:(caller env) ~port
+    Router.write_sampling_id env.router ~caller:(caller env) ~port
       ~now:(env.now ()) msg
   with
   | Ok () ->
-    env.emit (Event.Port_send { port; bytes = Bytes.length msg });
+    env.emit
+      (Event.Port_send
+         { port = port_name env port; bytes = Bytes.length msg });
     Done No_error
   | Error e -> router_error env ~process e
 
 let read_sampling_message env ~process ~port =
   match
-    Router.read_sampling env.router ~caller:(caller env) ~port
+    Router.read_sampling_id env.router ~caller:(caller env) ~port
       ~now:(env.now ())
   with
   | Ok (msg, validity) ->
     if Bytes.length msg = 0 then Done Not_available
     else begin
-      env.emit (Event.Port_receive { port; bytes = Bytes.length msg });
+      env.emit
+        (Event.Port_receive
+           { port = port_name env port; bytes = Bytes.length msg });
       let code =
         match validity with Router.Valid -> No_error | Router.Invalid -> Timed_out
       in
@@ -182,25 +189,29 @@ let read_sampling_message env ~process ~port =
 
 let send_queuing_message env ~process ~port msg =
   match
-    Router.send_queuing env.router ~caller:(caller env) ~port
+    Router.send_queuing_id env.router ~caller:(caller env) ~port
       ~now:(env.now ()) msg
   with
   | Ok { Router.delivered; overflowed } ->
-    env.emit (Event.Port_send { port; bytes = Bytes.length msg });
+    env.emit
+      (Event.Port_send
+         { port = port_name env port; bytes = Bytes.length msg });
     List.iter
-      (fun p -> env.emit (Event.Port_overflow { port = p }))
+      (fun p -> env.emit (Event.Port_overflow { port = port_name env p }))
       overflowed;
-    env.notify_port_delivery delivered;
+    List.iter env.notify_port_delivery delivered;
     Done No_error
   | Error e -> router_error env ~process e
 
 let receive_queuing_message env ~process ~port ~timeout =
   match
-    Router.receive_queuing ~now:(env.now ()) env.router ~caller:(caller env)
-      ~port
+    Router.receive_queuing_id ~now:(env.now ()) env.router
+      ~caller:(caller env) ~port
   with
   | Ok (Some msg) ->
-    env.emit (Event.Port_receive { port; bytes = Bytes.length msg });
+    env.emit
+      (Event.Port_receive
+         { port = port_name env port; bytes = Bytes.length msg });
     Msg (msg, No_error)
   | Ok None ->
     if timeout = Time.zero then Done Not_available

@@ -51,10 +51,10 @@ type env = {
   emit : Event.t -> unit;
   report_process_error : process:int -> Error.code -> detail:string -> unit;
   report_partition_error : Error.code -> detail:string -> unit;
-  notify_port_delivery : Ident.Port_name.t list -> unit;
-      (** Called after a queuing send so the system layer can wake
-          receivers blocked on the destination ports (possibly in other
-          partitions). *)
+  notify_port_delivery : Router.port -> unit;
+      (** Called for each destination a queuing send delivered to, so the
+          system layer can wake a receiver blocked on it (possibly in
+          another partition). *)
   mode : unit -> Partition.mode;
   set_mode : Partition.mode -> unit;
 }
@@ -93,18 +93,25 @@ type partition_status = {
 val get_partition_status : env -> partition_status
 val set_partition_mode : env -> Partition.mode -> outcome
 
-(** {1 Interpartition communication} *)
+(** {1 Interpartition communication}
 
-val write_sampling_message : env -> process:int -> port:string -> bytes -> outcome
-val read_sampling_message : env -> process:int -> port:string -> outcome
+    Ports are passed by their router ID ({!Air_ipc.Router.resolve}), bound
+    once when the module boots as APEX binds a [PORT_ID] at port creation.
+    An ID no port has (a script naming a port the network lacks) yields
+    [Invalid_config] and no event. Events name the port. *)
+
+val write_sampling_message :
+  env -> process:int -> port:Router.port -> bytes -> outcome
+val read_sampling_message : env -> process:int -> port:Router.port -> outcome
 (** [Msg] outcome carries the payload; validity is reported through the
     return code: [No_error] when fresh, [Invalid_config] never — staleness
     maps to [Timed_out] per the ARINC 653 convention of signalling outdated
     sampling data. An empty slot yields [Not_available]. *)
 
-val send_queuing_message : env -> process:int -> port:string -> bytes -> outcome
+val send_queuing_message :
+  env -> process:int -> port:Router.port -> bytes -> outcome
 val receive_queuing_message :
-  env -> process:int -> port:string -> timeout:Time.t -> outcome
+  env -> process:int -> port:Router.port -> timeout:Time.t -> outcome
 
 (** {1 Intrapartition communication} *)
 

@@ -18,6 +18,18 @@ open Air_spatial
 open Ident
 open Runtime
 
+(* The router ID of the port a script action names, once per action; -1
+   for actions naming none (and, from [Router.resolve], for a name the
+   network lacks — the service then fails as for an unknown port). *)
+let action_port router (action : Script.action) =
+  match action with
+  | Script.Write_sampling (port, _)
+  | Script.Read_sampling port
+  | Script.Send_queuing (port, _)
+  | Script.Receive_queuing (port, _) ->
+    Router.resolve router port
+  | _ -> -1
+
 let create (cfg : config) =
   if cfg.partitions = [] then
     invalid_arg "System.create: at least one partition is required";
@@ -136,7 +148,13 @@ let create (cfg : config) =
     in
     let intra = Intra.create kernel in
     let n = Partition.process_count setup.partition in
-    let tasks = Array.init n (fun _ -> { pc = 0; compute_left = 0 }) in
+    let tasks =
+      Array.init n (fun q ->
+          let body = setup.scripts.(q).Script.body in
+          { pc = 0;
+            compute_left = 0;
+            ports = Array.map (action_port router) body })
+    in
     let rec prt =
       { setup;
         kernel;
@@ -160,7 +178,7 @@ let create (cfg : config) =
               (fun code ~detail ->
                 report_partition_error (the_system ()) prt code ~detail);
             notify_port_delivery =
-              (fun ports -> notify_port_delivery (the_system ()) ports);
+              (fun port -> notify_port_delivery (the_system ()) port);
             mode = (fun () -> prt.mode);
             set_mode =
               (fun mode ->

@@ -24,7 +24,7 @@ type transfer = {
          sequence alone (the parallel fleet engine replays sends in the
          sequential order and relies on this). *)
   target_module : int;
-  target_port : string;
+  target_port : Air_ipc.Router.port;
   payload : bytes;
   cid : Air_obs.Causal.id;
       (* Correlation id stamped at the originating write; rides the bus so
@@ -34,6 +34,10 @@ type transfer = {
 type t = {
   modules : System.t array;
   links : link array;
+  gateways : Air_ipc.Router.port array;
+      (* By link: the gateway's ID in the source module's router. *)
+  ingresses : Air_ipc.Router.port array;
+      (* By link: the ingress's ID in the target module's router. *)
   bus : bus;
   in_flight : transfer Heap.t;
   mutable next_seq : int;
@@ -78,6 +82,43 @@ let create ?(bus = default_bus) ~links modules =
       else Hashtbl.add seen key ())
     links;
   let modules = Array.of_list modules in
+  (* Bind each link's ports once. A gateway must be a queuing destination
+     (the drain pops a queue) and an ingress a destination port, or the
+     link would run dead. *)
+  let bind ~role ~what ~fits m name =
+    let router = System.router modules.(m) in
+    let id = Air_ipc.Router.resolve router name in
+    if id < 0 || not (fits (Air_ipc.Router.port_config router id)) then
+      invalid_arg
+        (Printf.sprintf
+           "Cluster.create: link %s %s is not a %s port of module %d" role
+           name what m);
+    id
+  in
+  let destination (c : Air_ipc.Port.config) =
+    Air_ipc.Port.direction_equal c.direction Air_ipc.Port.Destination
+  in
+  let queuing_destination (c : Air_ipc.Port.config) =
+    destination c
+    && match c.kind with
+       | Air_ipc.Port.Queuing _ -> true
+       | Air_ipc.Port.Sampling _ -> false
+  in
+  let links = Array.of_list links in
+  let gateways =
+    Array.map
+      (fun l ->
+        bind ~role:"gateway" ~what:"queuing destination"
+          ~fits:queuing_destination l.from_module l.from_port)
+      links
+  in
+  let ingresses =
+    Array.map
+      (fun l ->
+        bind ~role:"ingress" ~what:"destination" ~fits:destination
+          l.to_module l.to_port)
+      links
+  in
   (* Home each module's flow tracker: the module field of every id it
      stamps from now on is the module's cluster index, making ids (and
      Chrome flow-event ids) unique cluster-wide. *)
@@ -88,7 +129,9 @@ let create ?(bus = default_bus) ~links modules =
       | None -> ())
     modules;
   { modules;
-    links = Array.of_list links;
+    links;
+    gateways;
+    ingresses;
     bus;
     in_flight = Heap.create ~cmp:transfer_cmp;
     next_seq = 0;
@@ -99,6 +142,7 @@ let create ?(bus = default_bus) ~links modules =
     last_perturbed = [] }
 
 let links t = Array.copy t.links
+let gateways t = Array.copy t.gateways
 
 let effective_latency t l =
   match l.link_latency with Some d -> d | None -> t.bus.latency
@@ -135,19 +179,19 @@ let send_on_bus t ~at ~latency ~target_module ~target_port ~cid payload =
       payload;
       cid }
 
-let drain_gateway t l =
+let drain_gateway t i l =
   let source = t.modules.(l.from_module) in
   let rec pump () =
-    match System.drain_remote source ~port:l.from_port with
+    match System.drain_remote source ~port:t.gateways.(i) with
     | None -> ()
     | Some (payload, cid) ->
       send_on_bus t ~at:t.clock ~latency:(effective_latency t l)
-        ~target_module:l.to_module ~target_port:l.to_port ~cid payload;
+        ~target_module:l.to_module ~target_port:t.ingresses.(i) ~cid payload;
       pump ()
   in
   pump ()
 
-let drain_gateways t = Array.iter (drain_gateway t) t.links
+let drain_gateways t = Array.iteri (drain_gateway t) t.links
 
 let deliver_transfer t tr =
   match
@@ -191,7 +235,7 @@ let set_clock t clock = t.clock <- clock
 let send_via t ~at ~link ~cid payload =
   let l = t.links.(link) in
   send_on_bus t ~at ~latency:(effective_latency t l)
-    ~target_module:l.to_module ~target_port:l.to_port ~cid payload
+    ~target_module:l.to_module ~target_port:t.ingresses.(link) ~cid payload
 
 let take_due t ~upto =
   let rec go acc =
@@ -228,7 +272,7 @@ let chrome_trace t =
   let stride =
     1
     + Array.fold_left
-        (fun acc m -> Stdlib.max acc (System.partition_count m))
+        (fun acc m -> Int.max acc (System.partition_count m))
         0 t.modules
   in
   let shift i track = (i * stride) + track in

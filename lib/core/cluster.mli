@@ -49,11 +49,13 @@ type t
 
 val create : ?bus:bus -> links:link list -> System.t list -> t
 (** Raises [Invalid_argument] on module indices out of range, an empty
-    module list, a negative per-link latency, or two links draining the
-    same gateway port. Port names are checked lazily (a missing gateway
-    simply never yields traffic; a missing target port counts as a drop).
-    Modules configured with a causal flow tracker get their tracker homed
-    to their cluster index, so correlation ids are unique cluster-wide. *)
+    module list, a negative per-link latency, two links draining the same
+    gateway port, a gateway that is not a queuing destination port of its
+    source module, or an ingress that is not a destination port of its
+    target module. Each link's two ports are resolved to router IDs here,
+    once ({!Air_ipc.Router.resolve}). Modules configured with a causal
+    flow tracker get their tracker homed to their cluster index, so
+    correlation ids are unique cluster-wide. *)
 
 val step : t -> unit
 (** One global clock tick: every module steps, gateways drain onto the
@@ -89,7 +91,9 @@ val chrome_trace : t -> string
 
 type stats = {
   transferred : int;       (** Messages delivered to target ports. *)
-  dropped : int;           (** Lost to target-port overflow or bad port. *)
+  dropped : int;
+      (** Refused by the target port: larger than its maximum message
+          size. *)
   in_flight : int;
   bus_busy_until : Time.t; (** Bus occupancy horizon. *)
 }
@@ -109,10 +113,15 @@ type transfer = {
   arrival : Time.t;
   seq : int;           (** Bus serialization order; heap ties break on it. *)
   target_module : int;
-  target_port : string;
+  target_port : Air_ipc.Router.port;
+      (** The link's ingress, as an ID of the target module's router. *)
   payload : bytes;
   cid : Air_obs.Causal.id;
 }
+
+val gateways : t -> Air_ipc.Router.port array
+(** By link index (as {!links}): the gateway's ID in its source module's
+    router, resolved by {!create} (a copy). *)
 
 val set_clock : t -> Time.t -> unit
 (** Reposition the cluster clock at a window barrier (the modules were

@@ -127,7 +127,7 @@ module Avl : S = struct
   let height = function Leaf -> 0 | Branch b -> b.height
 
   let branch left key right =
-    Branch { left; key; right; height = 1 + Stdlib.max (height left) (height right) }
+    Branch { left; key; right; height = 1 + Int.max (height left) (height right) }
 
   let balance_factor = function
     | Leaf -> 0
@@ -278,7 +278,7 @@ module Pairing : S = struct
       if is_live t key then ()
       else begin
         t.heap <- delete_min t.heap;
-        t.garbage <- Stdlib.max 0 (t.garbage - 1);
+        t.garbage <- Int.max 0 (t.garbage - 1);
         settle t
       end
 
@@ -299,7 +299,7 @@ module Pairing : S = struct
     t.garbage <- 0
 
   let maybe_compact t =
-    if t.garbage > Stdlib.max 16 (2 * Hashtbl.length t.index) then compact t
+    if t.garbage > Int.max 16 (2 * Hashtbl.length t.index) then compact t
 
   let register t ~process deadline =
     (match Hashtbl.find_opt t.index process with

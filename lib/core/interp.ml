@@ -14,7 +14,8 @@ open Runtime
    made only of such actions still consumes CPU time. *)
 let max_actions_per_tick = 32
 
-let exec_action t prt q (action : Script.action) : Apex.outcome =
+(* [port] is the router ID boot resolved for the port [action] names. *)
+let exec_action t prt q ~port (action : Script.action) : Apex.outcome =
   let env = prt.env in
   let b = Bytes.of_string in
   match action with
@@ -22,13 +23,12 @@ let exec_action t prt q (action : Script.action) : Apex.outcome =
   | Script.Periodic_wait -> Apex.periodic_wait env ~process:q
   | Script.Timed_wait d -> Apex.timed_wait env ~process:q d
   | Script.Replenish budget -> Apex.replenish env ~process:q budget
-  | Script.Write_sampling (port, payload) ->
+  | Script.Write_sampling (_, payload) ->
     Apex.write_sampling_message env ~process:q ~port (b payload)
-  | Script.Read_sampling port ->
-    Apex.read_sampling_message env ~process:q ~port
-  | Script.Send_queuing (port, payload) ->
+  | Script.Read_sampling _ -> Apex.read_sampling_message env ~process:q ~port
+  | Script.Send_queuing (_, payload) ->
     Apex.send_queuing_message env ~process:q ~port (b payload)
-  | Script.Receive_queuing (port, timeout) ->
+  | Script.Receive_queuing (_, timeout) ->
     Apex.receive_queuing_message env ~process:q ~port ~timeout
   | Script.Wait_semaphore (name, timeout) ->
     Apex.wait_semaphore env ~process:q ~name ~timeout
@@ -160,7 +160,9 @@ let rec exec_loop t prt q task body on_end consumed actions =
           end
         end
       | action ->
-        let outcome = exec_action t prt q action in
+        let outcome =
+          exec_action t prt q ~port:task.ports.(task.pc) action
+        in
         task.pc <- task.pc + 1;
         (match outcome with
         | Apex.Blocked -> ()
@@ -207,7 +209,7 @@ let compute_remaining prt q =
 (* Ticks [q] would spend purely computing before the tick that ends its
    [Compute] action. That last tick runs the actions after it, so it is
    never part of a span. *)
-let compute_run prt q = Stdlib.max 0 (compute_remaining prt q - 1)
+let compute_run prt q = Int.max 0 (compute_remaining prt q - 1)
 
 (* [ticks] <= [compute_run] ticks of [run_task_tick] in one update: the
    first tick's wakeup consumption, the compute progress and one charge

@@ -144,8 +144,8 @@ let create ?metrics ?recorder ?telemetry ?(frame_owner = true) ?(lane = 0)
         frame_closed = None };
     heir_partition = None;
     active_partition = None;
-    last_tick = Array.make (Stdlib.max 1 partition_count) Time.zero;
-    pending_action = Array.make (Stdlib.max 1 partition_count) None;
+    last_tick = Array.make (Int.max 1 partition_count) Time.zero;
+    pending_action = Array.make (Int.max 1 partition_count) None;
     m_ticks = Air_obs.Metrics.counter reg "pmk.ticks";
     m_schedule_switches = Air_obs.Metrics.counter reg "pmk.schedule_switches";
     m_context_switches = Air_obs.Metrics.counter reg "pmk.context_switches";

@@ -125,7 +125,7 @@ let active_lane_of t pid =
 
 let next_preemption_tick t =
   Array.fold_left
-    (fun acc pmk -> Stdlib.min acc (Pmk.next_preemption_tick pmk))
+    (fun acc pmk -> Int.min acc (Pmk.next_preemption_tick pmk))
     Air_sim.Time.infinity t.cores
 
 let skip t ~ticks = Array.iter (fun pmk -> Pmk.skip pmk ~ticks) t.cores

@@ -111,6 +111,10 @@ let config ?initial_schedule ?(network = { Port.ports = []; channels = [] })
 type task = {
   mutable pc : int;
   mutable compute_left : int;
+  ports : Router.port array;
+      (* By program counter: the router ID of the port the action there
+         names, resolved once at boot; -1 where the action names no port
+         or one the network lacks. *)
 }
 
 type prt = {
@@ -150,7 +154,7 @@ type t = {
   mutable halt_reason : string option;
 }
 
-let now t = Stdlib.max 0 (Pmk_mc.ticks t.lane)
+let now t = Int.max 0 (Pmk_mc.ticks t.lane)
 
 let emit t ev =
   Trace.record t.trace (now t) ev;
@@ -384,36 +388,27 @@ let report_module_error t code ~detail =
 
 (* --- Queuing-port delivery notification -------------------------------- *)
 
-(* A queuing message arrived at [ports]; wake the longest-blocked receiver
-   of each and hand it the message through its partition's mailbox. *)
-let notify_port_delivery t ports =
-  List.iter
-    (fun port ->
-      match Router.port_config t.router port with
+(* A queuing message arrived at [port]; wake its longest-blocked receiver
+   and hand it the message through its partition's mailbox. *)
+let notify_port_delivery t port =
+  let cfg = Router.port_config t.router port in
+  let owner = prt_of t cfg.Port.partition in
+  let q = Kernel.port_waiter owner.kernel port in
+  if q >= 0 then
+    match
+      Router.receive_queuing_id ~now:(now t) t.router
+        ~caller:cfg.Port.partition ~port
+    with
+    | Ok (Some msg) ->
+      emit t
+        (Event.Port_receive { port = cfg.Port.name; bytes = Bytes.length msg });
+      (match t.cfg.recorder with
       | None -> ()
-      | Some cfg ->
-        let owner = prt_of t cfg.Port.partition in
-        let waiting = function
-          | Kernel.On_queuing_port p -> String.equal p port
-          | _ -> false
-        in
-        (match Kernel.waiters_fifo owner.kernel waiting with
-        | [] -> ()
-        | q :: _ -> (
-          match
-            Router.receive_queuing ~now:(now t) t.router
-              ~caller:cfg.Port.partition ~port
-          with
-          | Ok (Some msg) ->
-            emit t (Event.Port_receive { port; bytes = Bytes.length msg });
-            (match t.cfg.recorder with
-            | None -> ()
-            | Some r ->
-              Air_obs.Span.instant r ~now:(now t)
-                ~track:(Partition_id.index cfg.Port.partition) ~sub:q
-                ~detail:port "ipc.deliver");
-            (* Deliver through the partition mailbox, as for buffers. *)
-            Intra.deliver owner.intra ~process:q msg;
-            Kernel.wake owner.kernel ~now:(now t) q ~timed_out:false
-          | Ok None | Error _ -> ())))
-    ports
+      | Some r ->
+        Air_obs.Span.instant r ~now:(now t)
+          ~track:(Partition_id.index cfg.Port.partition) ~sub:q
+          ~detail:cfg.Port.name "ipc.deliver");
+      (* Deliver through the partition mailbox, as for buffers. *)
+      Intra.deliver owner.intra ~process:q msg;
+      Kernel.wake owner.kernel ~now:(now t) q ~timed_out:false
+    | Ok None | Error _ -> ()

@@ -343,7 +343,7 @@ let prt_event_bound t pid ~lane ~charging acc =
         match t.contention with
         | None -> run
         | Some c ->
-          Stdlib.min run
+          Int.min run
             (Contention.compute_headroom c
                ~partition:(Partition_id.index pid) ~lane ~charging)
       in
@@ -602,13 +602,17 @@ let restart_partition t pid mode =
 let deliver_remote ?cid t ~port msg =
   match Router.inject ?cid t.router ~port ~now:(now t) msg with
   | Router.Inject_bad_port ->
-    Error (Printf.sprintf "no destination port %S (or bad message size)" port)
+    Error
+      (Printf.sprintf "no destination port %S (or bad message size)"
+         (Router.port_name t.router port))
   | Router.Inject_overflow ->
-    emit t (Event.Port_overflow { port });
+    emit t (Event.Port_overflow { port = Router.port_name t.router port });
     Ok ()
   | Router.Injected ->
-    emit t (Event.Port_send { port; bytes = Bytes.length msg });
-    notify_port_delivery t [ port ];
+    emit t
+      (Event.Port_send
+         { port = Router.port_name t.router port; bytes = Bytes.length msg });
+    notify_port_delivery t port;
     Ok ()
 
 let drain_remote t ~port = Router.drain t.router ~port ~now:(now t)
@@ -663,7 +667,7 @@ let inject_bandwidth_hog t pid ~permille =
     else begin
       let prt = prt_of t pid in
       let pi = Partition_id.index pid in
-      let cost = Stdlib.max 1 (Contention.budget c pi * permille / 1000) in
+      let cost = Int.max 1 (Contention.budget c pi * permille / 1000) in
       Contention.set_lane c
         (match Pmk_mc.active_lane_of t.lane pid with Some l -> l | None -> 0);
       charge_shared_access t prt ~cost;

@@ -337,24 +337,30 @@ val restart_partition :
     ([Idle]); [Normal] is rejected. *)
 
 val deliver_remote :
-  ?cid:Air_obs.Causal.id -> t -> port:string -> bytes -> (unit, string) result
+  ?cid:Air_obs.Causal.id ->
+  t ->
+  port:Router.port ->
+  bytes ->
+  (unit, string) result
 (** A message arriving from the inter-module communication infrastructure
-    (paper Sect. 2.1): injected into the named local destination port and,
-    for queuing ports, handed to a blocked receiver if one waits. Overflow
+    (paper Sect. 2.1): injected into the local destination port with this
+    router ID ({!Router.resolve} of {!router}) and, for queuing ports,
+    handed to a blocked receiver if one waits. Overflow
     is reported as a port-overflow event and [Ok] — the sender cannot tell,
     as over a real bus. [cid] is the correlation id the message carried on
     the wire (default {!Air_obs.Causal.none}); storing it with the payload
     lets the eventual receive close the originating flow. *)
 
-val drain_remote : t -> port:string -> (bytes * Air_obs.Causal.id) option
+val drain_remote :
+  t -> port:Router.port -> (bytes * Air_obs.Causal.id) option
 (** Pop one message from a local destination port acting as the gateway
     towards the communication infrastructure, recording a [Forward] hop
     (not a receive — the message is leaving the module, not being
     consumed). [None] when empty. The returned correlation id rides the
     link transfer to the destination module. *)
 
-val remote_pending : t -> port:string -> int
-(** Messages currently queued at the named destination port (0 for
+val remote_pending : t -> port:Router.port -> int
+(** Messages currently queued at the destination port with this ID (0 for
     unknown, sampling or source ports) — the non-destructive occupancy
     probe the fleet engine uses to flag gateways holding parked
     traffic. *)

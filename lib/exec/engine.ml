@@ -29,6 +29,11 @@ type t = {
      right after one, the dense phase ended inside the batch (overshoot)
      and a probe — amortized by the batch — re-engages skipping at once. *)
   mutable just_batched : bool;
+  mutable proved : Air_sim.Time.t;
+      (* The next interesting tick the last probe proved, or -1 once a
+         tick has been stepped since, or an advance has begun: if it is
+         set when an advance returns, the advance ended on that probe's
+         skip and the module sits still until then. *)
   on_tick : (unit -> unit) option;
       (* Fired after every tick executed through the per-tick path (and
          never across a skipped span, which is quiescent by proof): the
@@ -54,6 +59,7 @@ let create ?profiler ?on_tick ?(mode = Adaptive) system =
     blind = blind_init;
     streak = 0;
     just_batched = false;
+    proved = -1;
     on_tick;
     profiler }
 
@@ -63,17 +69,21 @@ let stats t = t.stats
 let profiler t = t.profiler
 let simulated t = t.stats.stepped + t.stats.skipped
 let halted t = Option.is_some (System.halted t.system)
+let next_proved t = t.proved
 
-(* Probe for a quiet span up to the budget horizon and collapse it with
-   one O(1) batch clock update. Returns the number of ticks skipped (0
-   when the very next tick is already interesting). The caller has
-   established quiescence. *)
+(* Probe for the next interesting tick and collapse the quiet span before
+   it, clipped to the budget, with one O(1) batch clock update. Returns
+   the number of ticks skipped (0 when the very next tick is already
+   interesting). The caller has established quiescence. The probe looks
+   past the budget, so an advance that ends on this skip knows where the
+   module's next work lies ([proved]). [next - 1 - now] cannot overflow:
+   [now >= 0] once quiescent, and [next] is at most [Time.infinity]. *)
 let probe_raw t ~remaining =
   t.stats.probes <- t.stats.probes + 1;
   let now = Pmk_mc.ticks (System.lane t.system) in
-  let until = Clock.horizon ~now ~remaining in
-  let next = Clock.next_interesting t.system ~until in
-  let span = Stdlib.min (next - 1 - now) remaining in
+  let next = Clock.next_interesting t.system in
+  t.proved <- next;
+  let span = Int.min (next - 1 - now) remaining in
   if span > 0 then begin
     System.skip t.system ~ticks:span;
     t.stats.skipped <- t.stats.skipped + span;
@@ -90,8 +100,10 @@ let probe t ~remaining =
     Profiler.note_probe p ~skipped ~seconds:(Profiler.timestamp () -. t0);
     skipped
 
-(* One executed tick, plus the per-tick observer when one is hooked. *)
+(* One executed tick, plus the per-tick observer when one is hooked. A
+   stepped tick may start work, so it voids the last probe's proof. *)
 let step_raw t =
+  t.proved <- -1;
   match t.on_tick with
   | None -> System.step t.system
   | Some f ->
@@ -103,6 +115,7 @@ let step_raw t =
    after each step, so hooked and unhooked advances execute the module
    identically. *)
 let run_raw t ~ticks =
+  t.proved <- -1;
   match t.on_tick with
   | None -> System.run t.system ~ticks
   | Some f ->
@@ -213,7 +226,7 @@ let advance_adaptive t ~ticks =
         t.density <- t.density + ((scale - t.density) / 8);
         if t.density >= dense_threshold then begin
           sample_density t;
-          let n = Stdlib.min !remaining t.blind in
+          let n = Int.min !remaining t.blind in
           run_batch t ~ticks:n;
           remaining := !remaining - n;
           t.stats.stepped <- t.stats.stepped + n;
@@ -230,6 +243,7 @@ let advance_adaptive t ~ticks =
    one O(1) batch clock update. A halted module freezes the clock in all
    modes, so the remaining budget is simply dropped. *)
 let advance t ~ticks =
+  t.proved <- -1;
   if ticks > 0 then
     match t.mode with
     | Per_tick ->

@@ -74,6 +74,21 @@ val advance : t -> ticks:int -> unit
     [System.run ~ticks]. A halted module freezes the clock, as per-tick
     execution does. *)
 
+val next_proved : t -> Air_sim.Time.t
+(** The probe report. A probe asks {!Clock.next_interesting} for the
+    module's next interesting tick with no horizon and clips the skip to
+    the advance's remaining budget, so when an advance ends on that skip
+    the probe has proved the tick at which the module next does more than
+    let time pass; [next_proved] returns it ({!Air_sim.Time.infinity} when
+    nothing is due). It returns [-1] when the last {!advance} did not end
+    on a probe's skip: the report is cleared at the start of every
+    {!advance} and on every stepped tick, blind batches and [Per_tick]
+    advances included. The report describes the module as the advance
+    left it: anything done to the module since (a remote delivery, an
+    injected fault, a started process) voids it, and only the caller can
+    know that. The fleet engine reads it instead of probing again after a
+    module's window. *)
+
 val run_mtfs : t -> int -> unit
 (** Advance by whole major time frames of the schedule current at each
     boundary: {!Air.System.run_mtfs_with} over {!advance}. *)

@@ -86,7 +86,7 @@ let probes t = t.probes_successful + t.probes_wasted
 
 let density_trajectory t =
   let cap = Array.length t.trajectory in
-  let n = Stdlib.min t.traj_total cap in
+  let n = Int.min t.traj_total cap in
   let start = (t.traj_head - n + cap) mod cap in
   List.init n (fun i -> t.trajectory.((start + i) mod cap))
 
@@ -121,8 +121,8 @@ let to_text t =
   (match density_trajectory t with
   | [] -> line "  density estimate: no samples (workload never left probing)"
   | samples ->
-    let mn = List.fold_left Stdlib.min 256 samples in
-    let mx = List.fold_left Stdlib.max 0 samples in
+    let mn = List.fold_left Int.min 256 samples in
+    let mx = List.fold_left Int.max 0 samples in
     let last = List.nth samples (List.length samples - 1) in
     line "  density estimate: last=%d/256 min=%d max=%d over %d samples%s"
       last mn mx t.traj_total

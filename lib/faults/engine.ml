@@ -405,7 +405,10 @@ let run_target ~turbo make spec =
     | Redeliver { port; payload; cid } ->
       Air.System.note_fault sys
         ~label:(Printf.sprintf "redeliver %s" port);
-      ignore (Air.System.deliver_remote ~cid sys ~port payload)
+      ignore
+        (Air.System.deliver_remote ~cid sys
+           ~port:(Air_ipc.Router.resolve (Air.System.router sys) port)
+           payload)
   in
   let continue = ref true in
   while !continue do

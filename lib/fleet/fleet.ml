@@ -44,9 +44,12 @@ type t = {
   domains : int;
   lookahead : Time.t;
   links : Cluster.link array;
-  links_of : (int * Cluster.link) list array;
-      (* Per module: its outbound links as (global index, link), in global
-         (drain) order. *)
+  gateways : Air_ipc.Router.port array;
+      (* By link: the gateway's ID in its source module, bound by
+         [Cluster.create]. *)
+  links_of : (int * Air_ipc.Router.port) list array;
+      (* Per module: its outbound links as (global index, gateway ID), in
+         global (drain) order. *)
   shard_modules : int array array;
   mutable engines : Air_exec.Engine.t array;
   at : Time.t array;
@@ -88,9 +91,9 @@ let drain_module t si mi ~clock =
   let sh = Air_obs.Fleet_stats.shard t.stats si in
   let box = t.outboxes.(si) in
   List.iter
-    (fun (gidx, (l : Cluster.link)) ->
+    (fun (gidx, port) ->
       let rec pump fifo =
-        match System.drain_remote sys ~port:l.from_port with
+        match System.drain_remote sys ~port with
         | None -> ()
         | Some (payload, cid) ->
           box :=
@@ -121,7 +124,12 @@ let hook t si mi () =
    the engine to the instant and pumps explicitly, whether the tick was
    stepped (its hook already emptied the gateways) or skipped; a halted
    module's engine freezes its clock (as per-tick execution does), and
-   deliveries still land in its ports. *)
+   deliveries still land in its ports.
+
+   Returns the engine's probe report when no delivery came after the last
+   advance, else -1: an arrival at [upto] itself is delivered with no
+   advance after it, and may wake a process the report knows nothing
+   of. *)
 let run_module t si mi ~from ~upto =
   let eng = t.engines.(mi) in
   let sys = (Cluster.systems t.cluster).(mi) in
@@ -130,17 +138,20 @@ let run_module t si mi ~from ~upto =
      missed. *)
   let cur = ref t.at.(mi) in
   let force = ref (if t.forced.(mi) then Some (from + 1) else None) in
+  let delivered_last = ref false in
   let advance target =
     (match !force with
     | Some f when Time.(f <= target) ->
       sh.sh_forced <- sh.sh_forced + 1;
       Air_exec.Engine.advance eng ~ticks:(f - !cur);
+      delivered_last := false;
       drain_module t si mi ~clock:f;
       force := None;
       cur := f
     | Some _ | None -> ());
     if Time.(!cur < target) then begin
       Air_exec.Engine.advance eng ~ticks:(target - !cur);
+      delivered_last := false;
       cur := target
     end
   in
@@ -157,11 +168,13 @@ let run_module t si mi ~from ~upto =
       | Error _ ->
         sh.sh_dropped <- sh.sh_dropped + 1;
         t.win_dropped.(si) <- t.win_dropped.(si) + 1);
+      delivered_last := true;
       if Time.(tr.arrival < upto) then force := Some (tr.arrival + 1))
     (List.rev t.agendas.(mi));
   t.agendas.(mi) <- [];
   advance upto;
-  t.at.(mi) <- upto
+  t.at.(mi) <- upto;
+  if !delivered_last then -1 else Air_exec.Engine.next_proved eng
 
 (* The earliest tick at which module [mi], advanced to its barrier, could
    do more than let time pass: the skip-ahead probe's answer when it is
@@ -169,13 +182,14 @@ let run_module t si mi ~from ~upto =
 let next_work t mi =
   let sys = (Cluster.systems t.cluster).(mi) in
   if Option.is_some (System.halted sys) then Time.infinity
-  else if System.quiescent sys then
-    Air_exec.Clock.next_interesting sys ~until:Time.infinity
+  else if System.quiescent sys then Air_exec.Clock.next_interesting sys
   else t.at.(mi)
 
 (* A module enters the window when it has an arrival, an occupied gateway
    or work due inside it, and every module enters the last window of a
-   run, so that every return is a barrier. *)
+   run, so that every return is a barrier. Its next work is then the
+   probe report of its last advance when that holds ([run_module]), and
+   a fresh probe ([next_work]) otherwise. *)
 let run_shard t si ~from ~upto ~last =
   let sh = Air_obs.Fleet_stats.shard t.stats si in
   let engine_sums () =
@@ -194,8 +208,8 @@ let run_shard t si ~from ~upto ~last =
         || t.agendas.(mi) <> []
         || Time.(t.next.(mi) < upto)
       then begin
-        run_module t si mi ~from ~upto;
-        t.next.(mi) <- next_work t mi
+        let proved = run_module t si mi ~from ~upto in
+        t.next.(mi) <- (if proved >= 0 then proved else next_work t mi)
       end)
     t.shard_modules.(si);
   let stepped1, skipped1 = engine_sums () in
@@ -225,9 +239,9 @@ let distribute t ~from ~fin =
   let n =
     ref (Array.fold_left Time.min (Cluster.next_arrival t.cluster) t.next)
   in
-  Array.iter
-    (fun (l : Cluster.link) ->
-      if System.remote_pending sys.(l.from_module) ~port:l.from_port > 0
+  Array.iteri
+    (fun i (l : Cluster.link) ->
+      if System.remote_pending sys.(l.from_module) ~port:t.gateways.(i) > 0
       then begin
         t.forced.(l.from_module) <- true;
         n := from
@@ -386,16 +400,18 @@ let create ?(domains = 1) cluster =
   let systems = Cluster.systems cluster in
   let n = Array.length systems in
   let links = Cluster.links cluster in
+  let gateways = Cluster.gateways cluster in
   let la = Cluster.lookahead cluster in
   if la < 1 then
     invalid_arg
       "Fleet.create: a zero-latency link leaves no conservative lookahead \
        window";
-  let domains = Stdlib.max 1 (Stdlib.min domains n) in
+  let domains = Int.max 1 (Int.min domains n) in
   let links_of = Array.make n [] in
   Array.iteri
     (fun gidx (l : Cluster.link) ->
-      links_of.(l.from_module) <- (gidx, l) :: links_of.(l.from_module))
+      links_of.(l.from_module) <-
+        (gidx, gateways.(gidx)) :: links_of.(l.from_module))
     links;
   Array.iteri (fun i ls -> links_of.(i) <- List.rev ls) links_of;
   let shard_modules =
@@ -408,6 +424,7 @@ let create ?(domains = 1) cluster =
       domains;
       lookahead = la;
       links;
+      gateways;
       links_of;
       shard_modules;
       engines = [||];
@@ -446,7 +463,10 @@ let fingerprint_text cluster =
   List.iter
     (fun (tr : Cluster.transfer) ->
       Format.fprintf ppf "wire %d/%d -> m%d:%s %s@." tr.arrival tr.seq
-        tr.target_module tr.target_port
+        tr.target_module
+        (Air_ipc.Router.port_name
+           (System.router (Cluster.systems cluster).(tr.target_module))
+           tr.target_port)
         (Digest.to_hex (Digest.bytes tr.payload)))
     (Cluster.in_flight_transfers cluster);
   Array.iteri

@@ -23,6 +23,15 @@
        segmented at its arrival instants; a per-tick hook pumps its
        gateways into the shard's mailbox, tagged with the sequential
        drain position [(clock, link, fifo)].}
+    {- {b Next work from the final probe.} After a module's window its
+       next tick of work is the probe report of its last advance
+       ({!Air_exec.Engine.next_proved}): when that advance ended on a
+       skip, the engine's probe already proved the module's next
+       interesting tick, so the fleet does not probe again. The report is
+       ignored — and a fresh probe taken — when the advance did not end
+       on a skip, or when a delivery came after it: an arrival exactly at
+       the window's end is delivered with no advance after it and may wake
+       a receiver the report knows nothing of.}
     {- {b Deterministic merge.} At the barrier the coordinator replays
        all buffered sends through the shared bus in that exact sequential
        order, reproducing bus occupancy, arrival instants and

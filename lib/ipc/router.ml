@@ -32,12 +32,19 @@ type buffer =
     }
   | Source_end  (** Source ports buffer nothing; writes fan out. *)
 
-type endpoint = { config : Port.config; buffer : buffer; idx : int }
+type port = int
+
+type endpoint = { config : Port.config; buffer : buffer }
 
 type t = {
-  endpoints : (Port_name.t, endpoint) Hashtbl.t;
-  routes : (Port_name.t, Port_name.t list) Hashtbl.t;
-      (** Source port → destination ports. *)
+  endpoints : endpoint array;
+      (** By port ID: the port's position in declaration order, which is
+          also the port field of every causal id stamped here. *)
+  ids : (Port_name.t, port) Hashtbl.t;
+      (** Name → ID, read only by {!resolve}. *)
+  routes : port array array;
+      (** Source ID → destination IDs; empty for destination ports and
+          sources no channel starts at. *)
   messages_sent : Air_obs.Metrics.counter;
   messages_received : Air_obs.Metrics.counter;
   bytes_copied : Air_obs.Metrics.counter;
@@ -70,27 +77,32 @@ let create ?metrics ?recorder ?causal (net : Port.network) =
     | Some reg -> reg
     | None -> Air_obs.Metrics.create ()
   in
-  let endpoints = Hashtbl.create 16 in
-  (* Declaration order gives each port a dense index — the port field of
-     every causal id stamped here. *)
-  List.iteri
-    (fun idx (c : Port.config) ->
-      let buffer =
-        match (c.direction, c.kind) with
-        | Port.Source, _ -> Source_end
-        | Port.Destination, Port.Sampling _ ->
-          Sampling_slot { content = None }
-        | Port.Destination, Port.Queuing { depth } ->
-          Queuing_buffer { depth; queue = Queue.create () }
-      in
-      Hashtbl.replace endpoints c.name { config = c; buffer; idx })
-    net.ports;
-  let routes = Hashtbl.create 16 in
+  let endpoints =
+    Array.of_list
+      (List.map
+         (fun (c : Port.config) ->
+           let buffer =
+             match (c.direction, c.kind) with
+             | Port.Source, _ -> Source_end
+             | Port.Destination, Port.Sampling _ ->
+               Sampling_slot { content = None }
+             | Port.Destination, Port.Queuing { depth } ->
+               Queuing_buffer { depth; queue = Queue.create () }
+           in
+           { config = c; buffer })
+         net.ports)
+  in
+  let ids = Hashtbl.create 16 in
+  Array.iteri (fun id e -> Hashtbl.replace ids e.config.Port.name id) endpoints;
+  (* Validation guarantees every channel names declared ports. *)
+  let routes = Array.make (Array.length endpoints) [||] in
   List.iter
     (fun (ch : Port.channel) ->
-      Hashtbl.replace routes ch.source ch.destinations)
+      routes.(Hashtbl.find ids ch.source) <-
+        Array.of_list (List.map (Hashtbl.find ids) ch.destinations))
     net.channels;
   { endpoints;
+    ids;
     routes;
     messages_sent = Air_obs.Metrics.counter reg "ipc.messages_sent";
     messages_received = Air_obs.Metrics.counter reg "ipc.messages_received";
@@ -104,9 +116,18 @@ let create ?metrics ?recorder ?causal (net : Port.network) =
 
 let set_delivery_observer t f = t.on_delivery <- Some f
 
+let resolve t name = Option.value ~default:(-1) (Hashtbl.find_opt t.ids name)
+
+let valid t port = port >= 0 && port < Array.length t.endpoints
+
+let port_name t port =
+  if valid t port then t.endpoints.(port).config.Port.name
+  else "#" ^ string_of_int port
+
+let port_config t port = t.endpoints.(port).config
+
 let port_names t =
-  Hashtbl.fold (fun name e acc -> (e.idx, name) :: acc) t.endpoints []
-  |> List.sort (fun (a, _) (b, _) -> Stdlib.compare a b)
+  Array.to_list (Array.mapi (fun id e -> (id, e.config.Port.name)) t.endpoints)
 
 let record_instant t ~now ~track ~port name =
   match t.recorder with
@@ -115,12 +136,11 @@ let record_instant t ~now ~track ~port name =
 
 (* Causal hooks: all no-ops (and allocation-free) without a tracker. *)
 
-let stamp_send t (e : endpoint) ~caller ~now =
+let stamp_send t ~port ~caller ~now =
   match t.causal with
   | None -> Air_obs.Causal.none
   | Some c ->
-    Air_obs.Causal.stamp c ~now ~partition:(Partition_id.index caller)
-      ~port:e.idx
+    Air_obs.Causal.stamp c ~now ~partition:(Partition_id.index caller) ~port
 
 let note_receive t ~now ~caller cid =
   match t.causal with
@@ -133,106 +153,110 @@ let note_perturb t ~now ~what cid =
   | None -> ()
   | Some c -> Air_obs.Causal.perturb c ~now ~what cid
 
-let port_config t name =
-  Option.map (fun e -> e.config) (Hashtbl.find_opt t.endpoints name)
+(* The endpoint behind [port] when [caller] owns it and it faces [dir];
+   otherwise the error the service fails with. *)
+let endpoint_for t ~caller ~port dir =
+  if not (valid t port) then Error (Unknown_port (port_name t port))
+  else
+    let e = t.endpoints.(port) in
+    if not (Partition_id.equal e.config.Port.partition caller) then
+      Error (Not_owner { port = e.config.Port.name; caller })
+    else if not (Port.direction_equal e.config.Port.direction dir) then
+      Error (Wrong_direction e.config.Port.name)
+    else Ok e
 
-let find t name =
-  match Hashtbl.find_opt t.endpoints name with
-  | None -> Error (Unknown_port name)
-  | Some e -> Ok e
-
-let check_owner caller (e : endpoint) =
-  if Partition_id.equal e.config.Port.partition caller then Ok e
-  else Error (Not_owner { port = e.config.Port.name; caller })
-
-let check_direction dir (e : endpoint) =
-  if Port.direction_equal e.config.Port.direction dir then Ok e
-  else Error (Wrong_direction e.config.Port.name)
-
-let check_payload (msg : bytes) (e : endpoint) =
+let payload_error (msg : bytes) (e : endpoint) =
   let size = Bytes.length msg in
-  if size = 0 then Error Empty_message
+  if size = 0 then Some Empty_message
   else if size > e.config.Port.max_message_size then
-    Error
+    Some
       (Message_too_large
          { port = e.config.Port.name;
            size;
            max = e.config.Port.max_message_size })
-  else Ok e
+  else None
 
-let ( let* ) r f = Result.bind r f
+(* The name-keyed services: resolve, then the ID-keyed one. *)
+let by_name t name f =
+  match resolve t name with
+  | -1 -> Error (Unknown_port name)
+  | port -> f port
 
-let destinations t source = Option.value ~default:[] (Hashtbl.find_opt t.routes source)
+let write_sampling_id t ~caller ~port ~now msg =
+  match endpoint_for t ~caller ~port Port.Source with
+  | Error _ as err -> err
+  | Ok e -> (
+    match (payload_error msg e, e.config.Port.kind) with
+    | Some err, _ -> Error err
+    | None, Port.Queuing _ -> Error (Wrong_mode e.config.Port.name)
+    | None, Port.Sampling _ ->
+      let cid = stamp_send t ~port ~caller ~now in
+      Array.iter
+        (fun dest ->
+          match t.endpoints.(dest).buffer with
+          | Sampling_slot slot ->
+            (* Memory-to-memory copy: the destination never aliases the
+               sender's buffer. *)
+            slot.content <- Some (Bytes.copy msg, now, cid);
+            Air_obs.Metrics.add t.bytes_copied (Bytes.length msg)
+          | Queuing_buffer _ | Source_end -> ())
+        t.routes.(port);
+      Air_obs.Metrics.incr t.messages_sent;
+      record_instant t ~now ~track:(Partition_id.index caller)
+        ~port:e.config.Port.name "ipc.write-sampling";
+      Ok ())
 
 let write_sampling t ~caller ~port ~now msg =
-  let* e = find t port in
-  let* e = check_owner caller e in
-  let* e = check_direction Port.Source e in
-  let* e = check_payload msg e in
-  match e.config.Port.kind with
-  | Port.Queuing _ -> Error (Wrong_mode port)
-  | Port.Sampling _ ->
-    let cid = stamp_send t e ~caller ~now in
-    List.iter
-      (fun dest ->
-        match Hashtbl.find_opt t.endpoints dest with
-        | Some { buffer = Sampling_slot slot; _ } ->
-          (* Memory-to-memory copy: the destination never aliases the
-             sender's buffer. *)
-          slot.content <- Some (Bytes.copy msg, now, cid);
-          Air_obs.Metrics.add t.bytes_copied (Bytes.length msg)
-        | Some _ | None -> ())
-      (destinations t port);
-    Air_obs.Metrics.incr t.messages_sent;
-    record_instant t ~now ~track:(Partition_id.index caller) ~port
-      "ipc.write-sampling";
-    Ok ()
+  by_name t port (fun port -> write_sampling_id t ~caller ~port ~now msg)
+
+let read_sampling_id t ~caller ~port ~now =
+  match endpoint_for t ~caller ~port Port.Destination with
+  | Error _ as err -> err
+  | Ok e -> (
+    match (e.config.Port.kind, e.buffer) with
+    | Port.Sampling { refresh }, Sampling_slot slot -> (
+      match slot.content with
+      | None -> Ok (Bytes.create 0, Invalid)
+      | Some (msg, written, cid) ->
+        let validity =
+          if Time.(now <= Time.add written refresh) then Valid else Invalid
+        in
+        (match validity with
+        | Invalid -> Air_obs.Metrics.incr t.stale_reads
+        | Valid -> ());
+        Air_obs.Metrics.incr t.messages_received;
+        (* Non-destructive reads repeat; only the first observation of a
+           given message closes its flow. Clearing the stored id keeps one
+           Receive record per delivered message. *)
+        if Air_obs.Causal.is_some cid then begin
+          note_receive t ~now ~caller cid;
+          slot.content <- Some (msg, written, Air_obs.Causal.none)
+        end;
+        Ok (Bytes.copy msg, validity))
+    | (Port.Queuing _ | Port.Sampling _), _ ->
+      Error (Wrong_mode e.config.Port.name))
 
 let read_sampling t ~caller ~port ~now =
-  let* e = find t port in
-  let* e = check_owner caller e in
-  let* e = check_direction Port.Destination e in
-  match (e.config.Port.kind, e.buffer) with
-  | Port.Sampling { refresh }, Sampling_slot slot -> (
-    match slot.content with
-    | None -> Ok (Bytes.create 0, Invalid)
-    | Some (msg, written, cid) ->
-      let validity =
-        if Time.(now <= Time.add written refresh) then Valid else Invalid
-      in
-      (match validity with
-      | Invalid -> Air_obs.Metrics.incr t.stale_reads
-      | Valid -> ());
-      Air_obs.Metrics.incr t.messages_received;
-      (* Non-destructive reads repeat; only the first observation of a
-         given message closes its flow. Clearing the stored id keeps one
-         Receive record per delivered message. *)
-      if Air_obs.Causal.is_some cid then begin
-        note_receive t ~now ~caller cid;
-        slot.content <- Some (msg, written, Air_obs.Causal.none)
-      end;
-      Ok (Bytes.copy msg, validity))
-  | (Port.Queuing _ | Port.Sampling _), _ -> Error (Wrong_mode port)
+  by_name t port (fun port -> read_sampling_id t ~caller ~port ~now)
 
-type send_outcome = {
-  delivered : Port_name.t list;
-  overflowed : Port_name.t list;
-}
+type send_outcome = { delivered : port list; overflowed : port list }
 
-let send_queuing t ~caller ~port ~now msg =
-  let* e = find t port in
-  let* e = check_owner caller e in
-  let* e = check_direction Port.Source e in
-  let* e = check_payload msg e in
-  match e.config.Port.kind with
-  | Port.Sampling _ -> Error (Wrong_mode port)
-  | Port.Queuing _ ->
-    let cid = stamp_send t e ~caller ~now in
-    let delivered = ref [] and overflowed = ref [] in
-    List.iter
-      (fun dest ->
-        match Hashtbl.find_opt t.endpoints dest with
-        | Some { buffer = Queuing_buffer { depth; queue }; _ } ->
+let send_queuing_id t ~caller ~port ~now msg =
+  match endpoint_for t ~caller ~port Port.Source with
+  | Error _ as err -> err
+  | Ok e -> (
+    match (payload_error msg e, e.config.Port.kind) with
+    | Some err, _ -> Error err
+    | None, Port.Sampling _ -> Error (Wrong_mode e.config.Port.name)
+    | None, Port.Queuing _ ->
+      let cid = stamp_send t ~port ~caller ~now in
+      let delivered = ref [] and overflowed = ref [] in
+      let dests = t.routes.(port) in
+      (* Backwards, so the lists come out in channel order. *)
+      for i = Array.length dests - 1 downto 0 do
+        let dest = dests.(i) in
+        match t.endpoints.(dest).buffer with
+        | Queuing_buffer { depth; queue } ->
           if Queue.length queue >= depth then begin
             Air_obs.Metrics.incr t.overflows;
             overflowed := dest :: !overflowed
@@ -242,12 +266,15 @@ let send_queuing t ~caller ~port ~now msg =
             Air_obs.Metrics.add t.bytes_copied (Bytes.length msg);
             delivered := dest :: !delivered
           end
-        | Some _ | None -> ())
-      (destinations t port);
-    Air_obs.Metrics.incr t.messages_sent;
-    record_instant t ~now ~track:(Partition_id.index caller) ~port
-      "ipc.send-queuing";
-    Ok { delivered = List.rev !delivered; overflowed = List.rev !overflowed }
+        | Sampling_slot _ | Source_end -> ()
+      done;
+      Air_obs.Metrics.incr t.messages_sent;
+      record_instant t ~now ~track:(Partition_id.index caller)
+        ~port:e.config.Port.name "ipc.send-queuing";
+      Ok { delivered = !delivered; overflowed = !overflowed })
+
+let send_queuing t ~caller ~port ~now msg =
+  by_name t port (fun port -> send_queuing_id t ~caller ~port ~now msg)
 
 let pop_queuing t ?now queue =
   let msg, sent, cid = Queue.pop queue in
@@ -257,30 +284,41 @@ let pop_queuing t ?now queue =
   (match now with
   | None -> ()
   | Some now ->
-    let latency = Stdlib.max 0 (now - sent) in
+    let latency = Int.max 0 (now - sent) in
     Air_obs.Metrics.observe t.delivery_latency latency;
     (match t.on_delivery with
     | None -> ()
     | Some f -> f ~latency));
   (msg, cid)
 
+let receive_queuing_id ?now t ~caller ~port =
+  match endpoint_for t ~caller ~port Port.Destination with
+  | Error _ as err -> err
+  | Ok e -> (
+    match e.buffer with
+    | Queuing_buffer { queue; _ } ->
+      if Queue.is_empty queue then Ok None
+      else begin
+        let msg, cid = pop_queuing t ?now queue in
+        (* Clock-less legacy callers contribute neither a latency sample
+           nor a flow close; every runtime path passes [~now]. *)
+        (match now with
+        | Some now -> note_receive t ~now ~caller cid
+        | None -> ());
+        Ok (Some msg)
+      end
+    | Sampling_slot _ | Source_end -> Error (Wrong_mode e.config.Port.name))
+
 let receive_queuing ?now t ~caller ~port =
-  let* e = find t port in
-  let* e = check_owner caller e in
-  let* e = check_direction Port.Destination e in
-  match e.buffer with
-  | Queuing_buffer { queue; _ } ->
-    if Queue.is_empty queue then Ok None
-    else begin
-      let msg, cid = pop_queuing t ?now queue in
-      (* Clock-less legacy callers contribute neither a latency sample
-         nor a flow close; every runtime path passes [~now]. *)
-      (match now with
-      | Some now -> note_receive t ~now ~caller cid
-      | None -> ());
-      Ok (Some msg)
-    end
-  | Sampling_slot _ | Source_end -> Error (Wrong_mode port)
+  by_name t port (fun port -> receive_queuing_id ?now t ~caller ~port)
+
+(* The queue behind [port], if it is a queuing destination. *)
+let queue_of t port =
+  if valid t port then
+    match t.endpoints.(port).buffer with
+    | Queuing_buffer { queue; _ } -> Some queue
+    | Sampling_slot _ | Source_end -> None
+  else None
 
 (* Gateway drain towards a cluster link: identical accounting to
    [receive_queuing ~now] (so cluster metrics and telemetry match the
@@ -288,29 +326,26 @@ let receive_queuing ?now t ~caller ~port =
    [Forward] — the message is changing modules, not being consumed — and
    the id is surfaced so the link transfer can carry it. *)
 let drain t ~port ~now =
-  match Hashtbl.find_opt t.endpoints port with
-  | Some { buffer = Queuing_buffer { queue; _ }; _ } ->
-    if Queue.is_empty queue then None
-    else begin
-      let msg, cid = pop_queuing t ~now queue in
-      (match t.causal with
-      | None -> ()
-      | Some c -> Air_obs.Causal.forward c ~now cid);
-      Some (msg, cid)
-    end
+  match queue_of t port with
+  | Some queue when not (Queue.is_empty queue) ->
+    let msg, cid = pop_queuing t ~now queue in
+    (match t.causal with
+    | None -> ()
+    | Some c -> Air_obs.Causal.forward c ~now cid);
+    Some (msg, cid)
   | Some _ | None -> None
 
 let pending t ~port =
-  match Hashtbl.find_opt t.endpoints port with
-  | Some { buffer = Queuing_buffer { queue; _ }; _ } -> Queue.length queue
-  | Some _ | None -> 0
+  match queue_of t port with
+  | Some queue -> Queue.length queue
+  | None -> 0
 
 type inject_outcome = Injected | Inject_overflow | Inject_bad_port
 
 let inject ?(cid = Air_obs.Causal.none) t ~port ~now msg =
-  match Hashtbl.find_opt t.endpoints port with
-  | None -> Inject_bad_port
-  | Some e ->
+  if not (valid t port) then Inject_bad_port
+  else
+    let e = t.endpoints.(port) in
     if
       Bytes.length msg = 0
       || Bytes.length msg > e.config.Port.max_message_size
@@ -320,7 +355,8 @@ let inject ?(cid = Air_obs.Causal.none) t ~port ~now msg =
       | Sampling_slot slot ->
         slot.content <- Some (Bytes.copy msg, now, cid);
         Air_obs.Metrics.add t.bytes_copied (Bytes.length msg);
-        record_instant t ~now ~track:(-1) ~port "ipc.inject";
+        record_instant t ~now ~track:(-1) ~port:e.config.Port.name
+          "ipc.inject";
         Injected
       | Queuing_buffer { depth; queue } ->
         if Queue.length queue >= depth then begin
@@ -330,7 +366,8 @@ let inject ?(cid = Air_obs.Causal.none) t ~port ~now msg =
         else begin
           Queue.push (Bytes.copy msg, now, cid) queue;
           Air_obs.Metrics.add t.bytes_copied (Bytes.length msg);
-          record_instant t ~now ~track:(-1) ~port "ipc.inject";
+          record_instant t ~now ~track:(-1) ~port:e.config.Port.name
+            "ipc.inject";
           Injected
         end
       | Source_end -> Inject_bad_port
@@ -344,9 +381,12 @@ let inject ?(cid = Air_obs.Causal.none) t ~port ~now msg =
 type perturb_outcome = Perturbed | No_message | Perturb_bad_port
 
 let dest_endpoint t ~port =
-  match Hashtbl.find_opt t.endpoints port with
-  | None | Some { buffer = Source_end; _ } -> None
-  | Some e -> Some e
+  match resolve t port with
+  | -1 -> None
+  | id -> (
+    match t.endpoints.(id) with
+    | { buffer = Source_end; _ } -> None
+    | e -> Some e)
 
 let drop_head ?(now = 0) t ~port =
   match dest_endpoint t ~port with

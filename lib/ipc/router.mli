@@ -5,15 +5,38 @@
     separation (paper Sect. 2.1): a write through a source port is fanned
     out, by copy, into the buffers of every destination port of the channel.
     The router owns those buffers; partitions only ever see copies of their
-    own messages. *)
+    own messages.
+
+    {2 Port IDs}
+
+    The router addresses every port by its ID: the port's position in the
+    network's declaration order, which is also the port field of every
+    causal id stamped here. Channels are routed as arrays of destination
+    IDs. A name is resolved once ({!resolve}), the way APEX's
+    [CREATE_SAMPLING_PORT] and [CREATE_QUEUING_PORT] return a [PORT_ID]
+    that every later write, read, send and receive takes: the module
+    resolves each port a script action names when it boots, and a cluster
+    resolves each link's gateway and ingress when it is created. Events and
+    errors still name ports, through {!port_name}.
+
+    Four name-keyed services remain, each a {!resolve} followed by its
+    ID-keyed form: {!write_sampling}, {!read_sampling}, {!send_queuing} and
+    {!receive_queuing}, for callers that hold names and run off the tick
+    path (benchmarks, tests). The fault-injection perturbations are
+    name-keyed too: a campaign names the port it strikes. *)
 
 open Air_sim
 open Air_model.Ident
 
 type t
 
+type port = int
+(** A port ID. *)
+
 type error =
   | Unknown_port of Port_name.t
+      (** The port as the caller named it: its name, or [#ID] for an ID no
+          port has. *)
   | Not_owner of { port : Port_name.t; caller : Partition_id.t }
       (** Port belongs to a different partition. *)
   | Wrong_direction of Port_name.t
@@ -41,20 +64,52 @@ val create :
     buffered payload, and records send/receive/forward/perturbation hops
     into the tracker — all allocation-free. *)
 
-val port_names : t -> (int * string) list
-(** Declaration index → port name, sorted by index — resolves the port
-    field of a causal id back to its name. *)
+val resolve : t -> Port_name.t -> port
+(** The ID of the named port, or [-1] when the network declares no port of
+    that name. Every service fails on [-1] as on an unknown name:
+    [Unknown_port], [Inject_bad_port], [None] or [0]. *)
+
+val port_name : t -> port -> Port_name.t
+(** The name of port [port], or ["#ID"] for an ID no port has. *)
+
+val port_config : t -> port -> Port.config
+(** The configuration of port [port]. Raises [Invalid_argument] for an ID
+    no port has. *)
+
+val port_names : t -> (port * string) list
+(** ID → port name, sorted by ID — resolves the port field of a causal id
+    back to its name. *)
 
 val set_delivery_observer : t -> (latency:int -> unit) -> unit
 (** Install the observer invoked with each queuing delivery latency sample
     (see {!receive_queuing}); the telemetry layer uses this to feed its
     per-frame latency percentiles without the router depending on it. *)
 
-val port_config : t -> Port_name.t -> Port.config option
-
 (** {1 Sampling mode} *)
 
 type validity = Valid | Invalid
+
+val write_sampling_id :
+  t ->
+  caller:Partition_id.t ->
+  port:port ->
+  now:Time.t ->
+  bytes ->
+  (unit, error) result
+(** Copies the message into every destination slot of the port's channel
+    (no channel attached: the write succeeds and the message goes nowhere,
+    as with an unconnected physical link). *)
+
+val read_sampling_id :
+  t ->
+  caller:Partition_id.t ->
+  port:port ->
+  now:Time.t ->
+  (bytes * validity, error) result
+(** Non-destructive read of the destination slot. An empty slot reads as an
+    empty message with [Invalid] validity; a stale message (older than the
+    port's refresh period) reads [Invalid]. The returned bytes are a fresh
+    copy. *)
 
 val write_sampling :
   t ->
@@ -63,9 +118,7 @@ val write_sampling :
   now:Time.t ->
   bytes ->
   (unit, error) result
-(** Copies the message into every destination slot of the port's channel
-    (no channel attached: the write succeeds and the message goes nowhere,
-    as with an unconnected physical link). *)
+(** {!write_sampling_id} on the named port. *)
 
 val read_sampling :
   t ->
@@ -73,33 +126,30 @@ val read_sampling :
   port:Port_name.t ->
   now:Time.t ->
   (bytes * validity, error) result
-(** Non-destructive read of the destination slot. An empty slot reads as an
-    empty message with [Invalid] validity; a stale message (older than the
-    port's refresh period) reads [Invalid]. The returned bytes are a fresh
-    copy. *)
+(** {!read_sampling_id} on the named port. *)
 
 (** {1 Queuing mode} *)
 
 type send_outcome = {
-  delivered : Port_name.t list;
-  overflowed : Port_name.t list;
+  delivered : port list;
+  overflowed : port list;
       (** Destinations whose queue was full; the message was discarded
           there and the overflow is reported to health monitoring. *)
 }
 
-val send_queuing :
+val send_queuing_id :
   t ->
   caller:Partition_id.t ->
-  port:Port_name.t ->
+  port:port ->
   now:Time.t ->
   bytes ->
   (send_outcome, error) result
 
-val receive_queuing :
+val receive_queuing_id :
   ?now:Time.t ->
   t ->
   caller:Partition_id.t ->
-  port:Port_name.t ->
+  port:port ->
   (bytes option, error) result
 (** [Ok None] when the queue is empty (the APEX layer maps it to
     NOT_AVAILABLE or blocks the caller). FIFO order. When [now] is given,
@@ -108,18 +158,35 @@ val receive_queuing :
     {!set_delivery_observer} observer, and closes the message's causal
     flow with a [Receive] record. *)
 
+val send_queuing :
+  t ->
+  caller:Partition_id.t ->
+  port:Port_name.t ->
+  now:Time.t ->
+  bytes ->
+  (send_outcome, error) result
+(** {!send_queuing_id} on the named port. *)
+
+val receive_queuing :
+  ?now:Time.t ->
+  t ->
+  caller:Partition_id.t ->
+  port:Port_name.t ->
+  (bytes option, error) result
+(** {!receive_queuing_id} on the named port. *)
+
 val drain :
-  t -> port:Port_name.t -> now:Time.t -> (bytes * Air_obs.Causal.id) option
+  t -> port:port -> now:Time.t -> (bytes * Air_obs.Causal.id) option
 (** Gateway pop towards a cluster link: same pop, metric and latency
-    accounting as [receive_queuing ~now] on the port's owner, but the
+    accounting as [receive_queuing_id ~now] on the port's owner, but the
     causal record is a [Forward] (the message continues to another
     module) and the buffered correlation id is returned so the link
     transfer can carry it. [None] on empty, unknown or non-queuing
     ports. *)
 
-val pending : t -> port:Port_name.t -> int
-(** Messages currently queued at a destination port (0 for sampling and
-    source ports). *)
+val pending : t -> port:port -> int
+(** Messages currently queued at a destination port (0 for unknown,
+    sampling and source ports). *)
 
 (** {1 Remote delivery}
 
@@ -134,16 +201,17 @@ type inject_outcome = Injected | Inject_overflow | Inject_bad_port
 val inject :
   ?cid:Air_obs.Causal.id ->
   t ->
-  port:Port_name.t ->
+  port:port ->
   now:Time.t ->
   bytes ->
   inject_outcome
 (** Write into a destination port: overwrite for sampling, enqueue for
     queuing (bounded — [Inject_overflow] on a full queue). Size limits are
-    enforced as for local traffic ([Inject_bad_port] also covers oversized
-    or empty messages). [cid] (default {!Air_obs.Causal.none}) is the
-    correlation id the message carried on the wire; it is stored with the
-    payload so the eventual receive closes the originating flow. *)
+    enforced as for local traffic: [Inject_bad_port] covers oversized or
+    empty messages as well as unknown and source ports. [cid] (default
+    {!Air_obs.Causal.none}) is the correlation id the message carried on
+    the wire; it is stored with the payload so the eventual receive closes
+    the originating flow. *)
 
 (** {1 Fault-injection perturbations}
 

@@ -173,7 +173,7 @@ let view_quantile (h : histogram_view) ~num ~den =
         let seen = seen + h.view_buckets.(i) in
         if seen >= rank then
           if i < Array.length h.view_bounds then
-            Stdlib.min h.view_bounds.(i) h.view_peak
+            Int.min h.view_bounds.(i) h.view_peak
           else h.view_peak
         else walk (i + 1) seen
       end

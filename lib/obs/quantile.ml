@@ -109,7 +109,7 @@ let value_at t ~num ~den =
       if i >= bucket_count then t.max_v
       else begin
         let seen = seen + t.counts.(i) in
-        if seen >= rank then Stdlib.min (bucket_high i) t.max_v
+        if seen >= rank then Int.min (bucket_high i) t.max_v
         else walk (i + 1) seen
       end
     in

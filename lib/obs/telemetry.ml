@@ -128,7 +128,7 @@ type t = {
 let create ?(config = default_config) ~partition_count () =
   if partition_count < 0 then
     invalid_arg "Telemetry.create: negative partition count";
-  let n = Stdlib.max 1 partition_count in
+  let n = Int.max 1 partition_count in
   { cfg = config;
     partition_count;
     closed = Queue.create ();

@@ -42,7 +42,7 @@ let span_row (s : Span.span) =
           "{\"name\":\"%s\",\"ph\":\"X\",\"ts\":%d,\"dur\":%d,\"pid\":%d,\
            \"tid\":%d%s}"
           (esc s.Span.name) s.Span.start
-          (Stdlib.max 0 (s.Span.stop - s.Span.start))
+          (Int.max 0 (s.Span.stop - s.Span.start))
           pid tid
           (args_field s.Span.detail) }
   | Span.Open ->

@@ -45,8 +45,8 @@ let create kernel =
     events = Hashtbl.create 8;
     blackboards = Hashtbl.create 8;
     buffers = Hashtbl.create 8;
-    mailboxes = Array.make (Stdlib.max n 1) None;
-    pending_sends = Array.make (Stdlib.max n 1) None }
+    mailboxes = Array.make (Int.max n 1) None;
+    pending_sends = Array.make (Int.max n 1) None }
 
 type create_error = Already_exists of string | Bad_parameter of string
 

@@ -15,7 +15,7 @@ type wait_reason =
   | On_event of string
   | On_buffer of string
   | On_blackboard of string
-  | On_queuing_port of string
+  | On_queuing_port of int
   | Suspended
 
 let pp_wait_reason ppf = function
@@ -25,7 +25,7 @@ let pp_wait_reason ppf = function
   | On_event e -> Format.fprintf ppf "event %s" e
   | On_buffer b -> Format.fprintf ppf "buffer %s" b
   | On_blackboard b -> Format.fprintf ppf "blackboard %s" b
-  | On_queuing_port p -> Format.fprintf ppf "queuing-port %s" p
+  | On_queuing_port p -> Format.fprintf ppf "queuing-port #%d" p
   | Suspended -> Format.pp_print_string ppf "suspended"
 
 type hooks = {
@@ -541,6 +541,21 @@ let waiters_priority t pred =
          | 0 -> Int.compare a.block_seq b.block_seq
          | c -> c)
   |> List.map fst
+
+let port_waiter t port =
+  let best = ref (-1) in
+  for q = 0 to Array.length t.pcbs - 1 do
+    let p = t.pcbs.(q) in
+    match (p.state, p.wait) with
+    | Process.Waiting, Some (On_queuing_port id)
+      when id = port
+           && (!best < 0 || p.block_seq < t.pcbs.(!best).block_seq) ->
+      best := q
+    | (Process.Dormant | Process.Ready | Process.Running | Process.Waiting), _
+      ->
+      ()
+  done;
+  !best
 
 let find_by_name t name =
   let n = Array.length t.pcbs in

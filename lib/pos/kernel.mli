@@ -32,7 +32,7 @@ type wait_reason =
   | On_event of string
   | On_buffer of string
   | On_blackboard of string
-  | On_queuing_port of string
+  | On_queuing_port of int  (** The port's router ID. *)
   | Suspended
 
 val pp_wait_reason : Format.formatter -> wait_reason -> unit
@@ -186,6 +186,12 @@ val waiters_fifo : t -> (wait_reason -> bool) -> int list
 
 val waiters_priority : t -> (wait_reason -> bool) -> int list
 (** Same, ordered by current priority (ties by blocking order). *)
+
+val port_waiter : t -> int -> int
+(** The process blocked longest on queuing port [port] (least blocking
+    order), found in one scan of the process table; [-1] when none waits.
+    Allocation-free: the first element of {!waiters_fifo} for that
+    port. *)
 
 val find_by_name : t -> string -> int option
 

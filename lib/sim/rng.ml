@@ -47,7 +47,7 @@ let log_uniform t lo hi =
   let llo = log (Stdlib.float_of_int lo)
   and lhi = log (Stdlib.float_of_int (hi + 1)) in
   let v = exp (llo +. float t (lhi -. llo)) in
-  Stdlib.min hi (Stdlib.max lo (int_of_float v))
+  Int.min hi (Int.max lo (int_of_float v))
 
 let shuffle t a =
   for i = Array.length a - 1 downto 1 do

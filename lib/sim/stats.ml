@@ -72,7 +72,7 @@ let histogram ~bins xs =
   Array.iter
     (fun x ->
       let i = int_of_float ((x -. lo) /. width) in
-      let i = Stdlib.min (bins - 1) (Stdlib.max 0 i) in
+      let i = Int.min (bins - 1) (Int.max 0 i) in
       counts.(i) <- counts.(i) + 1)
     xs;
   { lo; width; counts }

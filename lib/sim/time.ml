@@ -22,8 +22,11 @@ let compare = Int.compare
 let equal = Int.equal
 let ( <= ) (a : t) (b : t) = a <= b
 let ( < ) (a : t) (b : t) = a < b
-let min (a : t) (b : t) = Stdlib.min a b
-let max (a : t) (b : t) = Stdlib.max a b
+(* Int comparisons, not [Stdlib.min]/[Stdlib.max]: those are polymorphic
+   and end in a C call to the generic compare unless inlined, which the
+   [-opaque] builds of the dev profile never do. *)
+let min (a : t) (b : t) = if a <= b then a else b
+let max (a : t) (b : t) = if a >= b then a else b
 
 let rec gcd a b = if b = 0 then a else gcd b (a mod b)
 

@@ -86,7 +86,7 @@ let create ~partitions ~lanes cfg =
     aggregate_budget = Array.fold_left ( + ) 0 budgets;
     curve_thresholds = Array.of_list (List.map fst cfg.curve);
     curve_steps = Array.of_list (List.map snd cfg.curve);
-    max_step = List.fold_left (fun acc (_, s) -> Stdlib.max acc s) 0 cfg.curve;
+    max_step = List.fold_left (fun acc (_, s) -> Int.max acc s) 0 cfg.curve;
     demand = Array.make partitions 0;
     lane_demand = Array.make lanes 0;
     stall = Array.make partitions 0;
@@ -127,7 +127,7 @@ let charge t ~partition ~cost =
       let overage =
         (t.total_demand - t.aggregate_budget)
         * 1000
-        / Stdlib.max 1 t.aggregate_budget
+        / Int.max 1 t.aggregate_budget
       in
       t.stall.(partition) <- t.stall.(partition) + curve_step t overage
     end;
@@ -157,9 +157,9 @@ let compute_headroom t ~partition ~lane ~charging =
     in
     if busy < 2 && charging < 2 then own
     else
-      Stdlib.min own
-        (Stdlib.max 0 (t.aggregate_budget - t.total_demand)
-        / (cost * Stdlib.max 1 charging))
+      Int.min own
+        (Int.max 0 (t.aggregate_budget - t.total_demand)
+        / (cost * Int.max 1 charging))
   end
 
 let stall_pending t ~partition = t.stall.(partition) > 0

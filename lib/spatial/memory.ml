@@ -120,7 +120,7 @@ let allocate ?(base = 0x4000_0000) parts =
       let regions =
         List.map
           (fun { req_section; req_size } ->
-            let size = round_up (Stdlib.max 1 req_size) in
+            let size = round_up (Int.max 1 req_size) in
             let r = region ~base:!cursor ~size req_section in
             cursor := !cursor + size;
             r)

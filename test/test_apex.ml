@@ -69,7 +69,9 @@ let blocked_receiver_woken_by_send () =
   in
   check Alcotest.bool "received several" true (received >= 3);
   (* Every send was consumed: nothing left pending. *)
-  check Alcotest.int "drained" 0 (Air_ipc.Router.pending (System.router s) ~port:"IN")
+  let r = System.router s in
+  check Alcotest.int "drained" 0
+    (Air_ipc.Router.pending r ~port:(Air_ipc.Router.resolve r "IN"))
 
 let polling_receiver_sees_not_available () =
   let s = queuing_system ~receiver_timeout:Time.zero () in
@@ -131,7 +133,10 @@ let remote_delivery_payload_reaches_mailbox () =
     (Process.state_equal (Kernel.state (System.kernel_of s (pid 1)) 0)
        Process.Waiting);
   (* Simulate the communication infrastructure delivering a frame. *)
-  Result.get_ok (System.deliver_remote s ~port:"IN" (Bytes.of_string "pkt"));
+  Result.get_ok
+    (System.deliver_remote s
+       ~port:(Air_ipc.Router.resolve (System.router s) "IN")
+       (Bytes.of_string "pkt"));
   check Alcotest.bool "receiver woken" true
     (Process.state_equal (Kernel.state (System.kernel_of s (pid 1)) 0)
        Process.Ready);
@@ -282,19 +287,23 @@ let port_errors_via_apex () =
       mode = (fun () -> Partition.Normal);
       set_mode = (fun _ -> ()) }
   in
+  (* Ports are bound by ID, as boot binds a script's ports. *)
+  let port = Air_ipc.Router.resolve (System.router s) in
   (* Sampling operation on a queuing port. *)
   (match
-     Apex.write_sampling_message env ~process:0 ~port:"OUT"
+     Apex.write_sampling_message env ~process:0 ~port:(port "OUT")
        (Bytes.of_string "x")
    with
   | Apex.Done c -> check rc "wrong mode" Apex.Invalid_mode c
   | _ -> Alcotest.fail "should complete");
   (* Unknown port. *)
-  (match Apex.read_sampling_message env ~process:0 ~port:"NOPE" with
+  (match Apex.read_sampling_message env ~process:0 ~port:(port "NOPE") with
   | Apex.Done c -> check rc "unknown port" Apex.Invalid_config c
   | _ -> Alcotest.fail "should complete");
   (* Receiving on another partition's port. *)
-  match Apex.receive_queuing_message env ~process:0 ~port:"IN" ~timeout:0 with
+  match
+    Apex.receive_queuing_message env ~process:0 ~port:(port "IN") ~timeout:0
+  with
   | Apex.Done c -> check rc "not owner" Apex.Invalid_config c
   | _ -> Alcotest.fail "should complete"
 

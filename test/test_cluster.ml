@@ -15,6 +15,11 @@ let sid = Schedule_id.make
 let w partition offset duration = { Schedule.partition; offset; duration }
 let q partition cycle duration = { Schedule.partition; cycle; duration }
 
+(* Messages queued at the named port of a module. *)
+let pending sys name =
+  let r = System.router sys in
+  Router.pending r ~port:(Router.resolve r name)
+
 (* --- Router.inject -------------------------------------------------------- *)
 
 let inject_net =
@@ -29,26 +34,27 @@ let inject_net =
 
 let inject_semantics () =
   let r = Router.create inject_net in
+  let id = Router.resolve r in
   check Alcotest.bool "queuing inject" true
-    (Router.inject r ~port:"QD" ~now:0 (Bytes.of_string "a") = Router.Injected);
-  check Alcotest.int "pending" 1 (Router.pending r ~port:"QD");
-  ignore (Router.inject r ~port:"QD" ~now:0 (Bytes.of_string "b"));
+    (Router.inject r ~port:(id "QD") ~now:0 (Bytes.of_string "a") = Router.Injected);
+  check Alcotest.int "pending" 1 (Router.pending r ~port:(id "QD"));
+  ignore (Router.inject r ~port:(id "QD") ~now:0 (Bytes.of_string "b"));
   check Alcotest.bool "overflow" true
-    (Router.inject r ~port:"QD" ~now:0 (Bytes.of_string "c")
+    (Router.inject r ~port:(id "QD") ~now:0 (Bytes.of_string "c")
      = Router.Inject_overflow);
   check Alcotest.bool "sampling inject" true
-    (Router.inject r ~port:"SD" ~now:5 (Bytes.of_string "x") = Router.Injected);
+    (Router.inject r ~port:(id "SD") ~now:5 (Bytes.of_string "x") = Router.Injected);
   (match Router.read_sampling r ~caller:(pid 0) ~port:"SD" ~now:6 with
   | Ok (m, Router.Valid) -> check Alcotest.string "read" "x" (Bytes.to_string m)
   | _ -> Alcotest.fail "sampling read after inject");
   check Alcotest.bool "source rejected" true
-    (Router.inject r ~port:"SRC" ~now:0 (Bytes.of_string "x")
+    (Router.inject r ~port:(id "SRC") ~now:0 (Bytes.of_string "x")
      = Router.Inject_bad_port);
   check Alcotest.bool "unknown rejected" true
-    (Router.inject r ~port:"NOPE" ~now:0 (Bytes.of_string "x")
+    (Router.inject r ~port:(id "NOPE") ~now:0 (Bytes.of_string "x")
      = Router.Inject_bad_port);
   check Alcotest.bool "oversized rejected" true
-    (Router.inject r ~port:"QD" ~now:0 (Bytes.make 99 'x')
+    (Router.inject r ~port:(id "QD") ~now:0 (Bytes.make 99 'x')
      = Router.Inject_bad_port)
 
 (* --- Two-module cluster ---------------------------------------------------- *)
@@ -136,7 +142,7 @@ let cross_module_delivery () =
   (* Gateway fully drained. *)
   let sensor = (Cluster.systems cluster).(0) in
   check Alcotest.int "gateway empty" 0
-    (Router.pending (System.router sensor) ~port:"TM_GW")
+    (pending sensor "TM_GW")
 
 let bus_latency_respected () =
   (* With a large latency, the first message (sent in tick ~5) cannot
@@ -252,6 +258,47 @@ let bad_link_rejected () =
        false
      with Invalid_argument _ -> true)
 
+(* A link's ports are bound when the cluster is created: a gateway must be
+   a queuing destination port of its source module and an ingress a
+   destination port of its target module, or the link would run dead. *)
+let rejected ~port links modules =
+  match Cluster.create ~links modules with
+  | _ -> Alcotest.failf "a link over %s was accepted" port
+  | exception Invalid_argument m ->
+    check Alcotest.bool ("the error names " ^ port) true
+      (Astring_contains.contains m port)
+
+let link_ports_checked () =
+  let one ~from_port ~to_port =
+    [ Cluster.link ~from_module:0 ~from_port ~to_module:1 ~to_port () ]
+  in
+  rejected ~port:"TM_GWW"
+    (one ~from_port:"TM_GWW" ~to_port:"TM_IN")
+    [ sensor_module (); ground_module () ];
+  rejected ~port:"TM_INN"
+    (one ~from_port:"TM_GW" ~to_port:"TM_INN")
+    [ sensor_module (); ground_module () ];
+  (* A source port holds nothing to drain, and takes no delivery. *)
+  rejected ~port:"TM_SRC"
+    (one ~from_port:"TM_SRC" ~to_port:"TM_IN")
+    [ sensor_module (); ground_module () ];
+  rejected ~port:"TM_SRC"
+    (one ~from_port:"TM_GW" ~to_port:"TM_SRC")
+    [ sensor_module (); sensor_module () ];
+  (* The shipped constellation node wired as a mesh: it declares TX0
+     only, so the twelve TX1 links would never carry a frame. *)
+  let node () =
+    match
+      Air_config.Loader.load_file "../examples/configs/constellation_node.air"
+    with
+    | Ok cfg -> System.create cfg
+    | Error e -> Alcotest.fail e
+  in
+  rejected ~port:"TX1"
+    (Air_fleet.Topology.links ~gateway:"TX" ~ingress:"RX"
+       Air_fleet.Topology.Mesh ~n:12)
+    (List.init 12 (fun _ -> node ()))
+
 (* Conservation: every message sent into the gateway is accounted for —
    delivered across, still in flight, still in the gateway, or recorded as
    target overflow. *)
@@ -274,7 +321,7 @@ let qcheck_conservation =
       in
       ignore ground;
       let stats = Cluster.stats cluster in
-      let in_gateway = Router.pending (System.router sensor) ~port:"TM_GW" in
+      let in_gateway = pending sensor "TM_GW" in
       (* Every message drained from the gateway ends up exactly one of:
          transferred (possibly overflowing at the target, which is still a
          bus-level delivery), dropped (bad target port), or in flight. *)
@@ -309,7 +356,7 @@ let bus_drop_accounted () =
   check Alcotest.int "conservation with drop" sent
     (stats.Cluster.transferred + stats.Cluster.dropped
     + stats.Cluster.in_flight
-    + Router.pending (System.router sensor) ~port:"TM_GW")
+    + pending sensor "TM_GW")
 
 let bus_duplicate_delivers_twice () =
   let cluster =
@@ -330,7 +377,7 @@ let bus_duplicate_delivers_twice () =
   check Alcotest.int "one extra delivery" (sent + 1)
     (stats.Cluster.transferred + stats.Cluster.dropped
     + stats.Cluster.in_flight
-    + Router.pending (System.router sensor) ~port:"TM_GW");
+    + pending sensor "TM_GW");
   let ground = (Cluster.systems cluster).(1) in
   let received =
     Air_sim.Trace.count
@@ -506,6 +553,8 @@ let suite =
     Alcotest.test_case "cluster: modules remain isolated" `Quick
       modules_remain_isolated;
     Alcotest.test_case "cluster: bad link rejected" `Quick bad_link_rejected;
+    Alcotest.test_case "cluster: link ports checked at creation" `Quick
+      link_ports_checked;
     Alcotest.test_case "cluster: duplicate gateway rejected" `Quick
       duplicate_gateway_rejected;
     QCheck_alcotest.to_alcotest qcheck_conservation;

@@ -137,7 +137,7 @@ let modes_agree_dense =
 
 (* One partition owns the whole 50-tick MTF and runs a single process with
    [body] on repeat. *)
-let dense_system ?causal body () =
+let dense_system ?causal ?hm_tables body () =
   let p =
     Partition.make ~id:(pid 0) ~name:"dense"
       [ Process.spec ~base_priority:1 "spin" ]
@@ -149,7 +149,7 @@ let dense_system ?causal body () =
       [ w (pid 0) 0 50 ]
   in
   System.create
-    (System.config ?causal
+    (System.config ?causal ?hm_tables
        ~partitions:[ System.partition_setup p [ script ] ]
        ~schedules:[ schedule ] ())
 
@@ -192,6 +192,36 @@ let long_compute_steps_once_per_mtf () =
   check Alcotest.int "one stepped tick per MTF" (10_000 / 50)
     stats.Engine.stepped;
   check Alcotest.int "the rest skipped" 9_800 stats.Engine.skipped
+
+(* The probe report ([Engine.next_proved]): set when an advance ends on a
+   probe's skip, to the tick a fresh probe would name; cleared by a
+   stepped tick and at the start of every advance, so a halted module
+   reports nothing. On the long compute only each MTF boundary (every
+   50 ticks) is interesting. *)
+let probe_report () =
+  let sys =
+    dense_system ~hm_tables:Air.Hm.strict_tables long_compute_body ()
+  in
+  let engine = Engine.create sys in
+  (* Tick 0 is stepped, then the skip runs to the end of the budget. *)
+  Engine.advance engine ~ticks:10;
+  check Alcotest.int "an advance ending on a skip reports" 50
+    (Engine.next_proved engine);
+  check Alcotest.bool "the module is quiescent" true (System.quiescent sys);
+  check Alcotest.int "as a fresh probe would" 50
+    (Air_exec.Clock.next_interesting sys);
+  (* The skip stops short of tick 50, which is stepped last. *)
+  Engine.advance engine ~ticks:41;
+  check Alcotest.int "a stepped tick clears it" (-1)
+    (Engine.next_proved engine);
+  Engine.advance engine ~ticks:10;
+  check Alcotest.int "the next frame's boundary" 100
+    (Engine.next_proved engine);
+  System.inject_module_error sys Error.Power_failure ~detail:"test";
+  check Alcotest.bool "halted" true (System.halted sys <> None);
+  Engine.advance engine ~ticks:10;
+  check Alcotest.int "a halted module reports nothing" (-1)
+    (Engine.next_proved engine)
 
 (* Tentpole acceptance: the steady-state per-tick path allocates nothing.
    After the boot transient, [System.step] on the dense module must not
@@ -403,7 +433,9 @@ let span_rows =
         [ ( 61,
             fun sys ->
               ignore
-                (System.deliver_remote sys ~port:"CMD" (Bytes.of_string "go"))
+                (System.deliver_remote sys
+                   ~port:(Air_ipc.Router.resolve (System.router sys) "CMD")
+                   (Bytes.of_string "go"))
           ) ];
       witness = (fun ~cores:_ sys -> output_at sys "cmd" = [ 63 ]) };
     { cause = "round-robin partition and preemption-locked heir";
@@ -550,23 +582,6 @@ let profiler_attributes_by_mode () =
   check Alcotest.bool "adaptive: skips engaged" true (stats.Engine.skipped > 0);
   check Alcotest.bool "adaptive: density sampled" true
     (Air_exec.Profiler.density_trajectory p <> [])
-
-(* --- Horizon arithmetic -------------------------------------------------- *)
-
-(* [Clock.horizon] must saturate at [Time.infinity] instead of wrapping
-   when [now + remaining + 1] would exceed [max_int] — a watch running
-   with an effectively unbounded budget near the end of the representable
-   range would otherwise compute a negative bound and stall the skip. *)
-let horizon_saturates_near_max_int () =
-  check Alcotest.int "normal case is one past the budget" 11
-    (Air_exec.Clock.horizon ~now:0 ~remaining:10);
-  check Alcotest.int "overflowing sum saturates" Time.infinity
-    (Air_exec.Clock.horizon ~now:(Time.infinity - 5) ~remaining:10);
-  check Alcotest.int "exact boundary saturates" Time.infinity
-    (Air_exec.Clock.horizon ~now:10 ~remaining:(Time.infinity - 10));
-  check Alcotest.int "just below the boundary stays finite"
-    (Time.infinity - 1)
-    (Air_exec.Clock.horizon ~now:10 ~remaining:(Time.infinity - 12))
 
 (* --- The Sect. 6 prototype ---------------------------------------------- *)
 
@@ -777,12 +792,11 @@ let suite =
       compute_span_boundaries;
     Alcotest.test_case "dense module: steady tick is allocation-free" `Quick
       steady_state_tick_is_allocation_free;
+    Alcotest.test_case "engine: the probe report" `Quick probe_report;
     Alcotest.test_case "profiler: buckets partition the horizon" `Quick
       profiler_buckets_partition_ticks;
     Alcotest.test_case "profiler: attribution per mode" `Quick
       profiler_attributes_by_mode;
-    Alcotest.test_case "horizon saturates near max_int" `Quick
-      horizon_saturates_near_max_int;
     Alcotest.test_case "run_mtfs: whole frames across a schedule switch"
       `Quick run_mtfs_whole_frames_across_switch;
     Alcotest.test_case "satellite: skip-ahead bit-identical" `Quick

@@ -28,9 +28,10 @@ let q partition cycle duration = { Schedule.partition; cycle; duration }
 
 (* One satellite of the constellation: a periodic beacon process feeds the
    shape's gateway ports through a fan-out channel, an aperiodic uplink
-   process drains the ingress port. The causal tracker is on so the
+   process drains the ingress port and, when [forward], sends each frame
+   on through the first gateway. The causal tracker is on so the
    fingerprint also covers cross-module flow records. *)
-let node ~gateways ~period ~wcet ~payload () =
+let node ?(forward = false) ~gateways ~period ~wcet ~payload () =
   let sat = pid 0 in
   let src g = "SRC_" ^ g in
   (* Queuing channels are strictly 1:1: one source port per gateway. *)
@@ -71,8 +72,11 @@ let node ~gateways ~period ~wcet ~payload () =
                       (fun g -> Script.Send_queuing (src g, payload))
                       gateways);
                Script.make
-                 [ Script.Receive_queuing ("RX", Time.infinity);
-                   Script.Log "isl frame" ] ] ]
+                 (Script.Receive_queuing ("RX", Time.infinity)
+                 :: (if forward then
+                       [ Script.Send_queuing (src (List.hd gateways), "fwd") ]
+                     else [])
+                 @ [ Script.Log "isl frame" ]) ] ]
        ~schedules:[ schedule ] ())
 
 type scenario = {
@@ -82,6 +86,7 @@ type scenario = {
   bytes_per_tick : int;
   periods : int array;  (** multiples of the 50-tick MTF, one per node *)
   wcets : int array;
+  forwards : bool array;  (** nodes that send on what they receive *)
   ticks : int;
   domains : int;
 }
@@ -90,8 +95,8 @@ let make_constellation s =
   let gateways = Topology.gateway_ports s.shape ~gateway:"TX" in
   let modules =
     List.init s.n (fun i ->
-        node ~gateways ~period:s.periods.(i) ~wcet:s.wcets.(i)
-          ~payload:(Printf.sprintf "b%d" i) ())
+        node ~forward:s.forwards.(i) ~gateways ~period:s.periods.(i)
+          ~wcet:s.wcets.(i) ~payload:(Printf.sprintf "b%d" i) ())
   in
   Cluster.create
     ~bus:{ Cluster.latency = s.latency; bytes_per_tick = s.bytes_per_tick }
@@ -107,6 +112,7 @@ let ring ?(latency = 3) ?(domains = 2) ?(ticks = 600) n =
     bytes_per_tick = 16;
     periods = Array.init n (fun i -> 50 * (1 + (i mod 3)));
     wcets = Array.init n (fun i -> 2 + (i mod 5));
+    forwards = Array.make n false;
     ticks;
     domains }
 
@@ -185,13 +191,20 @@ let scenario_gen =
     let* bytes_per_tick = int_range 4 32 in
     let* periods = array_size (return n) (map (fun k -> 50 * k) (int_range 1 3)) in
     let* wcets = array_size (return n) (int_range 1 10) in
+    let* forwards = array_size (return n) bool in
     let* ticks = int_range 150 450 in
     let* domains = int_range 2 4 in
-    return { shape; n; latency; bytes_per_tick; periods; wcets; ticks; domains })
+    return
+      { shape; n; latency; bytes_per_tick; periods; wcets; forwards; ticks;
+        domains })
 
 let print_scenario s =
-  Format.asprintf "%a n=%d lat=%d bpt=%d ticks=%d domains=%d" Topology.pp_shape
-    s.shape s.n s.latency s.bytes_per_tick s.ticks s.domains
+  Format.asprintf "%a n=%d lat=%d bpt=%d forwards=%s ticks=%d domains=%d"
+    Topology.pp_shape s.shape s.n s.latency s.bytes_per_tick
+    (String.concat ""
+       (Array.to_list
+          (Array.map (fun f -> if f then "1" else "0") s.forwards)))
+    s.ticks s.domains
 
 let qcheck_equivalence =
   QCheck.Test.make ~name:"random constellations: fleet == sequential"
@@ -450,6 +463,57 @@ let staggered_idlers_and_a_halt () =
   check Alcotest.bool "beacons crossed the bus" true
     ((Cluster.stats reference).Cluster.transferred > 10)
 
+(* The ticks at which a module logged [line]. *)
+let output_at sys line =
+  List.filter_map
+    (fun (time, ev) ->
+      match ev with
+      | Event.Application_output { line = l; _ } when String.equal l line ->
+        Some time
+      | _ -> None)
+    (Trace.to_list (System.trace sys))
+
+let relay_woken_at_a_window_end () =
+  (* A ring of three with a one-tick lookahead. The sender's frame leaves
+     in tick 100, drains at 101 and, one tick on the wire and one of
+     latency later, arrives at the relay at 103. The pacer (its second
+     process, first run in tick 1) has work in tick 102, which ends the
+     window then open at 102 + L = 103, so the arrival is delivered at
+     the window end with no advance after it. The relay's engine proved,
+     in that window's last skip, that it would sleep until its frame
+     ends; the delivery wakes its receiver, which forwards the frame in
+     tick 103. A fleet that kept the proof would leave the relay asleep
+     and the forward would cross the bus late. *)
+  let make () =
+    ring_of ~latency:1
+      [ satellite ~mtf:1000
+          [ ( "tx",
+              Script.make ~on_end:Script.Stop
+                [ Script.Timed_wait 100; Script.Send_queuing ("SRC", "x") ] )
+          ];
+        satellite ~mtf:1000
+          [ ( "relay",
+              Script.make
+                [ Script.Receive_queuing ("RX", Time.infinity);
+                  Script.Send_queuing ("SRC", "fwd") ] ) ];
+        satellite ~mtf:1000
+          [ listener;
+            ( "pace",
+              Script.make ~on_end:Script.Stop
+                [ Script.Timed_wait 101; Script.Log "pace" ] ) ] ]
+  in
+  let reference =
+    fleet_matches_sequential ~what:"relay woken at a window end" ~make
+      ~domains:[ 1; 2; 3; 4 ] (fun run _ -> run 400)
+  in
+  let systems = Cluster.systems reference in
+  check Alcotest.(list int) "the pacer's work" [ 102 ]
+    (output_at systems.(2) "pace");
+  check Alcotest.int "both hops crossed the bus" 2
+    (Cluster.stats reference).Cluster.transferred;
+  check Alcotest.int "the forward was heard" 1
+    (List.length (output_at systems.(2) "heard"))
+
 (* --- Fault campaigns over fleets ------------------------------------------- *)
 
 let campaign_spec =
@@ -613,6 +677,8 @@ let suite =
       fault_between_runs_wakes_sender;
     Alcotest.test_case "fleet: staggered idlers and a halted module" `Quick
       staggered_idlers_and_a_halt;
+    Alcotest.test_case "fleet: a relay woken at a window end forwards" `Quick
+      relay_woken_at_a_window_end;
     Alcotest.test_case "fleet: campaign matches sequential verdicts" `Quick
       campaign_matches_sequential;
     Alcotest.test_case "fleet: campaign reproducible" `Quick

@@ -131,13 +131,18 @@ let queuing_fifo_and_overflow () =
     | Ok outcome -> outcome
     | Error e -> Alcotest.failf "send: %a" Router.pp_error e
   in
+  let names = List.map (Router.port_name r) in
   let o1 = send "one" and o2 = send "two" in
-  check Alcotest.(list string) "delivered" [ "Q_IN" ] o1.Router.delivered;
-  check Alcotest.(list string) "delivered" [ "Q_IN" ] o2.Router.delivered;
+  check Alcotest.(list string) "delivered" [ "Q_IN" ]
+    (names o1.Router.delivered);
+  check Alcotest.(list string) "delivered" [ "Q_IN" ]
+    (names o2.Router.delivered);
   (* depth 2: the third message overflows. *)
   let o3 = send "three" in
-  check Alcotest.(list string) "overflowed" [ "Q_IN" ] o3.Router.overflowed;
-  check Alcotest.int "pending" 2 (Router.pending r ~port:"Q_IN");
+  check Alcotest.(list string) "overflowed" [ "Q_IN" ]
+    (names o3.Router.overflowed);
+  check Alcotest.int "pending" 2
+    (Router.pending r ~port:(Router.resolve r "Q_IN"));
   (match Router.receive_queuing r ~caller:(pid 1) ~port:"Q_IN" with
   | Ok (Some m) -> check Alcotest.string "fifo" "one" (Bytes.to_string m)
   | _ -> Alcotest.fail "expected message");
