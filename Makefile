@@ -23,9 +23,22 @@ bench:
 
 # Regression gate over the two most recent committed artifacts: every row
 # present in both is compared against its group's threshold ratio
-# (bench/diff.ml); nonzero exit on any regression beyond threshold.
+# (bench/diff.ml); nonzero exit on any regression beyond threshold. The
+# comparison must also refuse a malformed artifact: the first 2000 bytes
+# of BENCH_9.json have to exit 2, not compare as a shorter run.
+TRUNCATED = _build/bench-diff-truncated.json
+
 bench-diff:
 	dune exec bench/diff.exe -- BENCH_8.json BENCH_9.json
+	@head -c 2000 BENCH_9.json > $(TRUNCATED)
+	@dune exec bench/diff.exe -- BENCH_8.json $(TRUNCATED) \
+	  > $(TRUNCATED).out 2>&1; \
+	  code=$$?; \
+	  if [ $$code -ne 2 ]; then \
+	    echo "bench-diff: truncated BENCH_9.json exited $$code, not 2:"; \
+	    cat $(TRUNCATED).out; exit 1; \
+	  fi; \
+	  echo "bench-diff: truncated artifact refused: $$(cat $(TRUNCATED).out)"
 
 # Format gate: the build image carries no ocamlformat, so the gate enforces
 # the cheap invariants every formatter run would — no tab characters and no
@@ -155,22 +168,24 @@ e2e-smoke:
 	done
 
 # Configuration robustness pass: air_validate accepts the four shipped
-# module documents. Three broken copies of leo_satellite.air (a zero MTF,
-# a zero queue depth, two overlapping windows against eq. (21)) make both
-# air_validate and air_run exit 1 with a "PATH: …" diagnostic and no
-# escaped exception. A copy of crosslink.air whose link names a gateway
-# the platform module lacks (ATT_GWW) makes air_run exit 1 with a
-# "PATH: air-cluster: …" diagnostic naming the port, where it once ran the
-# link dead. A --domains or --watch below 1 is a usage error (exit
-# 124), and a fleet run reports the domain count it ran on: --domains 13
-# over the 12-module constellation is clamped to 12.
+# module documents and the two group documents. Three broken copies of
+# leo_satellite.air (a zero MTF, a zero queue depth, two overlapping
+# windows against eq. (21)) make both air_validate and air_run exit 1
+# with a "PATH: …" diagnostic and no escaped exception. So does a copy of
+# crosslink.air whose link names a gateway the platform module lacks
+# (ATT_GWW): the diagnostic reads "PATH: air-cluster: …" and names the
+# port, where air_run once ran the link dead. A --domains or --watch below
+# 1 is a usage error (exit 124), and a fleet run reports the domain count
+# it ran on: --domains 13 over the 12-module constellation runs on 12,
+# or on fewer when a warning says the machine recommends fewer.
 SMOKE = _build/config-smoke
 AIR_VALIDATE = $(CURDIR)/_build/default/bin/air_validate.exe
 LEO = $(CONFIGS)/leo_satellite.air
 
 config-smoke:
 	dune build bin/air_validate.exe bin/air_run.exe
-	@for doc in leo_satellite payload platform constellation_node; do \
+	@for doc in leo_satellite payload platform constellation_node \
+	  crosslink constellation; do \
 	  $(AIR_VALIDATE) $(CONFIGS)/$$doc.air > /dev/null || exit 1; \
 	done
 	@mkdir -p $(SMOKE)
@@ -193,16 +208,17 @@ config-smoke:
 	@cp $(CONFIGS)/platform.air $(CONFIGS)/payload.air $(SMOKE)/
 	@sed 's/(from platform ATT_GW)/(from platform ATT_GWW)/' \
 	  $(CONFIGS)/crosslink.air > $(SMOKE)/gateway.air
-	@$(AIR_RUN) $(SMOKE)/gateway.air -t 200 > $(SMOKE)/out 2>&1; \
-	  code=$$?; \
+	@for tool in $(AIR_VALIDATE) $(AIR_RUN); do \
+	  $$tool $(SMOKE)/gateway.air > $(SMOKE)/out 2>&1; code=$$?; \
 	  if [ $$code -ne 1 ] \
 	    || ! grep -q "^$(SMOKE)/gateway.air: air-cluster: .*ATT_GWW" \
 	      $(SMOKE)/out \
 	    || grep -q 'uncaught exception' $(SMOKE)/out; then \
-	    echo "config-smoke: air_run gateway.air exited $$code:"; \
+	    echo "config-smoke: $$(basename $$tool) gateway.air exited $$code:"; \
 	    cat $(SMOKE)/out; exit 1; \
 	  fi; \
-	  echo "air_run gateway.air: $$(grep -m1 "^$(SMOKE)/" $(SMOKE)/out)"
+	  echo "$$(basename $$tool) gateway.air: $$(grep -m1 "^$(SMOKE)/" $(SMOKE)/out)"; \
+	done
 	@$(AIR_RUN) $(CONFIGS)/constellation.air --domains 0 > $(SMOKE)/out 2>&1; \
 	  code=$$?; \
 	  if [ $$code -ne 124 ] || ! grep -q -- "'--domains'" $(SMOKE)/out; then \
@@ -218,9 +234,11 @@ config-smoke:
 	@$(AIR_RUN) $(CONFIGS)/constellation.air --domains 13 -t 200 \
 	  > $(SMOKE)/out 2>&1; \
 	  code=$$?; \
+	  k=$$(sed -n 's/^warning: .* clamped to \([0-9]*\) .*/\1/p' $(SMOKE)/out); \
+	  k=$${k:-12}; test "$$k" -gt 12 && k=12; \
 	  if [ $$code -ne 0 ] \
-	    || ! grep -q '^fleet ran 200 ticks on 12 domains:' $(SMOKE)/out; then \
-	    echo "config-smoke: --domains 13 exited $$code:"; \
+	    || ! grep -q "^fleet ran 200 ticks on $$k domains*:" $(SMOKE)/out; then \
+	    echo "config-smoke: --domains 13 exited $$code (expected $$k domains):"; \
 	    cat $(SMOKE)/out; exit 1; \
 	  fi
 	@echo "config-smoke: ok"
@@ -232,11 +250,13 @@ config-smoke:
 #   diff -r /path/a /path/b
 # Module documents: the event trace, metrics, Chrome trace and telemetry
 # JSON/CSV at the default core count, --cores 1 and --cores 2, each with
-# and without --no-skip. Documents with (faults …): the campaign report at
-# 1 and 2 cores. Cluster and fleet documents: the Chrome trace (the only
-# file export they take). Each run's stdout is kept too, minus the fleet's
-# wall-clock blocked time; runs start inside OUT with relative file names,
-# so stdout does not depend on where OUT is.
+# and without --no-skip, and one run printing every stdout view (flows,
+# timeline, trace check, Gantt chart, trace tail) as <doc>.observe.stdout.
+# Documents with (faults …): the campaign report at 1 and 2 cores.
+# Cluster and fleet documents: the Chrome trace (the only file export
+# they take) and the flows table. Each run's stdout is kept too, minus the
+# fleet's wall-clock blocked time; runs start inside OUT with relative
+# file names, so stdout does not depend on where OUT is.
 # Exit 2 (module halted, campaign not contained) is a result, not an error.
 OUT ?= _build/artifacts
 AIR_RUN = $(CURDIR)/_build/default/bin/air_run.exe
@@ -260,6 +280,11 @@ artifacts:
 	    done; \
 	  done; \
 	done
+	cd $(OUT) && for doc in leo_satellite payload platform constellation_node; do \
+	  $(AIR_RUN) $(CONFIGS)/$$doc.air -t 20000 --flows --timeline \
+	    --check-trace --gantt --trace \
+	    > $$doc.observe.stdout || test $$? -eq 2 || exit 1; \
+	done
 	cd $(OUT) && for doc in leo_satellite constellation_node; do \
 	  for cores in 1 2; do \
 	    $(AIR_RUN) $(CONFIGS)/$$doc.air --faults --cores $$cores \
@@ -269,7 +294,7 @@ artifacts:
 	done
 	cd $(OUT) && for doc in constellation crosslink; do \
 	  $(AIR_RUN) $(CONFIGS)/$$doc.air -t 20000 --trace-json $$doc.chrome.json \
-	    > $$doc.out || test $$? -eq 2 || exit 1; \
+	    --flows > $$doc.out || test $$? -eq 2 || exit 1; \
 	  sed 's/blocked [0-9.]*s/blocked -/' $$doc.out > $$doc.stdout; \
 	  rm $$doc.out; \
 	done

@@ -39,73 +39,39 @@ let threshold_for name =
    from scheduling noise regardless of the ratio. *)
 let noise_floor_ns = 10.0
 
-(* --- air-bench/1 row extraction ------------------------------------------ *)
+(* --- air-bench/1 rows ------------------------------------------------------ *)
 
-(* The artifact is produced by our own writer, one result object per
-   line: [{"name": "...", "ns_per_run": 123.456},]. A full JSON parser
-   buys nothing here; extract the two fields line by line and reject
-   files that do not carry the air-bench/1 schema marker. *)
+exception Malformed of string
 
-let extract_string line ~key =
-  let marker = Printf.sprintf "\"%s\": \"" key in
-  match
-    let mlen = String.length marker in
-    let rec find i =
-      if i + mlen > String.length line then None
-      else if String.sub line i mlen = marker then Some (i + mlen)
-      else find (i + 1)
-    in
-    find 0
-  with
-  | None -> None
-  | Some start ->
-    (match String.index_from_opt line start '"' with
-    | None -> None
-    | Some stop -> Some (String.sub line start (stop - start)))
-
-let extract_number line ~key =
-  let marker = Printf.sprintf "\"%s\": " key in
-  let mlen = String.length marker in
-  let rec find i =
-    if i + mlen > String.length line then None
-    else if String.sub line i mlen = marker then Some (i + mlen)
-    else find (i + 1)
-  in
-  match find 0 with
-  | None -> None
-  | Some start ->
-    let stop = ref start in
-    while
-      !stop < String.length line
-      &&
-      match line.[!stop] with
-      | '0' .. '9' | '.' | '-' | '+' | 'e' | 'E' -> true
-      | _ -> false
-    do
-      incr stop
-    done;
-    if !stop = start then None
-    else float_of_string_opt (String.sub line start (!stop - start))
-
+(* The [(name, ns_per_run)] rows of an air-bench/1 artifact, in file
+   order. A row whose OLS estimate was null has nothing to compare and is
+   left out; a file that does not parse, or is not an air-bench/1
+   artifact, raises [Malformed]. *)
 let parse_rows path =
+  let bad fmt =
+    Printf.ksprintf (fun m -> raise (Malformed (path ^ ": " ^ m))) fmt
+  in
   let text = In_channel.with_open_text path In_channel.input_all in
-  let is_bench_artifact = ref false in
-  let rows = ref [] in
-  List.iter
-    (fun line ->
-      (match extract_string line ~key:"schema" with
-      | Some "air-bench/1" -> is_bench_artifact := true
-      | Some _ | None -> ());
-      match extract_string line ~key:"name" with
-      | None -> ()
-      | Some name ->
-        (match extract_number line ~key:"ns_per_run" with
-        | Some est -> rows := (name, est) :: !rows
-        | None -> () (* null estimate: OLS failed, nothing to compare *)))
-    (String.split_on_char '\n' text);
-  if not !is_bench_artifact then
-    failwith (path ^ ": not an air-bench/1 artifact");
-  List.rev !rows
+  let doc =
+    match Json_lint.parse text with
+    | Ok doc -> doc
+    | Error e -> bad "invalid JSON: %s" e
+  in
+  let read conv v key = Option.bind (Json_lint.get [ key ] v) conv in
+  if read Json_lint.string doc "schema" <> Some "air-bench/1" then
+    bad "not an air-bench/1 artifact";
+  let row v =
+    match (read Json_lint.string v "name", Json_lint.get [ "ns_per_run" ] v) with
+    | Some _, Some Json_lint.Null -> None
+    | Some name, Some est -> (
+      match Json_lint.float est with
+      | Some ns -> Some (name, ns)
+      | None -> bad "row %s: ns_per_run is not a number" name)
+    | _ -> bad "a result row lacks its name or ns_per_run"
+  in
+  match read Json_lint.list doc "results" with
+  | Some rows -> List.filter_map row rows
+  | None -> bad "no results array"
 
 (* --- comparison ---------------------------------------------------------- *)
 
@@ -121,7 +87,7 @@ let () =
   in
   let old_rows, new_rows =
     try (parse_rows old_path, parse_rows new_path)
-    with Sys_error msg | Failure msg ->
+    with Sys_error msg | Malformed msg ->
       prerr_endline msg;
       exit 2
   in

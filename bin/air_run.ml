@@ -8,13 +8,34 @@
 open Cmdliner
 open Air_model
 
-let export_trace trace path =
-  Out_channel.with_open_text path (fun oc ->
-      let ppf = Format.formatter_of_out_channel oc in
-      Air_sim.Trace.iter
-        (fun t ev -> Format.fprintf ppf "%d\t%a@." t Event.pp ev)
-        trace;
-      Format.pp_print_flush ppf ())
+let export_trace trace oc =
+  let ppf = Format.formatter_of_out_channel oc in
+  Air_sim.Trace.iter
+    (fun t ev -> Format.fprintf ppf "%d\t%a@." t Event.pp ev)
+    trace;
+  Format.pp_print_flush ppf ()
+
+(* [contents] and a closing newline. *)
+let line oc contents =
+  Out_channel.output_string oc contents;
+  Out_channel.output_char oc '\n'
+
+(* Every file the program writes goes through here: when the flag gave
+   a [file], [write] fills it, then "<what> exported to <file><suffix>"
+   goes to stdout. A file that cannot be written is reported on stderr
+   and yields [false], so the run finishes its other outputs and exits 1.
+   Without a file there is nothing to write, and the result is [true]. *)
+let export_to ~what ?(suffix = "") file write =
+  match file with
+  | None -> true
+  | Some file -> (
+    match Out_channel.with_open_text file write with
+    | () ->
+      Format.printf "%s exported to %s%s@." what file suffix;
+      true
+    | exception Sys_error msg ->
+      Format.eprintf "%s@." msg;
+      false)
 
 (* System.create and Fleet.create reject a configuration they cannot run
    (overlapping windows, a fleet link with no lookahead) with
@@ -27,6 +48,25 @@ let created path create k =
     Format.eprintf "%s: %s@." path e;
     1
 
+(* A flight recorder for spans and a causal tracker for flow arrows,
+   unless the document already configured them. *)
+let with_recorder (cfg : Air.System.config) =
+  if cfg.Air.System.recorder <> None then cfg
+  else { cfg with Air.System.recorder = Some (Air_obs.Span.create ()) }
+
+let with_causal (cfg : Air.System.config) =
+  if cfg.Air.System.causal <> None then cfg
+  else { cfg with Air.System.causal = Some (Air_obs.Causal.create ()) }
+
+(* Observability exports of a cluster or fleet need every module
+   instrumented with both. *)
+let instrument _ cfg = with_causal (with_recorder cfg)
+
+let halted_note system =
+  match Air.System.halted system with
+  | Some reason -> Printf.sprintf " (HALTED: %s)" reason
+  | None -> ""
+
 (* Resolve a flow's origin (module, port index) to the declared port name
    through the module's router, for the flows table. *)
 let port_name_of systems ~module_id ~port =
@@ -35,143 +75,81 @@ let port_name_of systems ~module_id ~port =
     List.assoc_opt port
       (Air_ipc.Router.port_names (Air.System.router systems.(module_id)))
 
-let run_cluster path ticks trace_json flows =
-  (* Observability exports need every module instrumented: a flight
-     recorder for spans and a causal tracker for flow arrows, unless the
-     module's own document already configured them. *)
-  let instrument _ (cfg : Air.System.config) =
-    let cfg =
-      if cfg.Air.System.recorder = None then
-        { cfg with Air.System.recorder = Some (Air_obs.Span.create ()) }
-      else cfg
-    in
-    if cfg.Air.System.causal = None then
-      { cfg with Air.System.causal = Some (Air_obs.Causal.create ()) }
-    else cfg
-  in
-  let instrument =
-    if trace_json <> None || flows then Some instrument else None
-  in
-  match Air_config.Loader.load_cluster_file ?instrument path with
-  | Error e ->
-    Format.eprintf "%s: %s@." path e;
-    1
-  | Ok cluster ->
-    Air.Cluster.run cluster ~ticks;
-    let stats = Air.Cluster.stats cluster in
-    Format.printf
-      "cluster ran %d ticks: %d messages transferred, %d dropped, %d in \
-       flight@."
-      ticks stats.Air.Cluster.transferred stats.Air.Cluster.dropped
-      stats.Air.Cluster.in_flight;
-    let systems = Air.Cluster.systems cluster in
-    Array.iteri
-      (fun i system ->
-        Format.printf "module %d: %d deadline violations%s@." i
-          (List.length (Air.System.violations system))
-          (match Air.System.halted system with
-          | Some reason -> Printf.sprintf " (HALTED: %s)" reason
-          | None -> ""))
-      systems;
-    if flows then begin
-      Format.printf "@.cross-module flows:@.";
-      print_string
-        (Air_vitral.Flows.render
-           ~port_name:(port_name_of systems)
-           (Air.Cluster.flow_entries cluster))
-    end;
-    let chrome_ok =
-      match trace_json with
-      | None -> true
-      | Some file -> (
-        try
-          Out_channel.with_open_text file (fun oc ->
-              Out_channel.output_string oc (Air.Cluster.chrome_trace cluster);
-              Out_channel.output_char oc '\n');
-          Format.printf "cluster chrome trace exported to %s@." file;
-          true
-        with Sys_error msg ->
-          Format.eprintf "%s@." msg;
-          false)
-    in
-    if chrome_ok then 0 else 1
+(* The lines that open a cluster or fleet report: [head], the bus totals,
+   then one line per module, or with [~every:false] only per module that
+   missed a deadline or halted. *)
+let group_report ~head ~every cluster =
+  let stats = Air.Cluster.stats cluster in
+  Format.printf "%s: %d messages transferred, %d dropped, %d in flight@."
+    head stats.Air.Cluster.transferred stats.Air.Cluster.dropped
+    stats.Air.Cluster.in_flight;
+  Array.iteri
+    (fun i system ->
+      let violations = List.length (Air.System.violations system) in
+      if every || violations > 0 || Air.System.halted system <> None then
+        Format.printf "module %d: %d deadline violations%s@." i violations
+          (halted_note system))
+    (Air.Cluster.systems cluster)
+
+(* The outputs that close a cluster or fleet run: the cross-module flows
+   table and the merged Chrome trace. *)
+let group_tail ~what cluster trace_json flows =
+  if flows then begin
+    Format.printf "@.cross-module flows:@.";
+    print_string
+      (Air_vitral.Flows.render
+         ~port_name:(port_name_of (Air.Cluster.systems cluster))
+         (Air.Cluster.flow_entries cluster))
+  end;
+  if
+    export_to ~what:(what ^ " chrome trace") trace_json (fun oc ->
+        line oc (Air.Cluster.chrome_trace cluster))
+  then 0
+  else 1
+
+let run_cluster cluster ticks trace_json flows =
+  Air.Cluster.run cluster ~ticks;
+  group_report ~head:(Printf.sprintf "cluster ran %d ticks" ticks) ~every:true
+    cluster;
+  group_tail ~what:"cluster" cluster trace_json flows
 
 (* Fleet mode: an (air-fleet …) document stamps a constellation out of a
    template and runs it through the parallel discrete-event engine —
-   bit-identical to the sequential cluster run for any --domains. *)
-let run_fleet path ticks domains trace_json flows speed =
-  let instrument _ (cfg : Air.System.config) =
-    let cfg =
-      if cfg.Air.System.recorder = None then
-        { cfg with Air.System.recorder = Some (Air_obs.Span.create ()) }
-      else cfg
-    in
-    if cfg.Air.System.causal = None then
-      { cfg with Air.System.causal = Some (Air_obs.Causal.create ()) }
-    else cfg
+   bit-identical to the sequential cluster run for any --domains. More
+   domains than the machine recommends only make the run slower, so the
+   count is clamped to it, with a warning. *)
+let run_fleet path { Air_config.Loader.fleet_cluster = cluster; fleet_domains }
+    ticks domains trace_json flows speed =
+  let domains = Option.value domains ~default:fleet_domains in
+  let cores = Domain.recommended_domain_count () in
+  let domains =
+    if domains <= cores then domains
+    else begin
+      Format.eprintf
+        "warning: %d domains requested, clamped to %d (the machine's \
+         recommended domain count)@."
+        domains cores;
+      cores
+    end
   in
-  let instrument =
-    if trace_json <> None || flows then Some instrument else None
-  in
-  match Air_config.Loader.load_fleet_file ?instrument path with
-  | Error e ->
-    Format.eprintf "%s: %s@." path e;
-    1
-  | Ok { Air_config.Loader.fleet_cluster = cluster; fleet_domains } ->
-    let domains = Option.value domains ~default:fleet_domains in
-    created path (fun () -> Air_fleet.Fleet.create ~domains cluster)
-    @@ fun fleet ->
-    let wall_start = Unix.gettimeofday () in
-    Air_fleet.Fleet.run fleet ~ticks;
-    let wall = Unix.gettimeofday () -. wall_start in
-    Air_fleet.Fleet.close fleet;
-    let stats = Air.Cluster.stats cluster in
-    let domains = Air_fleet.Fleet.domains fleet in
-    Format.printf
-      "fleet ran %d ticks on %d domain%s: %d messages transferred, %d \
-       dropped, %d in flight@."
-      ticks domains
-      (if domains = 1 then "" else "s")
-      stats.Air.Cluster.transferred stats.Air.Cluster.dropped
-      stats.Air.Cluster.in_flight;
-    let systems = Air.Cluster.systems cluster in
-    Array.iteri
-      (fun i system ->
-        let violations = List.length (Air.System.violations system) in
-        if violations > 0 || Air.System.halted system <> None then
-          Format.printf "module %d: %d deadline violations%s@." i violations
-            (match Air.System.halted system with
-            | Some reason -> Printf.sprintf " (HALTED: %s)" reason
-            | None -> ""))
-      systems;
-    print_string (Air_obs.Fleet_stats.to_text (Air_fleet.Fleet.stats fleet));
-    Format.printf "fingerprint: %s@." (Air_fleet.Fleet.fingerprint cluster);
-    if speed then
-      Format.eprintf "speed: %d simulated ticks in %.3f s wall (%.0f ticks/s)@."
-        ticks wall
-        (float_of_int ticks /. Float.max wall 1e-9);
-    if flows then begin
-      Format.printf "@.cross-module flows:@.";
-      print_string
-        (Air_vitral.Flows.render
-           ~port_name:(port_name_of systems)
-           (Air.Cluster.flow_entries cluster))
-    end;
-    let chrome_ok =
-      match trace_json with
-      | None -> true
-      | Some file -> (
-        try
-          Out_channel.with_open_text file (fun oc ->
-              Out_channel.output_string oc (Air.Cluster.chrome_trace cluster);
-              Out_channel.output_char oc '\n');
-          Format.printf "fleet chrome trace exported to %s@." file;
-          true
-        with Sys_error msg ->
-          Format.eprintf "%s@." msg;
-          false)
-    in
-    if chrome_ok then 0 else 1
+  created path (fun () -> Air_fleet.Fleet.create ~domains cluster)
+  @@ fun fleet ->
+  let wall_start = Unix.gettimeofday () in
+  Air_fleet.Fleet.run fleet ~ticks;
+  let wall = Unix.gettimeofday () -. wall_start in
+  Air_fleet.Fleet.close fleet;
+  let domains = Air_fleet.Fleet.domains fleet in
+  group_report ~every:false cluster
+    ~head:
+      (Printf.sprintf "fleet ran %d ticks on %d domain%s" ticks domains
+         (if domains = 1 then "" else "s"));
+  print_string (Air_obs.Fleet_stats.to_text (Air_fleet.Fleet.stats fleet));
+  Format.printf "fingerprint: %s@." (Air_fleet.Fleet.fingerprint cluster);
+  if speed then
+    Format.eprintf "speed: %d simulated ticks in %.3f s wall (%.0f ticks/s)@."
+      ticks wall
+      (float_of_int ticks /. Float.max wall 1e-9);
+  group_tail ~what:"fleet" cluster trace_json flows
 
 (* Campaign mode: run every (faults (campaign …)) of the document through
    the injection engine, judge containment, and print/export the reports.
@@ -216,19 +194,8 @@ let run_campaigns path campaign_json ~turbo ~cores =
     | reports ->
       List.iter (fun r -> print_string (Air_faults.Report.to_text r)) reports;
       let json_ok =
-        match campaign_json with
-        | None -> true
-        | Some file -> (
-          try
-            Out_channel.with_open_text file (fun oc ->
-                Out_channel.output_string oc
-                  (Air_faults.Report.document reports);
-                Out_channel.output_char oc '\n');
-            Format.printf "campaign report exported to %s@." file;
-            true
-          with Sys_error msg ->
-            Format.eprintf "%s@." msg;
-            false)
+        export_to ~what:"campaign report" campaign_json (fun oc ->
+            line oc (Air_faults.Report.document reports))
       in
       let contained =
         List.for_all
@@ -241,45 +208,36 @@ let run_campaigns path campaign_json ~turbo ~cores =
       in
       if not json_ok then 1 else if contained && deterministic then 0 else 2)
 
-let document_tag path =
-  match Air_config.Sexp.parse_file path with
-  | Ok (Air_config.Sexp.List (Air_config.Sexp.Atom tag :: _) :: _) -> Some tag
-  | Ok _ | Error _ -> None
-
-let is_cluster_document path = document_tag path = Some "air-cluster"
-let is_fleet_document path = document_tag path = Some "air-fleet"
-
 let run_file path ticks show_trace show_gantt export metrics_json trace_json
     check_trace timeline telemetry_csv telemetry_json watch faults
     campaign_json cores no_skip speed profile profile_json flows fleet domains
     =
   let turbo = not no_skip in
-  if (fleet || domains <> None) && not (is_fleet_document path) then begin
-    Format.eprintf "%s: --fleet/--domains need an (air-fleet …) document@."
-      path;
-    1
-  end
-  else if faults || campaign_json <> None then
-    if is_cluster_document path || is_fleet_document path then begin
-      Format.eprintf "%s: --faults runs against a module document@." path;
-      1
-    end
-    else run_campaigns path campaign_json ~turbo ~cores
-  else if is_fleet_document path then
-    run_fleet path ticks domains trace_json flows speed
-  else if is_cluster_document path then run_cluster path ticks trace_json flows
-  else
-  match Air_config.Loader.load_file path with
+  let campaigns = faults || campaign_json <> None
+  and fleet_mode = fleet || domains <> None in
+  let instrument =
+    if trace_json <> None || flows then Some instrument else None
+  in
+  match Air_config.Loader.load_document ?instrument path with
   | Error e ->
     Format.eprintf "%s: %s@." path e;
     1
-  | Ok cfg ->
+  | Ok (Air_config.Loader.Module _ | Cluster _) when fleet_mode ->
+    Format.eprintf "%s: --fleet/--domains need an (air-fleet …) document@."
+      path;
+    1
+  | Ok (Cluster _ | Fleet _) when campaigns ->
+    Format.eprintf "%s: --faults runs against a module document@." path;
+    1
+  | Ok (Module _) when campaigns ->
+    run_campaigns path campaign_json ~turbo ~cores
+  | Ok (Fleet fleet) ->
+    run_fleet path fleet ticks domains trace_json flows speed
+  | Ok (Cluster cluster) -> run_cluster cluster ticks trace_json flows
+  | Ok (Module cfg) ->
     (* The flight recorder is only attached when some output needs it. *)
     let cfg =
-      if (trace_json <> None || timeline) && cfg.Air.System.recorder = None
-      then
-        { cfg with Air.System.recorder = Some (Air_obs.Span.create ()) }
-      else cfg
+      if trace_json <> None || timeline then with_recorder cfg else cfg
     in
     (* Likewise telemetry: any downlink flag attaches a default frame
        accumulator unless the document configured one itself. *)
@@ -299,11 +257,7 @@ let run_file path ticks show_trace show_gantt export metrics_json trace_json
       | None -> cfg
     in
     (* --flows needs the causal tracker stamping IPC messages. *)
-    let cfg =
-      if flows && cfg.Air.System.causal = None then
-        { cfg with Air.System.causal = Some (Air_obs.Causal.create ()) }
-      else cfg
-    in
+    let cfg = if flows then with_causal cfg else cfg in
     created path (fun () -> Air.System.create cfg) @@ fun system ->
     let partition_names =
       List.filter (fun (i, _) -> i >= 0) (Air.System.track_names system)
@@ -370,10 +324,7 @@ let run_file path ticks show_trace show_gantt export metrics_json trace_json
         stats.Air_exec.Engine.stepped stats.Air_exec.Engine.skipped
     end;
     let trace = Air.System.trace system in
-    Format.printf "ran %d ticks%s@." ticks
-      (match Air.System.halted system with
-      | Some reason -> Printf.sprintf " (HALTED: %s)" reason
-      | None -> "");
+    Format.printf "ran %d ticks%s@." ticks (halted_note system);
     let violations = Air.System.violations system in
     Format.printf "deadline violations: %d@." (List.length violations);
     List.iter
@@ -413,18 +364,8 @@ let run_file path ticks show_trace show_gantt export metrics_json trace_json
     end;
     Format.printf "@.%s" (Air.System.metrics_report system);
     let metrics_ok =
-      match metrics_json with
-      | None -> true
-      | Some file -> (
-        try
-          Out_channel.with_open_text file (fun oc ->
-              Out_channel.output_string oc (Air.System.metrics_json system);
-              Out_channel.output_char oc '\n');
-          Format.printf "metrics exported to %s@." file;
-          true
-        with Sys_error msg ->
-          Format.eprintf "%s@." msg;
-          false)
+      export_to ~what:"metrics" metrics_json (fun oc ->
+          line oc (Air.System.metrics_json system))
     in
     if show_trace then begin
       Format.printf "@.trace tail:@.";
@@ -436,17 +377,9 @@ let run_file path ticks show_trace show_gantt export metrics_json trace_json
         events
     end;
     let trace_ok =
-      match export with
-      | None -> true
-      | Some file -> (
-        try
-          export_trace trace file;
-          Format.printf "trace exported to %s (%d events)@." file
-            (Air_sim.Trace.length trace);
-          true
-        with Sys_error msg ->
-          Format.eprintf "%s@." msg;
-          false)
+      export_to ~what:"trace"
+        ~suffix:(Printf.sprintf " (%d events)" (Air_sim.Trace.length trace))
+        export (export_trace trace)
     in
     if timeline then begin
       Format.printf "@.flight recorder timeline:@.";
@@ -464,10 +397,7 @@ let run_file path ticks show_trace show_gantt export metrics_json trace_json
     if flows then begin
       Format.printf "@.message flows:@.";
       print_string
-        (Air_vitral.Flows.render
-           ~port_name:(fun ~module_id:_ ~port ->
-             List.assoc_opt port
-               (Air_ipc.Router.port_names (Air.System.router system)))
+        (Air_vitral.Flows.render ~port_name:(port_name_of [| system |])
            (Air.System.flow_entries system))
     end;
     if profile then begin
@@ -477,32 +407,15 @@ let run_file path ticks show_trace show_gantt export metrics_json trace_json
       | None -> ()
     end;
     let profile_ok =
-      match (profile_json, Air_exec.Engine.profiler engine) with
-      | None, _ | _, None -> true
-      | Some file, Some p -> (
-        try
-          Out_channel.with_open_text file (fun oc ->
-              Out_channel.output_string oc (Air_exec.Profiler.to_json p);
-              Out_channel.output_char oc '\n');
-          Format.printf "engine profile exported to %s@." file;
-          true
-        with Sys_error msg ->
-          Format.eprintf "%s@." msg;
-          false)
+      match Air_exec.Engine.profiler engine with
+      | None -> true
+      | Some p ->
+        export_to ~what:"engine profile" profile_json (fun oc ->
+            line oc (Air_exec.Profiler.to_json p))
     in
     let chrome_ok =
-      match trace_json with
-      | None -> true
-      | Some file -> (
-        try
-          Out_channel.with_open_text file (fun oc ->
-              Out_channel.output_string oc (Air.System.chrome_trace system);
-              Out_channel.output_char oc '\n');
-          Format.printf "chrome trace exported to %s@." file;
-          true
-        with Sys_error msg ->
-          Format.eprintf "%s@." msg;
-          false)
+      export_to ~what:"chrome trace" trace_json (fun oc ->
+          line oc (Air.System.chrome_trace system))
     in
     let telemetry_ok =
       if not wants_telemetry then true
@@ -513,32 +426,14 @@ let run_file path ticks show_trace show_gantt export metrics_json trace_json
         | Some _ when watch <> None -> print_dashboard ()
         | Some _ | None -> ());
         let frames = Air.System.telemetry_frames system in
-        let write file contents what =
-          try
-            Out_channel.with_open_text file (fun oc ->
-                Out_channel.output_string oc contents;
-                if
-                  String.length contents = 0
-                  || contents.[String.length contents - 1] <> '\n'
-                then Out_channel.output_char oc '\n');
-            Format.printf "%s exported to %s (%d frames)@." what file
-              (List.length frames);
-            true
-          with Sys_error msg ->
-            Format.eprintf "%s@." msg;
-            false
-        in
+        let suffix = Printf.sprintf " (%d frames)" (List.length frames) in
         let json_ok =
-          match telemetry_json with
-          | None -> true
-          | Some file ->
-            write file (Air_obs.Telemetry.to_json frames) "telemetry JSON"
+          export_to ~what:"telemetry JSON" ~suffix telemetry_json (fun oc ->
+              line oc (Air_obs.Telemetry.to_json frames))
         in
         let csv_ok =
-          match telemetry_csv with
-          | None -> true
-          | Some file ->
-            write file (Air_obs.Telemetry.to_csv frames) "telemetry CSV"
+          export_to ~what:"telemetry CSV" ~suffix telemetry_csv (fun oc ->
+              Out_channel.output_string oc (Air_obs.Telemetry.to_csv frames))
         in
         json_ok && csv_ok
       end

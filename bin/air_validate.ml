@@ -2,7 +2,9 @@
 
    Validates a configuration document: syntax, schedule constraints
    (eqs. (21)–(23)), port network wiring, and optionally prints the Gantt
-   charts and the eq. (23)/(25) derivations of every table. This is the
+   charts and the eq. (23)/(25) derivations of every table. A cluster or
+   fleet document is validated by loading it: every module document it
+   names, and every link's gateway and ingress port. This is the
    "offline tools that verify the fulfilment of the timing requirements"
    of paper Sect. 5. *)
 
@@ -17,12 +19,26 @@ let report_of cfg =
   in
   Air_analysis.Report.build partitions cfg.Air.System.schedules
 
+(* A group document that loads is valid: the loader builds every module
+   and checks each link's ports. *)
+let validate_group path kind cluster =
+  let links = Array.length (Air.Cluster.links cluster) in
+  Format.printf "%s: valid — %s of %d modules, %d link%s@." path kind
+    (Array.length (Air.Cluster.systems cluster))
+    links
+    (if links = 1 then "" else "s");
+  0
+
 let validate_file path show_gantt explain report =
-  match Air_config.Loader.load_file path with
+  match Air_config.Loader.load_document path with
   | Error e ->
     Format.eprintf "%s: %s@." path e;
     1
-  | Ok cfg ->
+  | Ok (Air_config.Loader.Cluster cluster) ->
+    validate_group path "cluster" cluster
+  | Ok (Fleet fleet) ->
+    validate_group path "fleet" fleet.Air_config.Loader.fleet_cluster
+  | Ok (Module cfg) ->
     let schedules = cfg.Air.System.schedules in
     let diags = Validate.validate_set schedules in
     let port_diags = Air_ipc.Port.validate cfg.Air.System.network in

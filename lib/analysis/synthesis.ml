@@ -16,8 +16,7 @@ let pp_failure ppf = function
       partition cycle_index
   | Bad_requirement msg -> Format.fprintf ppf "bad requirement: %s" msg
 
-let synthesize ?(id = Schedule_id.make 0) ?(name = "synthesized") ?mtf
-    requirements =
+let synthesize ?(id = Schedule_id.make 0) ?mtf requirements =
   let ( let* ) = Result.bind in
   let* () =
     if requirements = [] then Error (Bad_requirement "empty requirement set")
@@ -103,14 +102,14 @@ let synthesize ?(id = Schedule_id.make 0) ?(name = "synthesized") ?mtf
         place r)
       (Ok ()) sorted
   in
-  Ok (Schedule.make ~id ~name ~mtf ~requirements !windows)
+  Ok (Schedule.make ~id ~name:"synthesized" ~mtf ~requirements !windows)
 
-let synthesize_harmonic ?id ?name requirements =
+let synthesize_harmonic requirements =
   let cycles = List.map (fun (r : Schedule.requirement) -> r.cycle) requirements in
   match List.sort Time.compare cycles with
   | [] -> Error (Bad_requirement "empty requirement set")
   | _ :: _ as sorted ->
     let largest = List.nth sorted (List.length sorted - 1) in
     if List.for_all (fun c -> c > 0 && largest mod c = 0) sorted then
-      synthesize ?id ?name requirements
+      synthesize requirements
     else Error (Bad_requirement "cycles are not harmonic")

@@ -21,20 +21,17 @@ val pp_failure : Format.formatter -> failure -> unit
 
 val synthesize :
   ?id:Schedule_id.t ->
-  ?name:string ->
   ?mtf:Time.t ->
   Schedule.requirement list ->
   (Schedule.t, failure) result
-(** Builds a table over [mtf] (default: the lcm of the cycles, eq. (22)).
+(** Builds table [id] (default 0), named ["synthesized"], over [mtf]
+    (default: the lcm of the cycles, eq. (22)).
     Partitions are placed in increasing cycle order (rate-monotonic-like);
     within each of a partition's cycles its duration is placed into the
     earliest free slots, possibly split across several windows. The result
     always passes {!Validate.validate}. *)
 
 val synthesize_harmonic :
-  ?id:Schedule_id.t ->
-  ?name:string ->
-  Schedule.requirement list ->
-  (Schedule.t, failure) result
-(** Like {!synthesize} but refuses non-harmonic cycle sets (every cycle
+  Schedule.requirement list -> (Schedule.t, failure) result
+(** Like {!synthesize} (table 0) but refuses non-harmonic cycle sets (every cycle
     must divide the largest) — the shape integrators usually insist on. *)

@@ -846,8 +846,7 @@ let decode_link module_names s =
   Ok
     (Air.Cluster.link ?latency ~from_module ~from_port ~to_module ~to_port ())
 
-let load_cluster_file ?instrument path =
-  let* f = document "air-cluster" (Sexp.parse_file path) in
+let decode_cluster ?instrument path f =
   let* bus = with_default f "bus" decode_bus Air.Cluster.default_bus in
   let* modules = map_all decode_module_decl (rest_of f "modules") in
   let* () = if modules = [] then error "air-cluster: no modules" else Ok () in
@@ -860,6 +859,10 @@ let load_cluster_file ?instrument path =
       (List.map (fun (name, config) -> ("module " ^ name, config)) modules)
   in
   checked "air-cluster" (fun () -> Air.Cluster.create ~bus ~links systems)
+
+let load_cluster_file path =
+  let* f = document "air-cluster" (Sexp.parse_file path) in
+  decode_cluster path f
 
 (* --- Fleets -------------------------------------------------------------- *)
 
@@ -874,8 +877,7 @@ let decode_topology = function
 
 type fleet = { fleet_cluster : Air.Cluster.t; fleet_domains : int }
 
-let load_fleet_file ?instrument path =
-  let* f = document "air-fleet" (Sexp.parse_file path) in
+let decode_fleet ?instrument path f =
   let* template = required f "template" (one atom) in
   let* n = required f "modules" (one int) in
   let* () =
@@ -911,3 +913,32 @@ let load_fleet_file ?instrument path =
     checked "air-fleet" (fun () -> Air.Cluster.create ~bus ~links systems)
   in
   Ok { fleet_cluster = cluster; fleet_domains = domains }
+
+let load_fleet_file path =
+  let* f = document "air-fleet" (Sexp.parse_file path) in
+  decode_fleet path f
+
+(* --- Any document -------------------------------------------------------- *)
+
+type document =
+  | Module of Air.System.config
+  | Cluster of Air.Cluster.t
+  | Fleet of fleet
+
+(* The file is parsed once and decoded by its head form; any head other
+   than a group tag reads as a module document, whose decoder names what
+   it expected. *)
+let load_document ?instrument path =
+  let parsed = Sexp.parse_file path in
+  let as_document tag decode wrap =
+    let* f = document tag parsed in
+    let* v = decode f in
+    Ok (wrap v)
+  in
+  match parsed with
+  | Ok (Sexp.List (Sexp.Atom "air-cluster" :: _) :: _) ->
+    as_document "air-cluster" (decode_cluster ?instrument path) (fun c ->
+        Cluster c)
+  | Ok (Sexp.List (Sexp.Atom "air-fleet" :: _) :: _) ->
+    as_document "air-fleet" (decode_fleet ?instrument path) (fun f -> Fleet f)
+  | _ -> as_document "air-system" decode_system (fun cfg -> Module cfg)

@@ -59,16 +59,9 @@ val load_campaigns_file :
 
     Module config paths are resolved relative to the cluster document. *)
 
-val load_cluster_file :
-  ?instrument:(int -> Air.System.config -> Air.System.config) ->
-  string ->
-  (Air.Cluster.t, string) result
+val load_cluster_file : string -> (Air.Cluster.t, string) result
 (** Parses the cluster document, loads every referenced module
-    configuration, builds the systems and wires the bus links.
-    [instrument], when given, rewrites each module's decoded configuration
-    (argument: the module's cluster index) before the system is built —
-    e.g. attaching a flight recorder and causal flow tracker to every
-    module for a traced run. *)
+    configuration, builds the systems and wires the bus links. *)
 
 (** {1 Fleets}
 
@@ -99,9 +92,25 @@ type fleet = {
           runs — callers may override it. *)
 }
 
-val load_fleet_file :
+val load_fleet_file : string -> (fleet, string) result
+(** Parses the fleet document, clones the template per module and wires
+    the generated links. *)
+
+(** {1 Any document} *)
+
+type document =
+  | Module of Air.System.config  (** an [(air-system …)] document *)
+  | Cluster of Air.Cluster.t  (** an [(air-cluster …)] document *)
+  | Fleet of fleet  (** an [(air-fleet …)] document *)
+
+val load_document :
   ?instrument:(int -> Air.System.config -> Air.System.config) ->
   string ->
-  (fleet, string) result
-(** Parses the fleet document, clones and instruments the template per
-    module (as in {!load_cluster_file}) and wires the generated links. *)
+  (document, string) result
+(** Parses a document once and loads it by its head form, as {!load_file},
+    {!load_cluster_file} or {!load_fleet_file} would. A head form that is
+    neither [air-cluster] nor [air-fleet] is read as a module document.
+    [instrument], when given, rewrites each module configuration of a
+    group document (argument: the module's cluster index) before the
+    system is built — e.g. attaching a flight recorder and causal flow
+    tracker to every module for a traced run. *)

@@ -268,57 +268,20 @@ let flow_entries t =
    its receive in module 1 share the id and the viewer draws the arrow
    across the process boundary. *)
 let chrome_trace t =
-  let n = Array.length t.modules in
   let stride =
     1
     + Array.fold_left
         (fun acc m -> Int.max acc (System.partition_count m))
         0 t.modules
   in
-  let shift i track = (i * stride) + track in
-  let tracks =
-    List.concat
-      (List.init n (fun i ->
-           List.map
-             (fun (track, name) ->
-               (shift i track, Printf.sprintf "m%d:%s" i name))
-             (System.track_names t.modules.(i))))
+  let parts =
+    List.mapi
+      (fun i m ->
+        System.chrome_parts ~shift:(i * stride)
+          ~prefix:(Printf.sprintf "m%d:" i) m)
+      (Array.to_list t.modules)
   in
-  let spans =
-    List.concat
-      (List.init n (fun i ->
-           let m = t.modules.(i) in
-           let all =
-             match System.recorder m with
-             | None -> []
-             | Some r ->
-               Air_obs.Span.spans r
-               @ Air_obs.Span.open_spans r ~now:(System.now m)
-           in
-           List.map
-             (fun (s : Air_obs.Span.span) ->
-               { s with Air_obs.Span.track = shift i s.Air_obs.Span.track })
-             all))
-  in
-  let events =
-    List.concat
-      (List.init n (fun i ->
-           List.map
-             (fun (time, ev) ->
-               ( time,
-                 Printf.sprintf "m%d:%s" i (Air_model.Event.label ev),
-                 Format.asprintf "%a" Air_model.Event.pp ev ))
-             (Trace.to_list (System.trace t.modules.(i)))))
-  in
-  let flows =
-    List.concat
-      (List.init n (fun i ->
-           List.map
-             (fun (e : Air_obs.Causal.entry) ->
-               { e with
-                 Air_obs.Causal.track = shift i e.Air_obs.Causal.track })
-             (System.flow_entries t.modules.(i))))
-  in
+  let all field = List.concat_map field parts in
   let meta =
     let tbl = Hashtbl.create 4 in
     Array.iter
@@ -332,7 +295,12 @@ let chrome_trace t =
     List.sort Stdlib.compare
       (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [])
   in
-  Air_obs.Trace_export.to_chrome ~tracks ~events ~flows ~meta spans
+  Air_obs.Trace_export.to_chrome
+    ~tracks:(all (fun p -> p.System.chrome_tracks))
+    ~events:(all (fun p -> p.System.chrome_events))
+    ~flows:(all (fun p -> p.System.chrome_flows))
+    ~meta
+    (all (fun p -> p.System.chrome_spans))
 
 (* --- Fault injection on inter-module links ------------------------------ *)
 

@@ -498,21 +498,45 @@ let export_meta t =
   | None -> []
   | Some c -> [ ("dropped_flow_records", Air_obs.Causal.dropped c) ]
 
-let chrome_trace t =
+type chrome_parts = {
+  chrome_tracks : (int * string) list;
+  chrome_spans : Air_obs.Span.span list;
+  chrome_events : (int * string * string) list;
+  chrome_flows : Air_obs.Causal.entry list;
+}
+
+let chrome_parts ?(shift = 0) ?(prefix = "") t =
   let spans =
     match t.cfg.recorder with
     | None -> []
     | Some r ->
       Air_obs.Span.spans r @ Air_obs.Span.open_spans r ~now:(now t)
   in
-  let events =
-    List.map
-      (fun (time, ev) ->
-        (time, Event.label ev, Format.asprintf "%a" Event.pp ev))
-      (Trace.to_list t.trace)
-  in
-  Air_obs.Trace_export.to_chrome ~tracks:(track_names t) ~events
-    ~flows:(flow_entries t) ~meta:(export_meta t) spans
+  { chrome_tracks =
+      List.map
+        (fun (track, name) -> (track + shift, prefix ^ name))
+        (track_names t);
+    chrome_spans =
+      List.map
+        (fun (s : Air_obs.Span.span) ->
+          { s with Air_obs.Span.track = s.Air_obs.Span.track + shift })
+        spans;
+    chrome_events =
+      List.map
+        (fun (time, ev) ->
+          (time, prefix ^ Event.label ev, Format.asprintf "%a" Event.pp ev))
+        (Trace.to_list t.trace);
+    chrome_flows =
+      List.map
+        (fun (e : Air_obs.Causal.entry) ->
+          { e with Air_obs.Causal.track = e.Air_obs.Causal.track + shift })
+        (flow_entries t) }
+
+let chrome_trace t =
+  let p = chrome_parts t in
+  Air_obs.Trace_export.to_chrome ~tracks:p.chrome_tracks
+    ~events:p.chrome_events ~flows:p.chrome_flows ~meta:(export_meta t)
+    p.chrome_spans
 
 let partition_count t = Array.length t.partitions
 

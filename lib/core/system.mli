@@ -288,6 +288,21 @@ val track_names : t -> (int * string) list
 (** Display names for flight-recorder tracks: [(-1, "AIR module")] plus
     one entry per partition (track = partition index). *)
 
+type chrome_parts = {
+  chrome_tracks : (int * string) list;  (** {!track_names} *)
+  chrome_spans : Air_obs.Span.span list;
+      (** Retained spans, then the open ones ending now. *)
+  chrome_events : (int * string * string) list;
+      (** Retained events as [(time, label, detail)]. *)
+  chrome_flows : Air_obs.Causal.entry list;  (** {!flow_entries} *)
+}
+
+val chrome_parts : ?shift:int -> ?prefix:string -> t -> chrome_parts
+(** One module's share of a Chrome trace. [shift] (default 0) is added to
+    every track of tracks, spans and flows, and [prefix] (default none)
+    is put before every track name and event label, so that
+    {!Cluster.chrome_trace} can merge modules as distinct process groups. *)
+
 val chrome_trace : t -> string
 (** The run as Chrome trace-event JSON ({!Air_obs.Trace_export}):
     flight-recorder spans (when a recorder is configured) merged with the

@@ -33,9 +33,10 @@ type t = {
   mutable traj_total : int;
 }
 
-let create ?(trajectory_capacity = 1024) () =
-  if trajectory_capacity <= 0 then
-    invalid_arg "Profiler.create: capacity must be positive";
+(* Density samples retained; older ones are evicted. *)
+let trajectory_capacity = 1024
+
+let create () =
   { step_ticks = 0;
     step_calls = 0;
     step_seconds = 0.0;

@@ -27,10 +27,9 @@
 
 type t
 
-val create : ?trajectory_capacity:int -> unit -> t
-(** [trajectory_capacity] (default 1024, positive) bounds the retained
-    density-sample ring; older samples are evicted, the sample count keeps
-    counting. *)
+val create : unit -> t
+(** The profiler retains the latest 1024 density samples; older samples
+    are evicted, the sample count keeps counting. *)
 
 val timestamp : unit -> float
 (** Wall-clock seconds ([Unix.gettimeofday]) — the engine brackets

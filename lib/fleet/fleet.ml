@@ -511,9 +511,10 @@ let fingerprint cluster = Digest.to_hex (Digest.string (fingerprint_text cluster
 
 (* --- Campaigns over fleets ---------------------------------------------- *)
 
-let campaign_target ?(observed = 0) t =
+(* The campaign observes module 0. *)
+let campaign_target t =
   Air_faults.Engine.Driver
-    { Air_faults.Engine.d_system = (Cluster.systems t.cluster).(observed);
+    { Air_faults.Engine.d_system = (Cluster.systems t.cluster).(0);
       d_advance = (fun ticks -> run t ~ticks);
       d_link_fault =
         (fun f ->
@@ -521,13 +522,13 @@ let campaign_target ?(observed = 0) t =
             Some (Cluster.last_perturbed t.cluster)
           else None) }
 
-let execute_campaign ?turbo ?(domains = 1) ?(observed = 0) ~make spec =
+let execute_campaign ?(domains = 1) ~make spec =
   let fleets = ref [] in
   let mk () =
     let fleet = create ~domains (make ()) in
     fleets := fleet :: !fleets;
-    campaign_target ~observed fleet
+    campaign_target fleet
   in
   Fun.protect
     ~finally:(fun () -> List.iter close !fleets)
-    (fun () -> Air_faults.Engine.execute ?turbo ~make:mk spec)
+    (fun () -> Air_faults.Engine.execute ~make:mk spec)

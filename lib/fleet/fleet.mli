@@ -92,14 +92,13 @@ val fingerprint : Cluster.t -> string
 (** {1 Fault campaigns over fleets} *)
 
 val execute_campaign :
-  ?turbo:bool ->
   ?domains:int ->
-  ?observed:int ->
   make:(unit -> Cluster.t) ->
   Air_faults.Campaign.spec ->
   Air_faults.Engine.run
 (** {!Air_faults.Engine.execute} with fleet targets built from [make]
-    (called once for the campaign and once for the fault-free baseline);
+    (called once for the campaign and once for the fault-free baseline),
+    observing module 0;
     the fleets are closed on every exit, also when the campaign raises.
     Outcomes and fingerprint are
     bit-identical to the sequential cluster campaign for any domain

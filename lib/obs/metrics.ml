@@ -60,20 +60,13 @@ let gauge t name =
 
 (* Powers-of-two buckets cover tick-latency measurements well: most
    observations land in the first few buckets and the tail stays visible. *)
-let default_buckets = [| 0; 1; 2; 4; 8; 16; 32; 64; 128; 256; 512; 1024 |]
+let bucket_bounds = [| 0; 1; 2; 4; 8; 16; 32; 64; 128; 256; 512; 1024 |]
 
-let histogram ?(buckets = default_buckets) t name =
-  Array.iteri
-    (fun i b ->
-      if i > 0 && b <= buckets.(i - 1) then
-        invalid_arg "Metrics.histogram: bucket bounds must strictly increase")
-    buckets;
-  if Array.length buckets = 0 then
-    invalid_arg "Metrics.histogram: need at least one bucket bound";
+let histogram t name =
   let fresh =
     Histogram
-      { bounds = Array.copy buckets;
-        buckets = Array.make (Array.length buckets + 1) 0;
+      { bounds = bucket_bounds;
+        buckets = Array.make (Array.length bucket_bounds + 1) 0;
         observations = 0;
         total = 0;
         peak = 0 }

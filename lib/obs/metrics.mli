@@ -26,11 +26,10 @@ val create : unit -> t
 val counter : t -> string -> counter
 val gauge : t -> string -> gauge
 
-val histogram : ?buckets:int array -> t -> string -> histogram
-(** [buckets] are inclusive upper bounds, strictly increasing and
-    non-empty (checked); observations above the last bound land in an
-    implicit +inf bucket. Defaults to powers of two up to 1024, which
-    cover tick-latency measurements well. *)
+val histogram : t -> string -> histogram
+(** Buckets bounded above, inclusively, by 0 and the powers of two up to
+    1024, which cover tick-latency measurements well; observations above
+    1024 land in an implicit +inf bucket. *)
 
 (** {1 Recording (hot path)} *)
 

@@ -46,17 +46,14 @@ type region = {
   perms : perms;
 }
 
-let region ?(min_level = Application) ?perms ~base ~size section =
+let region ?(min_level = Application) ~base ~size section =
   if base < 0 then invalid_arg "Memory.region: negative base";
   if size <= 0 then invalid_arg "Memory.region: non-positive size";
   if base mod page_size <> 0 then
     invalid_arg "Memory.region: base not page aligned";
   if size mod page_size <> 0 then
     invalid_arg "Memory.region: size not a page multiple";
-  let perms =
-    match perms with Some p -> p | None -> default_perms section
-  in
-  { base; size; section; min_level; perms }
+  { base; size; section; min_level; perms = default_perms section }
 
 let region_end r = r.base + r.size
 
@@ -113,8 +110,8 @@ type request = { req_section : section; req_size : int }
 
 let round_up n = (n + page_size - 1) / page_size * page_size
 
-let allocate ?(base = 0x4000_0000) parts =
-  let cursor = ref base in
+let allocate parts =
+  let cursor = ref 0x4000_0000 in
   List.map
     (fun (pid, requests) ->
       let regions =

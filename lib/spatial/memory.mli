@@ -36,10 +36,9 @@ type region = {
 }
 
 val region :
-  ?min_level:exec_level -> ?perms:perms -> base:int -> size:int -> section -> region
-(** [perms] defaults to the section's: Code → rx, Data, Stack and Io →
-    rw; [min_level]
-    defaults to [Application]. Raises [Invalid_argument] on non-positive
+  ?min_level:exec_level -> base:int -> size:int -> section -> region
+(** The region's permissions are its section's: Code → rx, Data, Stack
+    and Io → rw; [min_level] defaults to [Application]. Raises [Invalid_argument] on non-positive
     size, negative base, or misalignment with respect to {!page_size}. *)
 
 val page_size : int
@@ -71,10 +70,7 @@ val validate_maps : map list -> string list
 
 type request = { req_section : section; req_size : int }
 
-val allocate :
-  ?base:int ->
-  (Air_model.Ident.Partition_id.t * request list) list ->
-  map list
+val allocate : (Air_model.Ident.Partition_id.t * request list) list -> map list
 (** Packs all requested sections into consecutive page-aligned ranges
-    starting at [base] (default 0x4000_0000, leaving low memory to the
-    PMK). Sizes are rounded up to whole pages. *)
+    starting at 0x4000_0000, leaving low memory to the PMK. Sizes are
+    rounded up to whole pages. *)

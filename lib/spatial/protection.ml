@@ -6,7 +6,7 @@ type t = {
 
 let context_of pid = Air_model.Ident.Partition_id.index pid + 1
 
-let create ?metrics ?tlb_capacity ?(contexts = 16) maps =
+let create ?metrics ?(contexts = 16) maps =
   (match Memory.validate_maps maps with
   | [] -> ()
   | diag :: _ -> invalid_arg ("Protection.create: " ^ diag));
@@ -20,7 +20,7 @@ let create ?metrics ?tlb_capacity ?(contexts = 16) maps =
     (fun (m : Memory.map) ->
       Mmu.map_partition mmu ~context:(context_of m.Memory.partition) m)
     maps;
-  { mmu; tlb = Tlb.create ~metrics:reg ?capacity:tlb_capacity (); maps }
+  { mmu; tlb = Tlb.create ~metrics:reg (); maps }
 
 (* Per-access cost unit for the contention model: a TLB hit costs 1, a
    miss costs 1 plus the number of page-table levels the MMU walk

@@ -11,7 +11,6 @@ type t
 
 val create :
   ?metrics:Air_obs.Metrics.t ->
-  ?tlb_capacity:int ->
   ?contexts:int ->
   Memory.map list ->
   t

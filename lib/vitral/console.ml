@@ -7,10 +7,8 @@ type t = {
   hm : Window.t;
 }
 
-let create ?(window_width = 34) ?(window_height = 6) ~partitions () =
-  let mk title =
-    Window.create ~height:window_height ~title ~width:window_width ()
-  in
+let create ?(window_width = 34) ~partitions () =
+  let mk title = Window.create ~height:6 ~title ~width:window_width () in
   { partition_windows =
       List.map (fun (pid, label) -> (pid, mk label)) partitions;
     pmk = mk "AIR PMK";
@@ -44,6 +42,6 @@ let feed t time ev =
 
 let feed_trace t trace = Air_sim.Trace.iter (feed t) trace
 
-let render ?(columns = 2) t =
-  Window.render_grid ~columns
+let render t =
+  Window.render_grid ~columns:2
     (List.map snd t.partition_windows @ [ t.pmk; t.hm ])

@@ -14,13 +14,9 @@ open Ident
 type t
 
 val create :
-  ?window_width:int ->
-  ?window_height:int ->
-  partitions:(Partition_id.t * string) list ->
-  unit ->
-  t
+  ?window_width:int -> partitions:(Partition_id.t * string) list -> unit -> t
 (** One window per partition (titled with the given label) plus the
-    "AIR PMK" and "AIR Health Monitor" windows. *)
+    "AIR PMK" and "AIR Health Monitor" windows, each six lines high. *)
 
 val feed : t -> Air_sim.Time.t -> Event.t -> unit
 (** Route one event. Events with no window (process state changes, port
@@ -29,6 +25,6 @@ val feed : t -> Air_sim.Time.t -> Event.t -> unit
 val feed_trace : t -> Event.t Air_sim.Trace.t -> unit
 (** {!feed} every event of a trace, oldest first. *)
 
-val render : ?columns:int -> t -> string
+val render : t -> string
 (** The full console: partition windows first, then the AIR windows, laid
-    out in [columns] (default 2). *)
+    out in two columns. *)

@@ -110,7 +110,10 @@ let render_rows ~width ~labels ~horizon cell_owner =
     labels;
   Buffer.contents buf
 
-let of_schedule ?(width = 65) (s : Schedule.t) =
+(* Chart width in columns. *)
+let width = 65
+
+let of_schedule (s : Schedule.t) =
   let partitions = Schedule.partitions s in
   let owner tick =
     Option.map
@@ -144,7 +147,7 @@ let of_schedule ?(width = 65) (s : Schedule.t) =
   Format.asprintf "%a %s — MTF=%a@.%s%s@." Schedule_id.pp s.Schedule.id
     s.Schedule.name Time.pp s.Schedule.mtf chart windows
 
-let of_activity ?(width = 65) ~partitions ~from ~until switches =
+let of_activity ~partitions ~from ~until switches =
   let owners = owners_of_activity ~from ~until switches in
   let owner tick = owners.(tick) in
   let labels =

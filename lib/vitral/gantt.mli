@@ -7,21 +7,19 @@ open Air_sim
 open Air_model
 open Ident
 
-val of_schedule : ?width:int -> Schedule.t -> string
-(** Static chart of the PST's windows over one MTF ([width] columns,
-    default 65). A cell is filled ("█") when the partition holds the
+val of_schedule : Schedule.t -> string
+(** Static chart of the PST's windows over one MTF, 65 columns wide. A cell is filled ("█") when the partition holds the
     majority of the cell's tick range, half-filled ("▒") when it holds part
     of it. Includes an offset ruler and per-partition window lists. *)
 
 val of_activity :
-  ?width:int ->
   partitions:Partition_id.t list ->
   from:Time.t ->
   until:Time.t ->
   (Time.t * Partition_id.t option) list ->
   string
 (** Chart of observed context switches (as produced by
-    [Air.System.activity]) over [\[from, until)]. *)
+    [Air.System.activity]) over [\[from, until)], 65 columns wide. *)
 
 val occupancy :
   partitions:Partition_id.t list ->

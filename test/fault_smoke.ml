@@ -6,39 +6,33 @@
    criterion, enforced outside the test harness. Exits nonzero on the
    first problem. *)
 
-let fail fmt = Printf.ksprintf (fun m -> prerr_endline m; exit 1) fmt
-
-let read_file path =
-  try In_channel.with_open_text path In_channel.input_all
-  with Sys_error m -> fail "%s" m
-
-let count_occurrences needle hay =
-  let n = String.length needle and h = String.length hay in
-  let rec go i acc =
-    if i + n > h then acc
-    else if String.sub hay i n = needle then go (i + n) (acc + 1)
-    else go (i + 1) acc
-  in
-  if n = 0 then 0 else go 0 0
+open Smoke
 
 let check_report path =
   let text = read_file path in
-  (match Json_lint.check text with
-  | Ok () -> ()
-  | Error e -> fail "%s: invalid JSON: %s" path e);
-  if not (Astring_contains.contains text "\"schema\":\"air-campaign/1\"")
-  then fail "%s: missing air-campaign/1 schema marker" path;
-  let campaigns = count_occurrences "\"seed\":" text in
-  if campaigns = 0 then fail "%s: no campaigns in report" path;
-  let deterministic = count_occurrences "\"deterministic\":true" text in
-  if deterministic <> campaigns then
-    fail "%s: %d of %d campaigns reproducible" path deterministic campaigns;
-  let contained = count_occurrences "\"verdict\":\"contained\"" text in
-  if contained <> campaigns then
-    fail "%s: %d of %d campaigns contained" path contained campaigns;
-  if count_occurrences "\"verdict\":\"breached\"" text <> 0 then
-    fail "%s: report carries a breached verdict" path;
-  (text, campaigns)
+  let report = parse path text in
+  schema path report "air-campaign/1";
+  let campaigns = field path Json_lint.list report [ "campaigns" ] in
+  if campaigns = [] then fail "%s: no campaigns in report" path;
+  let count pred = List.length (List.filter pred campaigns) in
+  let n = List.length campaigns in
+  (* A report carries [deterministic] only when reproducibility was
+     checked; an absent field counts as not reproducible. *)
+  let deterministic =
+    count (fun c ->
+        Option.bind (Json_lint.get [ "deterministic" ] c) Json_lint.bool
+        = Some true)
+  in
+  if deterministic <> n then
+    fail "%s: %d of %d campaigns reproducible" path deterministic n;
+  let contained =
+    count (fun c ->
+        field path Json_lint.string c [ "containment"; "verdict" ]
+        = "contained")
+  in
+  if contained <> n then
+    fail "%s: %d of %d campaigns contained" path contained n;
+  (text, n)
 
 let () =
   match Sys.argv with

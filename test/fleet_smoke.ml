@@ -9,9 +9,8 @@
    possible send, not every lookahead [L]. Exits nonzero on the first
    problem. *)
 
+open Smoke
 module Fleet = Air_fleet.Fleet
-
-let fail fmt = Printf.ksprintf (fun m -> prerr_endline m; exit 1) fmt
 
 let load path =
   match Air_config.Loader.load_fleet_file path with
@@ -29,12 +28,10 @@ let parallel_fingerprint path ~domains ~ticks =
     fail "1-domain fleet needed %d windows for %d ticks (lookahead %d): \
           windows no longer end at the earliest possible send"
       windows ticks lookahead;
-  let stats_json = Air_obs.Fleet_stats.to_json (Fleet.stats fleet) in
-  (match Json_lint.check stats_json with
-  | Ok () -> ()
-  | Error e -> fail "fleet stats (%d domains): invalid JSON: %s" domains e);
-  if not (Astring_contains.contains stats_json "\"air-fleet-stats/1\"") then
-    fail "fleet stats (%d domains): missing air-fleet-stats/1 marker" domains;
+  let what = Printf.sprintf "fleet stats (%d domains)" domains in
+  schema what
+    (parse what (Air_obs.Fleet_stats.to_json (Fleet.stats fleet)))
+    "air-fleet-stats/1";
   Fleet.fingerprint cluster
 
 let () =

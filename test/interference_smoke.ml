@@ -15,8 +15,7 @@
    Exits nonzero on the first problem. *)
 
 open Air_model
-
-let fail fmt = Printf.ksprintf (fun m -> prerr_endline m; exit 1) fmt
+open Smoke
 
 (* The shipped bus-hog campaign: bursts worth 150% of the hog's per-window
    budget at ticks 1550 and 9550 of a 20000-tick horizon. One extra tick
@@ -78,15 +77,15 @@ let () =
   (* Telemetry artifact. *)
   let frames = Air.System.telemetry_frames system in
   if frames = [] then fail "no telemetry frames closed in %d ticks" horizon;
-  let json = Air_obs.Telemetry.to_json frames in
-  (match Json_lint.check json with
-  | Ok () -> ()
-  | Error e -> fail "telemetry export: invalid JSON: %s" e);
-  if not (Astring_contains.contains json Air_obs.Telemetry.schema) then
-    fail "telemetry export: missing schema marker %S"
-      Air_obs.Telemetry.schema;
-  if not (Astring_contains.contains json "\"throttled\":") then
-    fail "telemetry export: interference columns absent";
+  let what = "telemetry export" in
+  let json = parse what (Air_obs.Telemetry.to_json frames) in
+  schema what json Air_obs.Telemetry.schema;
+  List.iter
+    (fun frame ->
+      List.iter
+        (fun pf -> ignore (field what Json_lint.int pf [ "throttled" ]))
+        (field what Json_lint.list frame [ "partitions" ]))
+    (field what Json_lint.list json [ "frames" ]);
   List.iter
     (fun f ->
       if not f.Air_obs.Telemetry.f_interference then

@@ -4,29 +4,14 @@
    schema with at least one frame, and that every CSV row honours the
    header's column discipline. Exits nonzero on the first problem. *)
 
-let fail fmt = Printf.ksprintf (fun m -> prerr_endline m; exit 1) fmt
-
-let read_file path =
-  try In_channel.with_open_text path In_channel.input_all
-  with Sys_error m -> fail "%s" m
-
-let count_occurrences needle hay =
-  let n = String.length needle and h = String.length hay in
-  let rec go i acc =
-    if i + n > h then acc
-    else if String.sub hay i n = needle then go (i + n) (acc + 1)
-    else go (i + 1) acc
-  in
-  if n = 0 then 0 else go 0 0
+open Smoke
 
 let check_json path =
-  let text = read_file path in
-  (match Json_lint.check text with
-  | Ok () -> ()
-  | Error e -> fail "%s: invalid JSON: %s" path e);
-  if not (Astring_contains.contains text Air_obs.Telemetry.schema) then
-    fail "%s: missing schema marker %S" path Air_obs.Telemetry.schema;
-  let frames = count_occurrences "\"frame\":" text in
+  let telemetry = parse path (read_file path) in
+  schema path telemetry Air_obs.Telemetry.schema;
+  let frames =
+    List.length (field path Json_lint.list telemetry [ "frames" ])
+  in
   if frames = 0 then fail "%s: no frames exported" path;
   frames
 

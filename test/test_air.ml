@@ -25,4 +25,5 @@ let () =
       ("contention", Test_contention.suite);
       ("faults", Test_faults.suite);
       ("exec", Test_exec.suite);
-      ("causal", Test_causal.suite) ]
+      ("causal", Test_causal.suite);
+      ("json", Test_json.suite) ]
