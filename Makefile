@@ -124,10 +124,12 @@ profile-smoke:
 	dune exec test/profile_smoke.exe -- /tmp/air_profile.json 20000
 
 # End-to-end parallel-fleet pass: advance the shipped constellation
-# document sequentially and across 2 and 4 OCaml domains, and require the
-# three observable fingerprints (traces, counters, bus state) to be
-# byte-identical — the conservative engine's bit-identity guarantee,
-# enforced by the exit code. Also lints the fleet's stats JSON.
+# document sequentially and across 1, 2 and 4 OCaml domains, and require
+# the four observations (Air.Observe: bus and every module's state,
+# trace, telemetry, flows, spans and metrics) to be byte-identical — the
+# conservative engine's bit-identity guarantee, enforced by the exit
+# code, which names the first differing section (e.g. m3.metrics). Also
+# lints the fleet's stats JSON.
 fleet-smoke:
 	dune build test/fleet_smoke.exe
 	dune exec test/fleet_smoke.exe -- examples/configs/constellation.air 5000

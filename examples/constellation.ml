@@ -117,7 +117,7 @@ let () =
   in
   let sequential_run =
     Air_faults.Engine.execute
-      ~make:(fun () -> Air_faults.Engine.Cluster (make_constellation (), 0))
+      ~make:(fun () -> Air_faults.Engine.cluster (make_constellation ()))
       spec
   in
   let fleet_run =

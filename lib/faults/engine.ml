@@ -2,16 +2,12 @@ open Air_sim
 open Air_model
 open Air_model.Ident
 
-type driver_ops = {
-  d_system : Air.System.t;
-  d_advance : int -> unit;
-  d_link_fault : Air.Cluster.bus_fault -> Air_obs.Causal.id list option;
-}
-
 type target =
   | Module of Air.System.t
-  | Cluster of Air.Cluster.t * int
-  | Driver of driver_ops
+  | Driver of { cluster : Air.Cluster.t; advance : int -> unit }
+
+let group ~advance cluster = Driver { cluster; advance }
+let cluster c = group ~advance:(fun ticks -> Air.Cluster.run c ~ticks) c
 
 type applied = Applied | Absorbed of string | Failed of string
 
@@ -40,36 +36,18 @@ type run = {
 
 let observed = function
   | Module s -> s
-  | Cluster (c, i) -> (Air.Cluster.systems c).(i)
-  | Driver d -> d.d_system
+  | Driver d -> (Air.Cluster.systems d.cluster).(0)
 
-let step_target = function
-  | Module s -> Air.System.step s
-  | Cluster (c, _) -> Air.Cluster.step c
-  | Driver d -> d.d_advance 1
-
-(* Turbo: module targets advance through the skip-ahead executive; the
-   injection points bound every span, so a campaign's faults still land on
-   exactly the planned ticks. Cluster targets keep the per-tick path (the
-   bus and its gateways are pumped every tick). *)
-type driver = Turbo of Air_exec.Engine.t | Per_tick of target
-
-let driver_of ~turbo target =
-  match (turbo, target) with
-  | true, Module s -> Turbo (Air_exec.Engine.create s)
-  | true, (Cluster _ | Driver _) | false, _ -> Per_tick target
-
-let advance_driver d ~ticks =
-  match d with
-  | Turbo e -> Air_exec.Engine.advance e ~ticks
-  | Per_tick (Driver d) ->
-    (* The driver is its own executive (e.g. the windowed fleet engine);
-       hand it the whole span so it can barrier only where it must. *)
-    d.d_advance ticks
-  | Per_tick target ->
-    for _ = 1 to ticks do
-      step_target target
-    done
+(* A module advances through the skip-ahead executive under turbo, per
+   tick otherwise; the injection points bound every span, so a campaign's
+   faults land on exactly the planned ticks either way. A group paces
+   itself (the windowed fleet barriers only where it must). *)
+let advancer ~turbo = function
+  | Module s ->
+    let mode = if turbo then Air_exec.Engine.Adaptive else Per_tick in
+    let engine = Air_exec.Engine.create ~mode s in
+    fun ticks -> Air_exec.Engine.advance engine ~ticks
+  | Driver d -> d.advance
 
 let system run = observed run.target
 let baseline_system run = observed run.baseline
@@ -226,15 +204,11 @@ let apply_fault target ~schedule_redelivery (fault : Fault.t) =
   | Fault.Link_fault { fault = cf } -> (
     match target with
     | Module _ -> no_flow (Failed "link fault requires a cluster target")
-    | Cluster (c, _) ->
+    | Driver { cluster = c; _ } ->
       if Air.Cluster.inject_bus_fault c (bus_fault_of_comm cf) then
         ( Applied,
           List.map Air_obs.Causal.to_string (Air.Cluster.last_perturbed c) )
-      else no_flow (Absorbed "no transfer in flight")
-    | Driver d -> (
-      match d.d_link_fault (bus_fault_of_comm cf) with
-      | Some flows -> (Applied, List.map Air_obs.Causal.to_string flows)
-      | None -> no_flow (Absorbed "no transfer in flight")))
+      else no_flow (Absorbed "no transfer in flight"))
   | Fault.Module_error { code } ->
     Air.System.inject_module_error sys code
       ~detail:(Printf.sprintf "injected (%s)" (Fault.label fault));
@@ -345,35 +319,24 @@ let pp_applied ppf = function
   | Absorbed why -> Format.fprintf ppf "absorbed (%s)" why
   | Failed why -> Format.fprintf ppf "failed (%s)" why
 
-(* Every observation enters the digest as data, in one [Marshal] image
-   without sharing, so structurally equal runs digest alike: the clock,
-   trace volume, HM and violation counts, halt reason, partition modes,
-   per-kind event totals, fault outcomes, the digest of every retained
-   event with its instant (taken from the packed entries, not decoded), and
-   the telemetry frames. Counts alone would equate two runs whose events
-   differ only in time. *)
-let fingerprint_of sys outcomes =
-  let trace = Air.System.trace sys in
-  let observed =
-    ( ( Air.System.now sys,
-        Trace.total trace,
-        Air.Hm.error_count (Air.System.hm sys),
-        List.length (Air.System.violations sys),
-        Air.System.halted sys ),
-      List.map (Air.System.partition_mode sys) (Air.System.partition_ids sys),
-      Air.System.event_counts sys,
-      outcomes,
-      Trace.digest trace,
-      Air.System.telemetry_frames sys )
+(* The target's whole observation ({!Air.Observe}) — every module and the
+   bus of a group, not only the module faults are judged on — and the
+   fault outcomes: equal fingerprints mean indistinguishable runs. *)
+let fingerprint_of target outcomes =
+  let observation =
+    match target with
+    | Module s -> Air.Observe.system s
+    | Driver d -> Air.Observe.cluster d.cluster
   in
-  Digest.to_hex
-    (Digest.string (Marshal.to_string observed [ Marshal.No_sharing ]))
+  Air.Observe.digest
+    (observation
+    @ [ ("outcomes", Marshal.to_string outcomes [ Marshal.No_sharing ]) ])
 
 (* --- Execution ---------------------------------------------------------- *)
 
 let run_target ~turbo make spec =
   let target = make () in
-  let driver = driver_of ~turbo target in
+  let advance = advancer ~turbo target in
   let sys = observed target in
   let mtf = mtf_of sys in
   let plan = Campaign.plan spec ~mtf in
@@ -428,7 +391,7 @@ let run_target ~turbo make spec =
           | [] -> spec.horizon
           | p :: _ -> Stdlib.min spec.horizon p.p_at
         in
-        advance_driver driver ~ticks:(next - !cursor);
+        advance (next - !cursor);
         cursor := next
       end
   done;
@@ -439,14 +402,14 @@ let execute ?(turbo = false) ~make spec =
   let sys = observed target in
   let outcomes = match_detections sys working in
   let baseline = make () in
-  advance_driver (driver_of ~turbo baseline) ~ticks:spec.horizon;
+  advancer ~turbo baseline spec.horizon;
   { spec;
     mtf;
     plan;
     target;
     baseline;
     outcomes;
-    fingerprint = fingerprint_of sys outcomes }
+    fingerprint = fingerprint_of target outcomes }
 
 let detection_latencies run =
   let q = Air_obs.Quantile.create () in

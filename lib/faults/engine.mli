@@ -3,10 +3,10 @@
     The engine owns the whole lifecycle of one campaign: build the target
     from the caller's factory, expand the spec into a concrete plan
     ({!Campaign.plan} against the target's initial-schedule MTF), advance
-    the target tick by tick applying due injections through the fault hooks
-    of [Air.System] / [Ipc.Router] / [Air.Cluster], re-inject delayed
-    messages when their delay expires, and finally match every injection
-    against the Health Monitor record in the trace.
+    the target from one due injection to the next, applying each through
+    the fault hooks of [Air.System] / [Ipc.Router] / [Air.Cluster],
+    re-inject delayed messages when their delay expires, and finally match
+    every injection against the Health Monitor record in the trace.
 
     A fault-free {e baseline} of the same target is run over the same
     horizon; the containment oracle uses it as the reference for mode and
@@ -16,27 +16,27 @@
 
 open Air_sim
 
-(** A custom execution driver: anything that can advance simulated time
-    and absorb link faults — the hook through which the parallel fleet
-    engine ([Air_fleet]) runs campaigns over whole constellations without
-    this engine depending on it. Faults other than [Link_fault] apply to
-    [d_system], the observed module, at instants the engine has already
-    advanced to (every [d_advance] return is a synchronization point). *)
-type driver_ops = {
-  d_system : Air.System.t;  (** Observed module (verdicts, redeliveries). *)
-  d_advance : int -> unit;  (** Advance the whole target by n ticks. *)
-  d_link_fault : Air.Cluster.bus_fault -> Air_obs.Causal.id list option;
-      (** Apply a bus fault; [None] when nothing was in flight
-          (absorbed), [Some flows] the touched correlation ids. *)
-}
-
-(** What a campaign runs against: a single module, a cluster observed
-    through one of its modules (faults other than [Link_fault] apply to the
-    observed module), or a custom driver. *)
+(** What a campaign runs against: a single module, or a group of modules
+    on a cluster bus advanced by its own executive. A group is observed
+    through its module 0: faults other than [Link_fault] apply to that
+    module, at instants the executive has already advanced to (every
+    [advance] return is a synchronization point), and link faults strike
+    the cluster's bus. *)
 type target =
   | Module of Air.System.t
-  | Cluster of Air.Cluster.t * int  (** Observed module index. *)
-  | Driver of driver_ops
+  | Driver of {
+      cluster : Air.Cluster.t;
+      advance : int -> unit;  (** Advance the whole group by n ticks. *)
+    }
+
+val group : advance:(int -> unit) -> Air.Cluster.t -> target
+(** The group target over [cluster], advanced by [advance] — the hook
+    through which the parallel fleet engine ([Air_fleet]) runs campaigns
+    over whole constellations without this engine depending on it. *)
+
+val cluster : Air.Cluster.t -> target
+(** The group advanced by {!Air.Cluster.run}: the sequential reference a
+    fleet campaign is compared against. *)
 
 type applied =
   | Applied  (** The fault took effect. *)
@@ -75,19 +75,20 @@ type run = {
   baseline : target;
   outcomes : outcome list;
   fingerprint : string;
-      (** Digest of the observed trace (every retained event with its
-          instant), telemetry frames, HM counters, final modes and
-          outcomes — equal fingerprints mean indistinguishable runs. *)
+      (** {!Air.Observe.digest} of the target's whole observation — the
+          module's ({!Air.Observe.system}), or for a group every module's
+          and the bus ({!Air.Observe.cluster}) — plus the outcomes: equal
+          fingerprints mean indistinguishable runs. *)
 }
 
 val execute : ?turbo:bool -> make:(unit -> target) -> Campaign.spec -> run
 (** [make] must return a fresh, equivalent target on every call (it is
-    called twice: campaign + baseline). [turbo] (default [false]) drives
-    module targets through the skip-ahead executive
-    ({!Air_exec.Engine}): every planned injection tick bounds a span, so
-    the faults land on exactly the planned instants and the run —
-    fingerprint included — is bit-identical to the per-tick one. Cluster
-    targets always run per-tick; driver targets pace themselves. *)
+    called twice: campaign + baseline). A module target advances through
+    {!Air_exec.Engine}: in [Adaptive] (skip-ahead) mode when [turbo]
+    (default [false]) is set, in [Per_tick] mode otherwise. Every planned
+    injection tick bounds a span, so the faults land on exactly the
+    planned instants and the turbo run — fingerprint included — is
+    bit-identical to the per-tick one. Group targets pace themselves. *)
 
 val observed : target -> Air.System.t
 (** The module whose trace the campaign is judged against. *)

@@ -452,82 +452,19 @@ let create ?(domains = 1) cluster =
 
 (* --- Fingerprint -------------------------------------------------------- *)
 
-let fingerprint_text cluster =
-  let b = Buffer.create 4096 in
-  let ppf = Format.formatter_of_buffer b in
-  Format.fprintf ppf "clock=%d@." (Cluster.now cluster);
-  let st = Cluster.stats cluster in
-  Format.fprintf ppf "bus transferred=%d dropped=%d in_flight=%d busy=%d@."
-    st.Cluster.transferred st.Cluster.dropped st.Cluster.in_flight
-    st.Cluster.bus_busy_until;
-  List.iter
-    (fun (tr : Cluster.transfer) ->
-      Format.fprintf ppf "wire %d/%d -> m%d:%s %s@." tr.arrival tr.seq
-        tr.target_module
-        (Air_ipc.Router.port_name
-           (System.router (Cluster.systems cluster).(tr.target_module))
-           tr.target_port)
-        (Digest.to_hex (Digest.bytes tr.payload)))
-    (Cluster.in_flight_transfers cluster);
-  Array.iteri
-    (fun i sys ->
-      Format.fprintf ppf "module %d now=%d halt=%s hm=%d violations=%d@." i
-        (System.now sys)
-        (match System.halted sys with None -> "-" | Some r -> r)
-        (Hm.error_count (System.hm sys))
-        (List.length (System.violations sys));
-      List.iter
-        (fun pid ->
-          Format.fprintf ppf "  mode %a=%a@." Air_model.Ident.Partition_id.pp
-            pid Air_model.Partition.pp_mode
-            (System.partition_mode sys pid))
-        (System.partition_ids sys);
-      List.iter
-        (fun (k, n) -> Format.fprintf ppf "  event %s=%d@." k n)
-        (System.event_counts sys);
-      List.iter
-        (fun (time, ev) ->
-          Format.fprintf ppf "  trace %d %a@." time Air_model.Event.pp ev)
-        (Air_sim.Trace.to_list (System.trace sys));
-      Format.fprintf ppf "  telemetry %s@."
-        (Digest.to_hex
-           (Digest.string
-              (Air_obs.Telemetry.to_json (System.telemetry_frames sys))));
-      List.iter
-        (fun (e : Air_obs.Causal.entry) ->
-          Format.fprintf ppf "  flow %d %s t=%d track=%d@." e.Air_obs.Causal.id
-            (match e.Air_obs.Causal.kind with
-            | Air_obs.Causal.Send -> "send"
-            | Air_obs.Causal.Receive -> "receive"
-            | Air_obs.Causal.Forward -> "forward"
-            | Air_obs.Causal.Perturb p -> Air_obs.Causal.perturbation_label p)
-            e.Air_obs.Causal.time e.Air_obs.Causal.track)
-        (System.flow_entries sys))
-    (Cluster.systems cluster);
-  Format.pp_print_flush ppf ();
-  Buffer.contents b
-
-let fingerprint cluster = Digest.to_hex (Digest.string (fingerprint_text cluster))
+let fingerprint_text cluster = Observe.to_text (Observe.cluster cluster)
+let fingerprint cluster = Observe.digest (Observe.cluster cluster)
 
 (* --- Campaigns over fleets ---------------------------------------------- *)
-
-(* The campaign observes module 0. *)
-let campaign_target t =
-  Air_faults.Engine.Driver
-    { Air_faults.Engine.d_system = (Cluster.systems t.cluster).(0);
-      d_advance = (fun ticks -> run t ~ticks);
-      d_link_fault =
-        (fun f ->
-          if Cluster.inject_bus_fault t.cluster f then
-            Some (Cluster.last_perturbed t.cluster)
-          else None) }
 
 let execute_campaign ?(domains = 1) ~make spec =
   let fleets = ref [] in
   let mk () =
     let fleet = create ~domains (make ()) in
     fleets := fleet :: !fleets;
-    campaign_target fleet
+    Air_faults.Engine.group
+      ~advance:(fun ticks -> run fleet ~ticks)
+      fleet.cluster
   in
   Fun.protect
     ~finally:(fun () -> List.iter close !fleets)

@@ -78,16 +78,18 @@ val stats : t -> Air_obs.Fleet_stats.t
     with one. *)
 
 val fingerprint_text : Cluster.t -> string
-(** The un-hashed form of {!fingerprint}, one observable per line — diff
-    two of these to localize a divergence. *)
+(** [Observe.to_text (Observe.cluster c)]: one line per section of the
+    cluster's observation ({!Air.Observe}) with the digest of its image —
+    diff two of these to localize a divergence. *)
 
 val fingerprint : Cluster.t -> string
-(** Digest of the full observable state of a cluster — clock, bus
-    occupancy and in-flight transfers, and every module's clock, halt
-    reason, HM counters, partition modes, event counts, retained trace,
-    telemetry frames and causal flow records. A fleet run and a
-    sequential run of equivalent clusters yield equal fingerprints at
-    equal instants, for any domain count. *)
+(** [Observe.digest (Observe.cluster c)]: the digest of the cluster's
+    whole observation — bus state and in-flight transfers, and every
+    module's clock, partition, schedule, process, intrapartition, port and
+    contention state, HM count, event totals, trace, telemetry, flows,
+    spans and metrics ({!Air.Observe}). A fleet run and a sequential run
+    of equivalent clusters yield equal fingerprints at equal instants,
+    for any domain count. *)
 
 (** {1 Fault campaigns over fleets} *)
 

@@ -340,6 +340,12 @@ let pending t ~port =
   | Some queue -> Queue.length queue
   | None -> 0
 
+let contents t port =
+  match t.endpoints.(port).buffer with
+  | Sampling_slot slot -> Option.to_list slot.content
+  | Queuing_buffer { queue; _ } -> List.of_seq (Queue.to_seq queue)
+  | Source_end -> []
+
 type inject_outcome = Injected | Inject_overflow | Inject_bad_port
 
 let inject ?(cid = Air_obs.Causal.none) t ~port ~now msg =

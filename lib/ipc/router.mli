@@ -188,6 +188,12 @@ val pending : t -> port:port -> int
 (** Messages currently queued at a destination port (0 for unknown,
     sampling and source ports). *)
 
+val contents : t -> port -> (bytes * Time.t * Air_obs.Causal.id) list
+(** What the port with this ID buffers, oldest first: each payload with
+    its write instant and correlation id ([[]] for a source port). The
+    payloads are the buffer's own bytes, not copies: read, never write
+    them. For state observations ({!Air.Observe}). *)
+
 (** {1 Remote delivery}
 
     For physically separated partitions, interpartition communication

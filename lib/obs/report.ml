@@ -25,7 +25,7 @@ let pp_histogram_line ppf (h : Metrics.histogram_view) =
     Format.fprintf ppf " ]"
   end
 
-let pp ?(events = []) ppf (snapshot : Metrics.snapshot) =
+let pp ~events ppf (snapshot : Metrics.snapshot) =
   Format.fprintf ppf "metrics:@.";
   List.iter
     (fun (name, v) ->
@@ -43,8 +43,8 @@ let pp ?(events = []) ppf (snapshot : Metrics.snapshot) =
       events
   end
 
-let to_string ?events snapshot =
-  Format.asprintf "%a" (fun ppf -> pp ?events ppf) snapshot
+let to_string ~events snapshot =
+  Format.asprintf "%a" (pp ~events) snapshot
 
 (* --- JSON ---------------------------------------------------------------- *)
 
@@ -66,7 +66,7 @@ let json_escape s =
 let json_ints xs =
   "[" ^ String.concat "," (List.map string_of_int (Array.to_list xs)) ^ "]"
 
-let to_json ?(events = []) (snapshot : Metrics.snapshot) =
+let to_json ~events (snapshot : Metrics.snapshot) =
   let buf = Buffer.create 2048 in
   let metric (name, v) =
     let body =

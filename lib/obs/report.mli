@@ -1,19 +1,13 @@
 (** Rendering of metrics snapshots: a human-readable table for terminals
     and JSON for external dashboards.
 
-    The optional [events] argument appends per-kind event totals (as
-    produced by [Air.System.event_counts]: nonzero kinds, sorted by kind
-    name) to the report. *)
+    The [events] argument appends per-kind event totals (as produced by
+    [Air.System.event_counts]: nonzero kinds, sorted by kind name) to the
+    report; an empty list appends nothing. *)
 
-val pp :
-  ?events:(string * int) list ->
-  Format.formatter ->
-  Metrics.snapshot ->
-  unit
+val to_string : events:(string * int) list -> Metrics.snapshot -> string
 
-val to_string : ?events:(string * int) list -> Metrics.snapshot -> string
-
-val to_json : ?events:(string * int) list -> Metrics.snapshot -> string
+val to_json : events:(string * int) list -> Metrics.snapshot -> string
 (** A single JSON object: [{"metrics":{NAME:{"kind":...},...},
     "events":{KIND:N,...}}]. Hand-rolled — no JSON library dependency. *)
 

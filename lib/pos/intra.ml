@@ -294,6 +294,19 @@ let take_delivery t ~process =
   t.mailboxes.(process) <- None;
   msg
 
+let sorted table f =
+  List.sort
+    (fun (a, _) (b, _) -> String.compare a b)
+    (Hashtbl.fold (fun name o acc -> (name, f o) :: acc) table [])
+
+let observe t =
+  ( sorted t.semaphores (fun s -> s.count),
+    sorted t.events (fun e -> e.up),
+    sorted t.blackboards (fun b -> b.message),
+    sorted t.buffers (fun b -> List.of_seq (Queue.to_seq b.queue)),
+    Array.to_list t.mailboxes,
+    Array.to_list t.pending_sends )
+
 let clear_mailboxes t =
   Array.fill t.mailboxes 0 (Array.length t.mailboxes) None;
   Array.fill t.pending_sends 0 (Array.length t.pending_sends) None

@@ -128,6 +128,21 @@ val deliver : t -> process:int -> bytes -> unit
     when a queuing-port message satisfies a blocked receiver. The bytes are
     copied. *)
 
+val observe :
+  t ->
+  (string * int) list
+  * (string * bool) list
+  * (string * bytes option) list
+  * (string * bytes list) list
+  * bytes option list
+  * (string * bytes) option list
+(** The partition's intrapartition state as closure-free data, each object
+    list sorted by name: semaphore counts, event flags, blackboard
+    messages and buffer queues (oldest first); then, by process, the
+    mailbox and the message a sender is blocked on ({!send_buffer}).
+    Payloads are the objects' own bytes: read, never write them. For
+    state observations ({!Air.Observe}). *)
+
 val reset : t -> unit
 (** Partition cold restart: drop every object and mailbox. *)
 

@@ -1,9 +1,10 @@
 (* Standalone validator for the fleet-smoke make target: load an
    (air-fleet ...) document, advance one copy sequentially through
    [Air.Cluster.run] and three more through the parallel engine at 1, 2
-   and 4 domains, and require all four observable fingerprints to be
-   byte-identical — the bit-identity acceptance criterion, enforced
-   outside the test harness on the shipped constellation document. Also
+   and 4 domains, and require all four observations ([Air.Observe]) to
+   be byte-identical — the bit-identity acceptance criterion, enforced
+   outside the test harness on the shipped constellation document; a
+   divergence names the first section that differs. Also
    lints the engine's stats JSON, and requires the one-domain run to need
    fewer than [ticks / (2 L)] windows: windows end at the earliest
    possible send, not every lookahead [L]. Exits nonzero on the first
@@ -17,7 +18,7 @@ let load path =
   | Ok fleet -> fleet.Air_config.Loader.fleet_cluster
   | Error m -> fail "%s: %s" path m
 
-let parallel_fingerprint path ~domains ~ticks =
+let parallel path ~domains ~ticks =
   let cluster = load path in
   let fleet = Fleet.create ~domains cluster in
   Fleet.run fleet ~ticks;
@@ -32,7 +33,7 @@ let parallel_fingerprint path ~domains ~ticks =
   schema what
     (parse what (Air_obs.Fleet_stats.to_json (Fleet.stats fleet)))
     "air-fleet-stats/1";
-  Fleet.fingerprint cluster
+  Air.Observe.cluster cluster
 
 let () =
   let path, ticks =
@@ -49,15 +50,16 @@ let () =
   if stats.Air.Cluster.transferred = 0 then
     fail "%s: no inter-module traffic in %d ticks; smoke proves nothing" path
       ticks;
-  let sequential = Fleet.fingerprint reference in
+  let sequential = Air.Observe.cluster reference in
   List.iter
     (fun domains ->
-      let parallel = parallel_fingerprint path ~domains ~ticks in
-      if not (String.equal sequential parallel) then
-        fail "%d-domain fleet diverged from the sequential run:\n  %s\n  %s"
-          domains sequential parallel)
+      Option.iter
+        (fail "%d-domain fleet diverged from the sequential run: %s differs"
+           domains)
+        (Air.Observe.first_difference sequential
+           (parallel path ~domains ~ticks)))
     [ 1; 2; 4 ];
   Printf.printf
     "fleet smoke OK: %d ticks, %d transfers, 1-, 2- and 4-domain runs \
      bit-identical to sequential (%s)\n"
-    ticks stats.Air.Cluster.transferred sequential
+    ticks stats.Air.Cluster.transferred (Air.Observe.digest sequential)

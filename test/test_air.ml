@@ -26,4 +26,5 @@ let () =
       ("faults", Test_faults.suite);
       ("exec", Test_exec.suite);
       ("causal", Test_causal.suite);
-      ("json", Test_json.suite) ]
+      ("json", Test_json.suite);
+      ("observe", Test_observe.suite) ]

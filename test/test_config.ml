@@ -203,13 +203,7 @@ let roundtrip_preserves_behaviour () =
   let run cfg =
     let s = Air.System.create cfg in
     Air.System.run s ~ticks:800;
-    ( List.length (Air.System.violations s),
-      Air_sim.Trace.count
-        (fun ev ->
-          match ev with
-          | Air_model.Event.Application_output _ -> true
-          | _ -> false)
-        (Air.System.trace s) )
+    s
   in
   match Loader.load full_doc with
   | Error e -> Alcotest.fail e
@@ -217,9 +211,7 @@ let roundtrip_preserves_behaviour () =
     match Loader.load (Encode.to_string cfg) with
     | Error e -> Alcotest.failf "re-load failed: %s" e
     | Ok cfg' ->
-      check
-        (Alcotest.pair Alcotest.int Alcotest.int)
-        "same observable behaviour" (run cfg) (run cfg'))
+      Observed.systems ~what:"same observable behaviour" (run cfg) (run cfg'))
 
 let satellite_config_roundtrips () =
   (* The programmatically built prototype survives encode → load. *)

@@ -1,7 +1,8 @@
 (* Observational equivalence of the skip-ahead executive (Air_exec.Engine):
    for any module the engine must be indistinguishable from per-tick
-   execution — same event trace, same telemetry frames, same metrics JSON,
-   same clock — whether the workload is hand-written (the Sect. 6
+   execution — the same observation ([Observed], over [Air.Observe]: every
+   state section, the trace, telemetry, flows, spans and metrics) —
+   whether the workload is hand-written (the Sect. 6
    prototype), randomly generated (Taskgen + synthesized PSTs), sharded
    over multiple cores, or driven through a fault-injection campaign
    (identical fingerprints and air-campaign/1 reports). *)
@@ -22,32 +23,6 @@ let pid = Ident.Partition_id.make
 let sid = Ident.Schedule_id.make
 let w partition offset duration = { Schedule.partition; offset; duration }
 let q partition cycle duration = { Schedule.partition; cycle; duration }
-
-(* --- Observable fingerprint --------------------------------------------- *)
-
-let rendered_trace system =
-  List.map
-    (fun (t, ev) -> Format.asprintf "[%d] %a" t Event.pp ev)
-    (Trace.to_list (System.trace system))
-
-(* Everything an observer can compare across the two executives. Telemetry
-   frames are immutable records of scalars and arrays, so structural
-   equality is exact. *)
-let assert_equivalent ~what reference candidate =
-  check Alcotest.int
-    (what ^ ": clock")
-    (System.now reference) (System.now candidate);
-  check Alcotest.(list string)
-    (what ^ ": event trace")
-    (rendered_trace reference) (rendered_trace candidate);
-  check Alcotest.string
-    (what ^ ": metrics JSON")
-    (System.metrics_json reference)
-    (System.metrics_json candidate);
-  check Alcotest.bool
-    (what ^ ": telemetry frames")
-    true
-    (System.telemetry_frames reference = System.telemetry_frames candidate)
 
 (* --- Randomly generated modules ----------------------------------------- *)
 
@@ -88,7 +63,7 @@ let skip_matches_per_tick_on_random_modules =
         System.run reference ~ticks;
         let engine = Engine.create candidate in
         Engine.advance engine ~ticks;
-        assert_equivalent ~what:(Printf.sprintf "seed %d" seed) reference
+        Observed.systems ~what:(Printf.sprintf "seed %d" seed) reference
           candidate;
         check Alcotest.int
           (Printf.sprintf "seed %d: simulated ticks" seed)
@@ -114,7 +89,7 @@ let modes_agree ~name ~utilization =
         Engine.advance per_tick ~ticks;
         let adaptive = Engine.create ~mode:Engine.Adaptive adaptive_sys in
         Engine.advance adaptive ~ticks;
-        assert_equivalent
+        Observed.systems
           ~what:(Printf.sprintf "seed %d: adaptive vs per-tick" seed)
           reference adaptive_sys;
         check Alcotest.int
@@ -173,7 +148,7 @@ let adaptive_never_probes_when_dense () =
   check Alcotest.bool "create defaults to adaptive" true
     (Engine.mode engine = Engine.Adaptive);
   Engine.advance engine ~ticks:10_000;
-  assert_equivalent ~what:"dense module" reference (Engine.system engine);
+  Observed.systems ~what:"dense module" reference (Engine.system engine);
   let stats = Engine.stats engine in
   check Alcotest.int "nothing skipped" 0 stats.Engine.skipped;
   check Alcotest.int "no probes paid" 0 stats.Engine.probes;
@@ -187,7 +162,7 @@ let long_compute_steps_once_per_mtf () =
   System.run reference ~ticks:10_000;
   let engine = Engine.create (dense_system long_compute_body ()) in
   Engine.advance engine ~ticks:10_000;
-  assert_equivalent ~what:"long compute" reference (Engine.system engine);
+  Observed.systems ~what:"long compute" reference (Engine.system engine);
   let stats = Engine.stats engine in
   check Alcotest.int "one stepped tick per MTF" (10_000 / 50)
     stats.Engine.stepped;
@@ -255,7 +230,7 @@ let steady_state_tick_is_allocation_free () =
    holds lane 0 and B lane 1) under one 500-tick MTF, interventions
    applied between ticks, and a witness that the cause really occurs in
    the per-tick reference. Adaptive must reproduce Per_tick's
-   trace, metrics JSON and telemetry frames on one and two cores. *)
+   observation on one and two cores. *)
 type span_row = {
   cause : string;
   cores : int list;
@@ -505,7 +480,7 @@ let compute_span_boundaries () =
           check Alcotest.bool (what ^ ": cause occurs") true
             (row.witness ~cores reference);
           let engine = run_span_row row ~cores Engine.Adaptive in
-          assert_equivalent ~what:(what ^ ", adaptive") reference
+          Observed.systems ~what:(what ^ ", adaptive") reference
             (Engine.system engine);
           check Alcotest.bool
             (what ^ ", adaptive: spans skipped")
@@ -547,7 +522,7 @@ let profiler_buckets_partition_ticks () =
         (label ^ ": probes attributed")
         (Engine.stats engine).Engine.probes
         (Air_exec.Profiler.probes profiler);
-      assert_equivalent ~what:(label ^ ": profiled run") reference
+      Observed.systems ~what:(label ^ ": profiled run") reference
         (Engine.system engine);
       let json = Air_exec.Profiler.to_json profiler in
       (match Json_lint.check json with
@@ -594,7 +569,7 @@ let satellite_skip_equivalence () =
     Engine.create (Air_workload.Satellite.make ())
   in
   Engine.advance engine ~ticks:satellite_ticks;
-  assert_equivalent ~what:"satellite" reference (Engine.system engine);
+  Observed.systems ~what:"satellite" reference (Engine.system engine);
   (* The satellite workload has idle spans: skip-ahead must actually
      engage, otherwise the executive degenerated to per-tick. *)
   let stats = Engine.stats engine in
@@ -612,7 +587,7 @@ let multicore_skip_equivalence () =
   let engine = Engine.create (make ()) in
   Engine.advance engine ~ticks:satellite_ticks;
   check Alcotest.int "2 cores" 2 (System.cores (Engine.system engine));
-  assert_equivalent ~what:"satellite --cores 2" reference
+  Observed.systems ~what:"satellite --cores 2" reference
     (Engine.system engine)
 
 let run_mtfs_equivalence () =
@@ -622,7 +597,7 @@ let run_mtfs_equivalence () =
     Engine.create (Air_workload.Satellite.make ())
   in
   Engine.run_mtfs engine 7;
-  assert_equivalent ~what:"run_mtfs" reference (Engine.system engine)
+  Observed.systems ~what:"run_mtfs" reference (Engine.system engine)
 
 (* Pin the schedule-switch boundary fix: when an iteration starts at an
    MTF boundary with a pending switch to a different-MTF schedule, the
@@ -678,7 +653,7 @@ let run_mtfs_whole_frames_across_switch () =
   Engine.run_mtfs engine 1;
   Result.get_ok (System.request_schedule (Engine.system engine) (sid 1));
   Engine.run_mtfs engine 3;
-  assert_equivalent ~what:"run_mtfs across a 20 -> 40 switch" reference
+  Observed.systems ~what:"run_mtfs across a 20 -> 40 switch" reference
     (Engine.system engine)
 
 (* --- leo_satellite campaigns -------------------------------------------- *)
@@ -706,13 +681,13 @@ let leo_campaigns_turbo_identical () =
     (fun spec ->
       let per_tick = E.execute ~turbo:false ~make spec in
       let turbo = E.execute ~turbo:true ~make spec in
-      check Alcotest.string
-        (spec.C.name ^ ": fingerprint")
-        per_tick.E.fingerprint turbo.E.fingerprint;
-      assert_equivalent
+      Observed.systems
         ~what:(spec.C.name ^ ": observed module")
         (E.observed per_tick.E.target)
         (E.observed turbo.E.target);
+      check Alcotest.string
+        (spec.C.name ^ ": fingerprint")
+        per_tick.E.fingerprint turbo.E.fingerprint;
       let json run = R.to_json (R.make run (O.check run)) in
       check Alcotest.string
         (spec.C.name ^ ": air-campaign/1 JSON")

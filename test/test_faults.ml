@@ -259,12 +259,8 @@ let silent_stream_leaves_run_untouched () =
      the module over the same horizon. *)
   let fresh = Air_workload.Satellite.make () in
   System.run fresh ~ticks:6500;
-  check Alcotest.int "same trace volume"
-    (Trace.total (System.trace fresh))
-    (Trace.total (System.trace (E.system run_plain)));
-  check Alcotest.int "same violations"
-    (List.length (System.violations fresh))
-    (List.length (System.violations (E.system run_plain)))
+  Observed.systems ~what:"fault-free campaign vs plain run" fresh
+    (E.system run_plain)
 
 let rate_streams_independent () =
   (* A rate's draws are a pure function of (seed, rate position): appending
@@ -320,6 +316,24 @@ let fingerprint_sees_event_times () =
   check Alcotest.bool "runs differing only in event times" false
     (E.reproducible ~make spec)
 
+(* Two runs that differ only in a metrics counter are distinguishable: the
+   factory bumps [ipc.overflows] on the modules of the second execution,
+   whose traces, modes and telemetry all match the first. *)
+let fingerprint_sees_metrics () =
+  let calls = ref 0 in
+  let make () =
+    incr calls;
+    let s = Air_workload.Satellite.make () in
+    (* [execute] builds a campaign target and a baseline: two calls. *)
+    if !calls > 2 then
+      Air_obs.Metrics.incr
+        (Air_obs.Metrics.counter (System.metrics s) "ipc.overflows");
+    E.Module s
+  in
+  let spec = C.spec ~name:"metrics" ~seed:1 ~horizon:100 () in
+  check Alcotest.bool "runs differing only in a metric counter" false
+    (E.reproducible ~make spec)
+
 (* --- Negative: a misconfigured HM table is flagged ----------------------- *)
 
 let misconfigured_hm_flagged () =
@@ -372,4 +386,6 @@ let suite =
     Alcotest.test_case "misconfigured HM table is flagged" `Quick
       misconfigured_hm_flagged;
     Alcotest.test_case "fingerprints see event times" `Quick
-      fingerprint_sees_event_times ]
+      fingerprint_sees_event_times;
+    Alcotest.test_case "fingerprints see metrics" `Quick
+      fingerprint_sees_metrics ]

@@ -1,7 +1,8 @@
 (* Tests for the parallel fleet engine: conservative windowed execution of
    a constellation across domains must be bit-identical to the sequential
-   Cluster.run — same fingerprints (clocks, bus, traces, telemetry, causal
-   flows), same fault-campaign verdicts — for any domain count, any
+   Cluster.run — same observations (Air.Observe: the bus and every
+   module's state, trace, telemetry, flows, spans and metrics), same
+   fault-campaign verdicts — for any domain count, any
    topology and any window chunking. Also a forwarding relay: a message
    parked in a forwarding gateway must be re-drained across windows. *)
 
@@ -30,7 +31,7 @@ let q partition cycle duration = { Schedule.partition; cycle; duration }
    shape's gateway ports through a fan-out channel, an aperiodic uplink
    process drains the ingress port and, when [forward], sends each frame
    on through the first gateway. The causal tracker is on so the
-   fingerprint also covers cross-module flow records. *)
+   observation also covers cross-module flow records. *)
 let node ?(forward = false) ~gateways ~period ~wcet ~payload () =
   let sat = pid 0 in
   let src g = "SRC_" ^ g in
@@ -116,65 +117,56 @@ let ring ?(latency = 3) ?(domains = 2) ?(ticks = 600) n =
     ticks;
     domains }
 
-(* Fingerprint of the sequential reference run of a scenario. *)
-let sequential_fingerprint s =
+(* The sequential reference run of a scenario. *)
+let sequential s =
   let cluster = make_constellation s in
   Cluster.run cluster ~ticks:s.ticks;
-  Fleet.fingerprint cluster
+  cluster
 
-(* Fingerprint of the fleet run at [domains], advancing in [chunks] if
-   given (their sum must be [s.ticks]). *)
-let fleet_fingerprint ?chunks s =
+(* The fleet run at [domains], advancing in [chunks] if given (their sum
+   must be [s.ticks]). *)
+let fleet ?chunks s =
   let cluster = make_constellation s in
   let fleet = Fleet.create ~domains:s.domains cluster in
   (match chunks with
   | None -> Fleet.run fleet ~ticks:s.ticks
   | Some chunks -> List.iter (fun ticks -> Fleet.run fleet ~ticks) chunks);
   Fleet.close fleet;
-  Fleet.fingerprint cluster
+  cluster
 
 (* --- Bit-identity on fixed topologies -------------------------------------- *)
 
-let ring_identity () =
-  let s = ring 4 in
-  let reference = sequential_fingerprint s in
+(* Fleets of each domain count against one sequential run of [s]. *)
+let identity s domains =
+  let reference = sequential s in
   List.iter
     (fun domains ->
-      check Alcotest.string
-        (Printf.sprintf "%d-domain fleet == sequential" domains)
+      Observed.clusters
+        ~what:(Printf.sprintf "%d-domain fleet == sequential" domains)
         reference
-        (fleet_fingerprint { s with domains }))
-    [ 1; 2; 4 ]
+        (fleet { s with domains }))
+    domains
+
+let ring_identity () = identity (ring 4) [ 1; 2; 4 ]
 
 let grid_identity () =
-  let s = { (ring 6) with shape = Topology.Grid { rows = 2; cols = 3 } } in
-  let reference = sequential_fingerprint s in
-  List.iter
-    (fun domains ->
-      check Alcotest.string
-        (Printf.sprintf "%d-domain fleet == sequential" domains)
-        reference
-        (fleet_fingerprint { s with domains }))
+  identity
+    { (ring 6) with shape = Topology.Grid { rows = 2; cols = 3 } }
     [ 2; 3 ]
 
 let mesh_identity () =
-  let s = { (ring 6) with shape = Topology.Mesh; latency = 2 } in
-  let reference = sequential_fingerprint s in
-  check Alcotest.string "4-domain mesh == sequential" reference
-    (fleet_fingerprint { s with domains = 4 })
+  identity { (ring 6) with shape = Topology.Mesh; latency = 2 } [ 4 ]
 
 let chunked_runs_identity () =
   (* Barriers are resume points: odd-sized run chunks (including chunks
      far smaller and larger than the lookahead window) change nothing. *)
   let s = ring ~domains:3 ~ticks:500 5 in
-  let reference = sequential_fingerprint s in
-  check Alcotest.string "chunked fleet == sequential" reference
-    (fleet_fingerprint ~chunks:[ 1; 2; 123; 210; 164 ] s)
+  Observed.clusters ~what:"chunked fleet == sequential" (sequential s)
+    (fleet ~chunks:[ 1; 2; 123; 210; 164 ] s)
 
 let fleet_is_deterministic () =
   let s = ring ~domains:4 6 in
-  check Alcotest.string "two fleet runs agree" (fleet_fingerprint s)
-    (fleet_fingerprint s)
+  Observed.clusters ~what:"two fleet runs agree" (fleet s) (fleet s)
 
 (* --- Randomized equivalence ------------------------------------------------ *)
 
@@ -210,7 +202,9 @@ let qcheck_equivalence =
   QCheck.Test.make ~name:"random constellations: fleet == sequential"
     ~count:12
     (QCheck.make ~print:print_scenario scenario_gen)
-    (fun s -> String.equal (sequential_fingerprint s) (fleet_fingerprint s))
+    (fun s ->
+      Observed.clusters ~what:"fleet == sequential" (sequential s) (fleet s);
+      true)
 
 (* --- The forwarding relay (cross-window hop) ------------------------------ *)
 
@@ -306,20 +300,17 @@ let make_relay () =
 let relay_fleet_identity () =
   (* The two-hop forward crosses shard and window boundaries; the fleet
      must re-drain the relay gateway at the right instants. *)
-  let reference =
-    let c = make_relay () in
-    Cluster.run c ~ticks:400;
-    Fleet.fingerprint c
-  in
+  let reference = make_relay () in
+  Cluster.run reference ~ticks:400;
   List.iter
     (fun domains ->
       let c = make_relay () in
       let fleet = Fleet.create ~domains c in
       Fleet.run fleet ~ticks:400;
       Fleet.close fleet;
-      check Alcotest.string
-        (Printf.sprintf "%d-domain relay == sequential" domains)
-        reference (Fleet.fingerprint c))
+      Observed.clusters
+        ~what:(Printf.sprintf "%d-domain relay == sequential" domains)
+        reference c)
     [ 2; 3 ]
 
 (* --- Event-driven windows ---------------------------------------------------- *)
@@ -368,7 +359,7 @@ let ring_of ?(latency = 4) modules =
          ~n:(List.length modules))
     modules
 
-(* Equal fingerprints after [drive] on a sequential cluster and on fleets
+(* Equal observations after [drive] on a sequential cluster and on fleets
    of each domain count; [drive] gets the run function and the cluster. *)
 let fleet_matches_sequential ~what ~make ~domains drive =
   let reference = make () in
@@ -379,9 +370,9 @@ let fleet_matches_sequential ~what ~make ~domains drive =
       let fleet = Fleet.create ~domains c in
       drive (fun ticks -> Fleet.run fleet ~ticks) c;
       Fleet.close fleet;
-      check Alcotest.string
-        (Printf.sprintf "%s: %d-domain fleet == sequential" what domains)
-        (Fleet.fingerprint reference) (Fleet.fingerprint c))
+      Observed.clusters
+        ~what:(Printf.sprintf "%s: %d-domain fleet == sequential" what domains)
+        reference c)
     domains;
   reference
 
@@ -514,6 +505,52 @@ let relay_woken_at_a_window_end () =
   check Alcotest.int "the forward was heard" 1
     (List.length (output_at systems.(2) "heard"))
 
+(* --- What the observation sees --------------------------------------------- *)
+
+(* The shipped constellation after 2 000 ticks, run sequentially and on a
+   two-domain fleet; [perturb] then acts on each side's module 3. *)
+let constellation_difference perturb =
+  let load () =
+    match
+      Air_config.Loader.load_fleet_file "../examples/configs/constellation.air"
+    with
+    | Ok fleet -> fleet.Air_config.Loader.fleet_cluster
+    | Error e -> Alcotest.fail e
+  in
+  let reference = load () in
+  Cluster.run reference ~ticks:2_000;
+  let c = load () in
+  let fleet = Fleet.create ~domains:2 c in
+  Fleet.run fleet ~ticks:2_000;
+  Fleet.close fleet;
+  Observed.clusters ~what:"constellation" reference c;
+  perturb `Sequential (Cluster.systems reference).(3);
+  perturb `Fleet (Cluster.systems c).(3);
+  Observed.difference (Observed.of_cluster reference) (Observed.of_cluster c)
+
+let deliver sys payload =
+  let rx = Router.resolve (System.router sys) "RX" in
+  ignore (System.deliver_remote sys ~port:rx (Bytes.of_string payload))
+
+(* Module state the trace cannot show. Two same-length frames into RX:
+   the first goes to the blocked receiver on both sides, the second stays
+   queued and differs in one byte. Then one frame handed straight to the
+   blocked receiver's mailbox, on the fleet side only. *)
+let observation_names_module_state () =
+  check
+    Alcotest.(option string)
+    "same-length payload left in RX" (Some "m3.ports differs")
+    (constellation_difference (fun side sys ->
+         deliver sys "frame-0";
+         deliver sys (if side = `Fleet then "frame-2" else "frame-1")));
+  check
+    Alcotest.(option string)
+    "payload in a mailbox" (Some "m3.intra differs")
+    (constellation_difference (fun side sys ->
+         if side = `Fleet then
+           Intra.deliver (System.intra_of sys (pid 0)) ~process:1
+             (Bytes.of_string "frame")))
+
 (* --- Fault campaigns over fleets ------------------------------------------- *)
 
 let campaign_spec =
@@ -532,7 +569,7 @@ let campaign_scenario = ring ~latency:4 ~ticks:0 5
 let campaign_matches_sequential () =
   let make () = make_constellation campaign_scenario in
   let sequential =
-    E.execute ~make:(fun () -> E.Cluster (make (), 0)) campaign_spec
+    E.execute ~make:(fun () -> E.cluster (make ())) campaign_spec
   in
   List.iter
     (fun domains ->
@@ -679,6 +716,8 @@ let suite =
       staggered_idlers_and_a_halt;
     Alcotest.test_case "fleet: a relay woken at a window end forwards" `Quick
       relay_woken_at_a_window_end;
+    Alcotest.test_case "fleet: the observation names module state" `Quick
+      observation_names_module_state;
     Alcotest.test_case "fleet: campaign matches sequential verdicts" `Quick
       campaign_matches_sequential;
     Alcotest.test_case "fleet: campaign reproducible" `Quick
