@@ -176,7 +176,10 @@ e2e-smoke:
 # with a "PATH: …" diagnostic and no escaped exception. So does a copy of
 # crosslink.air whose link names a gateway the platform module lacks
 # (ATT_GWW): the diagnostic reads "PATH: air-cluster: …" and names the
-# port, where air_run once ran the link dead. A --domains or --watch below
+# port, where air_run once ran the link dead. Flags only a module run
+# reads (--check-trace, --metrics-json, --export, …) on crosslink.air make
+# air_run exit 1 naming them, and write no file, where it once exited 0
+# having checked and written nothing. A --domains or --watch below
 # 1 is a usage error (exit 124), and a fleet run reports the domain count
 # it ran on: --domains 13 over the 12-module constellation runs on 12,
 # or on fewer when a warning says the machine recommends fewer.
@@ -221,6 +224,18 @@ config-smoke:
 	  fi; \
 	  echo "$$(basename $$tool) gateway.air: $$(grep -m1 "^$(SMOKE)/" $(SMOKE)/out)"; \
 	done
+	@rm -f $(SMOKE)/m.json $(SMOKE)/t.trace
+	@$(AIR_RUN) $(CONFIGS)/crosslink.air -t 200 --check-trace \
+	  --metrics-json $(SMOKE)/m.json --export $(SMOKE)/t.trace \
+	  > $(SMOKE)/out 2>&1; \
+	  code=$$?; \
+	  if [ $$code -ne 1 ] || [ -e $(SMOKE)/m.json ] || [ -e $(SMOKE)/t.trace ] \
+	    || ! grep -q "^$(CONFIGS)/crosslink.air: --check-trace, --export, --metrics-json run against a module document$$" \
+	      $(SMOKE)/out; then \
+	    echo "config-smoke: module-only flags on crosslink.air exited $$code:"; \
+	    cat $(SMOKE)/out; exit 1; \
+	  fi; \
+	  echo "air_run crosslink.air --check-trace: $$(cat $(SMOKE)/out)"
 	@$(AIR_RUN) $(CONFIGS)/constellation.air --domains 0 > $(SMOKE)/out 2>&1; \
 	  code=$$?; \
 	  if [ $$code -ne 124 ] || ! grep -q -- "'--domains'" $(SMOKE)/out; then \

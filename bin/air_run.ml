@@ -215,6 +215,30 @@ let run_file path ticks show_trace show_gantt export metrics_json trace_json
   let turbo = not no_skip in
   let campaigns = faults || campaign_json <> None
   and fleet_mode = fleet || domains <> None in
+  (* Flags only a module run reads (a fleet run reads --speed too): a
+     cluster or fleet run would ignore them. *)
+  let module_flags =
+    List.filter_map
+      (fun (flag, given) -> if given then Some flag else None)
+      [ ("--check-trace", check_trace);
+        ("--export", export <> None);
+        ("--metrics-json", metrics_json <> None);
+        ("--telemetry-csv", telemetry_csv <> None);
+        ("--telemetry-json", telemetry_json <> None);
+        ("--watch", watch <> None);
+        ("--timeline", timeline);
+        ("--gantt", show_gantt);
+        ("--trace", show_trace);
+        ("--profile", profile);
+        ("--profile-json", profile_json <> None);
+        ("--cores", cores <> None);
+        ("--no-skip", no_skip) ]
+  in
+  let misplaced flags =
+    Format.eprintf "%s: %s run against a module document@." path
+      (String.concat ", " flags);
+    1
+  in
   let instrument =
     if trace_json <> None || flows then Some instrument else None
   in
@@ -231,8 +255,11 @@ let run_file path ticks show_trace show_gantt export metrics_json trace_json
     1
   | Ok (Module _) when campaigns ->
     run_campaigns path campaign_json ~turbo ~cores
+  | Ok (Fleet _) when module_flags <> [] -> misplaced module_flags
   | Ok (Fleet fleet) ->
     run_fleet path fleet ticks domains trace_json flows speed
+  | Ok (Cluster _) when module_flags <> [] || speed ->
+    misplaced (module_flags @ if speed then [ "--speed" ] else [])
   | Ok (Cluster cluster) -> run_cluster cluster ticks trace_json flows
   | Ok (Module cfg) ->
     (* The flight recorder is only attached when some output needs it. *)
@@ -441,27 +468,17 @@ let run_file path ticks show_trace show_gantt export metrics_json trace_json
     let check_ok =
       if not check_trace then true
       else begin
-        if Air_sim.Trace.total trace > Air_sim.Trace.length trace then
-          Format.eprintf
-            "warning: bounded trace dropped %d events; replay check needs \
-             the full trace from tick 0@."
-            (Air_sim.Trace.total trace - Air_sim.Trace.length trace);
-        let violations =
-          Air_analysis.Trace_check.check
-            ?initial_schedule:cfg.Air.System.initial_schedule
-            ~network:cfg.Air.System.network
+        let findings =
+          Air_faults.Oracle.replay cfg
             ~until:(Air.System.now system + 1)
-            ~schedules:cfg.Air.System.schedules
-            (Air_sim.Trace.to_list trace)
+            ~outcomes:[] trace
         in
-        Format.printf "trace check: %d violation%s@."
-          (List.length violations)
-          (if List.length violations = 1 then "" else "s");
+        Format.printf "trace check: %d violation%s@." (List.length findings)
+          (if List.length findings = 1 then "" else "s");
         List.iter
-          (fun v ->
-            Format.printf "  %a@." Air_analysis.Trace_check.pp_violation v)
-          violations;
-        violations = []
+          (fun f -> Format.printf "  %a@." Air_faults.Oracle.pp_finding f)
+          findings;
+        findings = []
       end
     in
     if
@@ -625,7 +642,7 @@ let speed_flag =
   let doc =
     "Print a speed summary to stderr after the run: simulated ticks, wall \
      seconds, ticks per second, and the stepped/skipped split of the \
-     skip-ahead executive (module runs only)."
+     skip-ahead executive (module and fleet runs)."
   in
   Arg.(value & flag & info [ "speed" ] ~doc)
 

@@ -704,5 +704,4 @@ let inject_clock_jitter t pid ~ticks =
     prt.jitter_left <- prt.jitter_left + ticks
   end
 
-let network t = t.cfg.network
-let hm_tables t = t.cfg.hm_tables
+let configuration t = t.cfg

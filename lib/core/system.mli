@@ -426,9 +426,8 @@ val inject_clock_jitter : t -> Partition_id.t -> ticks:int -> unit
     strictly a temporal fault local to the partition. Cumulative; cleared
     by a partition restart or shutdown. *)
 
-val network : t -> Port.network
-(** The interpartition port/channel network the module was built with. *)
-
-val hm_tables : t -> Hm.tables
-(** The Health Monitor configuration tables the module was built with
-    (the containment oracle replays these against the trace). *)
+val configuration : t -> config
+(** The configuration the module was built with: the configured
+    scheduling tables (not a lane's sharded view), port network and
+    Health Monitor tables, which the trace oracle replays against the
+    trace. *)

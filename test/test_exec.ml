@@ -656,43 +656,60 @@ let run_mtfs_whole_frames_across_switch () =
   Observed.systems ~what:"run_mtfs across a 20 -> 40 switch" reference
     (Engine.system engine)
 
-(* --- leo_satellite campaigns -------------------------------------------- *)
+(* --- Shipped campaigns --------------------------------------------------- *)
 
-(* The example file ships two fault-injection campaigns; under --turbo the
+(* The example files ship fault-injection campaigns; under --turbo the
    engine must reproduce the per-tick run bit for bit: same fingerprint,
-   same oracle verdict, same air-campaign/1 JSON. The path is relative to
-   the test's build directory (declared as a dune dep). *)
+   same oracle verdict, same air-campaign/1 JSON. Every campaign is also
+   replay-checked and contained, on one lane and on two. The paths are
+   relative to the test's build directory (declared as a dune dep). *)
 let leo_path = "../examples/configs/leo_satellite.air"
+let node_path = "../examples/configs/constellation_node.air"
 
 let leo_campaigns_turbo_identical () =
-  let config =
-    match Air_config.Loader.load_file leo_path with
-    | Ok config -> config
-    | Error msg -> Alcotest.failf "load %s: %s" leo_path msg
-  in
-  let specs =
-    match Air_config.Loader.load_campaigns_file leo_path with
-    | Ok specs -> specs
-    | Error msg -> Alcotest.failf "campaigns %s: %s" leo_path msg
-  in
-  check Alcotest.bool "campaigns present" true (specs <> []);
-  let make () = E.Module (System.create config) in
   List.iter
-    (fun spec ->
-      let per_tick = E.execute ~turbo:false ~make spec in
-      let turbo = E.execute ~turbo:true ~make spec in
-      Observed.systems
-        ~what:(spec.C.name ^ ": observed module")
-        (E.observed per_tick.E.target)
-        (E.observed turbo.E.target);
-      check Alcotest.string
-        (spec.C.name ^ ": fingerprint")
-        per_tick.E.fingerprint turbo.E.fingerprint;
-      let json run = R.to_json (R.make run (O.check run)) in
-      check Alcotest.string
-        (spec.C.name ^ ": air-campaign/1 JSON")
-        (json per_tick) (json turbo))
-    specs
+    (fun path ->
+      let config =
+        match Air_config.Loader.load_file path with
+        | Ok config -> config
+        | Error msg -> Alcotest.failf "load %s: %s" path msg
+      in
+      let specs =
+        match Air_config.Loader.load_campaigns_file path with
+        | Ok specs -> specs
+        | Error msg -> Alcotest.failf "campaigns %s: %s" path msg
+      in
+      check Alcotest.bool "campaigns present" true (specs <> []);
+      List.iter
+        (fun cores ->
+          let make () =
+            E.Module (System.create { config with System.cores = Some cores })
+          in
+          List.iter
+            (fun spec ->
+              let what = Printf.sprintf "%s, %d lane(s)" spec.C.name cores in
+              let per_tick = E.execute ~turbo:false ~make spec in
+              let turbo = E.execute ~turbo:true ~make spec in
+              Observed.systems
+                ~what:(what ^ ": observed module")
+                (E.observed per_tick.E.target)
+                (E.observed turbo.E.target);
+              check Alcotest.string (what ^ ": fingerprint")
+                per_tick.E.fingerprint turbo.E.fingerprint;
+              let verdict = O.check turbo in
+              check
+                Alcotest.(list string)
+                (what ^ ": contained")
+                []
+                (List.map (Format.asprintf "%a" O.pp_finding)
+                   verdict.O.findings);
+              let json run = R.to_json (R.make run (O.check run)) in
+              check Alcotest.string
+                (what ^ ": air-campaign/1 JSON")
+                (json per_tick) (json turbo))
+            specs)
+        [ 1; 2 ])
+    [ leo_path; node_path ]
 
 let leo_turbo_reproducible () =
   let config =

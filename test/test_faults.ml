@@ -366,6 +366,50 @@ let misconfigured_hm_flagged () =
   check Alcotest.bool "hm-containment finding" true
     (List.exists (fun f -> f.O.check = "hm-containment") verdict.O.findings)
 
+(* --- The replay inside the oracle ---------------------------------------- *)
+
+(* comm-weather's duplicates into FRAMES_IN are messages no send
+   delivered: the oracle credits them from their outcomes. With those
+   outcomes taken out of the run, the first receive the sends cannot
+   explain is an IPC-conservation finding. The path is relative to the
+   test's build directory (declared as a dune dep). *)
+let leo_path = "../examples/configs/leo_satellite.air"
+
+let replay_credits_injected_duplicates () =
+  let config =
+    match Air_config.Loader.load_file leo_path with
+    | Ok config -> config
+    | Error msg -> Alcotest.failf "load %s: %s" leo_path msg
+  in
+  let spec =
+    match Air_config.Loader.load_campaigns_file leo_path with
+    | Ok specs -> List.find (fun s -> s.C.name = "comm-weather") specs
+    | Error msg -> Alcotest.failf "campaigns %s: %s" leo_path msg
+  in
+  let run =
+    E.execute ~turbo:true ~make:(fun () -> E.Module (System.create config)) spec
+  in
+  check Alcotest.bool "contained" true (O.passed (O.check run));
+  let duplicate (o : E.outcome) =
+    match o.E.fault with
+    | F.Port_fault { fault = F.Msg_duplicate; _ } -> o.E.applied = E.Applied
+    | _ -> false
+  in
+  check Alcotest.bool "duplicates applied" true
+    (List.exists duplicate run.E.outcomes);
+  let doctored =
+    { run with
+      E.outcomes = List.filter (fun o -> not (duplicate o)) run.E.outcomes }
+  in
+  check
+    Alcotest.(option string)
+    "first IPC finding" (Some "[15309] queuing port FRAMES_IN handed out a \
+                               message never delivered to it")
+    (List.find_map
+       (fun f ->
+         if f.O.check = "ipc-conservation" then Some f.O.detail else None)
+       (O.check doctored).O.findings)
+
 let suite =
   [ qcheck containment_campaign;
     qcheck campaign_deterministic;
@@ -388,4 +432,6 @@ let suite =
     Alcotest.test_case "fingerprints see event times" `Quick
       fingerprint_sees_event_times;
     Alcotest.test_case "fingerprints see metrics" `Quick
-      fingerprint_sees_metrics ]
+      fingerprint_sees_metrics;
+    Alcotest.test_case "the replay credits injected duplicates" `Quick
+      replay_credits_injected_duplicates ]

@@ -156,8 +156,25 @@ let s1 =
 let schedules = [ s0; s1 ]
 let cs from to_ = Event.Context_switch { from; to_ }
 
-let run_check ?network ?until trace =
-  Air_analysis.Trace_check.check ?network ?until ~schedules trace
+module O = Air_faults.Oracle
+
+let no_network = { Air_ipc.Port.ports = []; channels = [] }
+
+let trace_of events =
+  let trace = Air_sim.Trace.create ~codec:Event.codec () in
+  List.iter (fun (t, ev) -> Air_sim.Trace.record trace t ev) events;
+  trace
+
+(* The oracle's replay of [events], each finding rendered whole. *)
+let replay ?(network = no_network) ?(schedules = schedules) ?(outcomes = [])
+    ~until events =
+  List.map
+    (Format.asprintf "%a" O.pp_finding)
+    (O.replay
+       (Air.System.config ~network ~partitions:[] ~schedules ())
+       ~until ~outcomes (trace_of events))
+
+let findings = Alcotest.(list string)
 
 let checker_accepts_clean_trace () =
   let trace =
@@ -166,25 +183,17 @@ let checker_accepts_clean_trace () =
       (20, cs (Some (pid 1)) (Some (pid 0)));
       (30, cs (Some (pid 0)) (Some (pid 1))) ]
   in
-  check Alcotest.int "no violations" 0
-    (List.length (run_check ~until:40 trace))
+  check findings "no violations" [] (replay ~until:40 trace)
 
 let checker_flags_out_of_window () =
   (* P1 grabs the processor at tick 5, in the middle of P0's window. *)
   let trace =
     [ (0, cs None (Some (pid 0))); (5, cs (Some (pid 0)) (Some (pid 1))) ]
   in
-  match run_check ~until:10 trace with
-  | [ Air_analysis.Trace_check.Outside_window { time; partition; expected } ]
-    ->
-    check Alcotest.int "at the excursion" 5 time;
-    check Alcotest.bool "names the intruder" true
-      (Ident.Partition_id.equal partition (pid 1));
-    check Alcotest.bool "names the owner" true
-      (expected = Some (pid 0))
-  | vs ->
-    Alcotest.failf "expected one Outside_window, got %d violation(s)"
-      (List.length vs)
+  check findings "the intruder, the tick and the owner"
+    [ "[window-conformance] [5] P2 ran outside its window (scheduling \
+       table grants P1)" ]
+    (replay ~until:10 trace)
 
 let checker_flags_mid_mtf_switch () =
   let trace =
@@ -193,13 +202,10 @@ let checker_flags_mid_mtf_switch () =
       (15, Event.Schedule_switch { from = sid 0; to_ = sid 1 });
       (15, cs (Some (pid 1)) (Some (pid 1))) ]
   in
-  match run_check ~until:20 trace with
-  | [ Air_analysis.Trace_check.Mid_mtf_switch { time; offset; _ } ] ->
-    check Alcotest.int "at the switch" 15 time;
-    check Alcotest.int "offset into the MTF" 15 offset
-  | vs ->
-    Alcotest.failf "expected one Mid_mtf_switch, got %d violation(s)"
-      (List.length vs)
+  check findings "the switch and its offset into the MTF"
+    [ "[mtf-boundary] [15] schedule switch χ1 → χ2 15 ticks into \
+       the major time frame" ]
+    (replay ~until:20 trace)
 
 let change_action_trace ~with_action =
   [ (0, cs None (Some (pid 0)));
@@ -214,18 +220,14 @@ let change_action_trace ~with_action =
      else [])
 
 let checker_flags_missing_change_action () =
-  match run_check ~until:40 (change_action_trace ~with_action:false) with
-  | [ Air_analysis.Trace_check.Change_action_missing { time; partition } ] ->
-    check Alcotest.int "at the first dispatch" 30 time;
-    check Alcotest.bool "names the partition" true
-      (Ident.Partition_id.equal partition (pid 0))
-  | vs ->
-    Alcotest.failf "expected one Change_action_missing, got %d violation(s)"
-      (List.length vs)
+  check findings "the first dispatch and its partition"
+    [ "[change-action] [30] P1 dispatched without its armed schedule-change \
+       action" ]
+    (replay ~until:40 (change_action_trace ~with_action:false))
 
 let checker_accepts_delivered_change_action () =
-  check Alcotest.int "no violations" 0
-    (List.length (run_check ~until:40 (change_action_trace ~with_action:true)))
+  check findings "no violations" []
+    (replay ~until:40 (change_action_trace ~with_action:true))
 
 let checker_flags_unexpected_change_action () =
   let trace =
@@ -234,13 +236,9 @@ let checker_flags_unexpected_change_action () =
        Event.Change_action
          { partition = pid 0; action = Schedule.Warm_restart_partition }) ]
   in
-  match run_check ~until:10 trace with
-  | [ Air_analysis.Trace_check.Change_action_unexpected { time; _ } ] ->
-    check Alcotest.int "at the stray action" 5 time
-  | vs ->
-    Alcotest.failf
-      "expected one Change_action_unexpected, got %d violation(s)"
-      (List.length vs)
+  check findings "the stray action"
+    [ "[change-action] [5] change action delivered to P1 with none armed" ]
+    (replay ~until:10 trace)
 
 let checker_matches_deadline_misses () =
   let violation =
@@ -256,17 +254,12 @@ let checker_matches_deadline_misses () =
          detail = "" })
   in
   let base = [ (0, cs None (Some (pid 0))) ] in
-  (match run_check ~until:10 (base @ [ violation ]) with
-  | [ Air_analysis.Trace_check.Unmatched_deadline_miss { time; process } ] ->
-    check Alcotest.int "at the miss" 3 time;
-    check Alcotest.bool "names the process" true
-      (Ident.Process_id.equal process (proc 0 0))
-  | vs ->
-    Alcotest.failf
-      "expected one Unmatched_deadline_miss, got %d violation(s)"
-      (List.length vs));
-  check Alcotest.int "HM event settles it" 0
-    (List.length (run_check ~until:10 (base @ [ violation; hm ])))
+  check findings "the miss and its process"
+    [ "[deadline-supervision] [3] deadline miss of τ1,1 never reached the \
+       health monitor" ]
+    (replay ~until:10 (base @ [ violation ]));
+  check findings "HM event settles it" []
+    (replay ~until:10 (base @ [ violation; hm ]))
 
 (* A 1:1 queuing channel and a fan-out sampling channel for IPC checks. *)
 let network =
@@ -285,47 +278,212 @@ let network =
         { Air_ipc.Port.source = "S_SRC"; destinations = [ "S_DST" ] } ]
   }
 
+let receive_without_message t =
+  Printf.sprintf
+    "[ipc-conservation] [%d] queuing port Q_DST handed out a message never \
+     delivered to it"
+    t
+
 let checker_flags_receive_without_message () =
   let trace = [ (4, Event.Port_receive { port = "Q_DST"; bytes = 8 }) ] in
-  (match run_check ~network ~until:10 trace with
-  | [ Air_analysis.Trace_check.Receive_without_message { time; port } ] ->
-    check Alcotest.int "at the receive" 4 time;
-    check Alcotest.string "names the port" "Q_DST" port
-  | vs ->
-    Alcotest.failf
-      "expected one Receive_without_message, got %d violation(s)"
-      (List.length vs));
+  check findings "the receive and its port" [ receive_without_message 4 ]
+    (replay ~network ~until:10 trace);
   (* A send through the channel's source balances the receive. *)
   let balanced =
     [ (2, Event.Port_send { port = "Q_SRC"; bytes = 8 });
       (4, Event.Port_receive { port = "Q_DST"; bytes = 8 }) ]
   in
-  check Alcotest.int "send-then-receive is clean" 0
-    (List.length (run_check ~network ~until:10 balanced));
+  check findings "send-then-receive is clean" []
+    (replay ~network ~until:10 balanced);
   (* An overflow at the same tick voids the delivery. *)
   let overflowed =
     [ (2, Event.Port_send { port = "Q_SRC"; bytes = 8 });
       (2, Event.Port_overflow { port = "Q_DST" });
       (4, Event.Port_receive { port = "Q_DST"; bytes = 8 }) ]
   in
-  check Alcotest.int "overflowed send does not count" 1
-    (List.length (run_check ~network ~until:10 overflowed))
+  check findings "overflowed send does not count"
+    [ receive_without_message 4 ]
+    (replay ~network ~until:10 overflowed)
+
+(* An injected duplicate adds a message to its queuing port, except into
+   a full queue, where the router discards it without an event. *)
+let checker_credits_duplicates () =
+  let dup =
+    Air_faults.Fault.Port_fault
+      { port = "Q_DST"; fault = Air_faults.Fault.Msg_duplicate }
+  in
+  let outcome =
+    { Air_faults.Engine.fault = dup;
+      at = 5;
+      applied = Air_faults.Engine.Applied;
+      detected_at = None;
+      latency = None;
+      action = None;
+      flows = [] }
+  in
+  let run ~sends =
+    List.init sends (fun _ ->
+        (2, Event.Port_send { port = "Q_SRC"; bytes = 8 }))
+    @ [ (4, Event.Fault_injected { label = Air_faults.Fault.label dup }) ]
+    @ List.init (sends + 1) (fun i ->
+          (6 + i, Event.Port_receive { port = "Q_DST"; bytes = 8 }))
+  in
+  check findings "a duplicate into a queue with room is a message" []
+    (replay ~network ~outcomes:[ outcome ] ~until:20 (run ~sends:1));
+  check findings "a duplicate into a full queue credits nothing"
+    [ receive_without_message 10 ]
+    (replay ~network ~outcomes:[ outcome ] ~until:20 (run ~sends:4));
+  check findings "without its outcome the duplicate is unexplained"
+    [ receive_without_message 7 ]
+    (replay ~network ~until:20 (run ~sends:1))
 
 let checker_flags_sampling_read_before_write () =
   let trace = [ (3, Event.Port_receive { port = "S_DST"; bytes = 8 }) ] in
-  (match run_check ~network ~until:10 trace with
-  | [ Air_analysis.Trace_check.Sampling_read_before_write { port; _ } ] ->
-    check Alcotest.string "names the port" "S_DST" port
-  | vs ->
-    Alcotest.failf
-      "expected one Sampling_read_before_write, got %d violation(s)"
-      (List.length vs));
+  check findings "the read and its port"
+    [ "[ipc-conservation] [3] sampling port S_DST read before any write" ]
+    (replay ~network ~until:10 trace);
   let written =
     [ (1, Event.Port_send { port = "S_SRC"; bytes = 8 });
       (3, Event.Port_receive { port = "S_DST"; bytes = 8 }) ]
   in
-  check Alcotest.int "write-then-read is clean" 0
-    (List.length (run_check ~network ~until:10 written))
+  check findings "write-then-read is clean" []
+    (replay ~network ~until:10 written)
+
+(* A bounded trace that dropped its head cannot be replayed from tick 0:
+   one finding says so instead of a replay of the tail. *)
+let checker_refuses_a_dropped_head () =
+  let trace = Air_sim.Trace.create ~codec:Event.codec ~capacity:2 () in
+  List.iter
+    (fun (t, ev) -> Air_sim.Trace.record trace t ev)
+    [ (0, cs None (Some (pid 0)));
+      (10, cs (Some (pid 0)) (Some (pid 1)));
+      (20, cs (Some (pid 1)) (Some (pid 0))) ];
+  check findings "one finding for the dropped event"
+    [ "[replay] bounded trace dropped 1 events; the replay needs the full \
+       trace from tick 0" ]
+    (List.map
+       (Format.asprintf "%a" O.pp_finding)
+       (O.replay
+          (Air.System.config ~partitions:[] ~schedules ())
+          ~until:30 ~outcomes:[] trace))
+
+(* Window conformance, per tick: the reference the oracle's per-window
+   scan must agree with. *)
+let per_tick_conformance ~schedules ~until events =
+  let table = Array.of_list schedules in
+  let found = ref [] in
+  let cur = ref 0 and last_switch = ref 0 and active = ref None in
+  let seg = ref 0 in
+  let close e =
+    match !active with
+    | None -> ()
+    | Some p ->
+      let rec scan t =
+        if t < e then
+          match Schedule.window_at table.(!cur) (t - !last_switch) with
+          | Some w when Ident.Partition_id.equal w.Schedule.partition p ->
+            scan (t + 1)
+          | owner ->
+            found :=
+              Format.asprintf
+                "[window-conformance] [%d] %a ran outside its window \
+                 (scheduling table grants %s)"
+                t Ident.Partition_id.pp p
+                (match owner with
+                | None -> "nobody"
+                | Some w ->
+                  Format.asprintf "%a" Ident.Partition_id.pp w.partition)
+              :: !found
+      in
+      scan !seg
+  in
+  List.iter
+    (fun (t, ev) ->
+      match ev with
+      | Event.Context_switch { to_; _ } ->
+        close t;
+        active := to_;
+        seg := t
+      | Event.Schedule_switch { to_; _ } ->
+        close t;
+        cur := Ident.Schedule_id.index to_;
+        last_switch := t;
+        seg := t
+      | _ -> ())
+    events;
+  close until;
+  List.rev !found
+
+(* Random tables over three partitions (gaps included), a random run of
+   context switches, and schedule switches at MTF boundaries only. *)
+let conformance_gen =
+  let open QCheck.Gen in
+  let schedule id st =
+    let mtf = int_range 4 30 st in
+    let rec windows cursor acc =
+      let gap = int_range 0 3 st and duration = int_range 1 6 st in
+      if cursor + gap + duration > mtf then List.rev acc
+      else
+        windows (cursor + gap + duration)
+          ({ Schedule.partition = pid (int_range 0 2 st);
+             offset = cursor + gap;
+             duration }
+          :: acc)
+    in
+    Schedule.make ~id:(sid id) ~name:(Printf.sprintf "S%d" id) ~mtf
+      ~requirements:[] (windows 0 [])
+  in
+  fun st ->
+    let schedules = [ schedule 0 st; schedule 1 st ] in
+    let mtf i = (List.nth schedules i).Schedule.mtf in
+    let now = ref 0 and cur = ref 0 and last_switch = ref 0 in
+    let active = ref None in
+    let events = ref [] in
+    let emit ev = events := (!now, ev) :: !events in
+    for _ = 1 to int_range 1 30 st do
+      if int_range 0 4 st = 0 then begin
+        let m = mtf !cur in
+        let frames = (!now - !last_switch + m - 1) / m in
+        now := !last_switch + (frames * m);
+        let next = int_range 0 1 st in
+        emit (Event.Schedule_switch { from = sid !cur; to_ = sid next });
+        cur := next;
+        last_switch := !now
+      end
+      else begin
+        now := !now + int_range 0 15 st;
+        let to_ =
+          if int_range 0 3 st = 0 then None
+          else Some (pid (int_range 0 2 st))
+        in
+        emit (Event.Context_switch { from = !active; to_ });
+        active := to_
+      end
+    done;
+    (schedules, List.rev !events, !now + int_range 0 40 st)
+
+let print_conformance (schedules, events, until) =
+  Format.asprintf "%a@.%a@.until %d"
+    (Format.pp_print_list Schedule.pp)
+    schedules
+    (Format.pp_print_list (fun ppf (t, ev) ->
+         Format.fprintf ppf "%d %a" t Event.pp ev))
+    events until
+
+let qcheck_window_scan =
+  QCheck.Test.make ~count:300
+    ~name:"check: per-window scan matches a per-tick scan"
+    (QCheck.make ~print:print_conformance conformance_gen)
+    (fun (schedules, events, until) ->
+      let got = replay ~schedules ~until events in
+      let want = per_tick_conformance ~schedules ~until events in
+      if got <> want then
+        QCheck.Test.fail_reportf "replay:@ %a@.per tick:@ %a"
+          (Format.pp_print_list Format.pp_print_string)
+          got
+          (Format.pp_print_list Format.pp_print_string)
+          want
+      else true)
 
 (* --- System integration ----------------------------------------------------- *)
 
@@ -385,13 +543,12 @@ let system_chrome_trace_is_valid () =
 let system_trace_passes_checker () =
   let sys, _ = recorded_system () in
   Air.System.run sys ~ticks:200;
-  let violations =
-    Air_analysis.Trace_check.check ~schedules:[ s0 ]
-      ~until:(Air.System.now sys + 1)
-      (Air_sim.Trace.to_list (Air.System.trace sys))
-  in
-  check Alcotest.int "a real run satisfies the invariants" 0
-    (List.length violations)
+  check findings "a real run satisfies the invariants" []
+    (List.map
+       (Format.asprintf "%a" O.pp_finding)
+       (O.replay (Air.System.configuration sys)
+          ~until:(Air.System.now sys + 1)
+          ~outcomes:[] (Air.System.trace sys)))
 
 (* --- Packed event log ----------------------------------------------------- *)
 
@@ -709,4 +866,9 @@ let suite =
     Alcotest.test_case "packed log: at most 5 words per event" `Quick
       packed_log_words_per_event;
     Alcotest.test_case "packed log: a ring forgets what it evicts" `Quick
-      packed_log_ring_forgets ]
+      packed_log_ring_forgets;
+    Alcotest.test_case "check: duplicate into a full queue" `Quick
+      checker_credits_duplicates;
+    Alcotest.test_case "check: a bounded trace is not replayed" `Quick
+      checker_refuses_a_dropped_head;
+    QCheck_alcotest.to_alcotest qcheck_window_scan ]
