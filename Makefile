@@ -1,5 +1,5 @@
-.PHONY: all build test check bench bench-diff fmt exec-smoke trace-smoke \
-  telemetry-smoke fault-smoke profile-smoke fleet-smoke \
+.PHONY: all build test check bench bench-diff bench-pair fmt exec-smoke \
+  trace-smoke telemetry-smoke fault-smoke profile-smoke fleet-smoke \
   interference-smoke e2e-smoke config-smoke artifacts artifacts-diff clean
 
 all: build
@@ -39,6 +39,38 @@ bench-diff:
 	    cat $(TRUNCATED).out; exit 1; \
 	  fi; \
 	  echo "bench-diff: truncated artifact refused: $$(cat $(TRUNCATED).out)"
+
+# Paired end-to-end runs against an earlier revision:
+#   make bench-pair BASE=<rev> WORKLOAD=<name> [PAIRS=10] [SEED=1]
+# checks BASE out in a git worktree under _build (as artifacts-diff does),
+# builds bench/e2e/e2e.exe there and here, and runs PAIRS alternating pairs
+# of `e2e.exe --workload WORKLOAD --seed SEED` for BENCHMARK.json's
+# run_seconds, swapping which side goes first every pair (bench/pair.ml).
+# It prints each end-to-end metric's median and Q1-Q3 on both sides and
+# the pairs the change won, then the attempted and failed totals, and
+# fails if a run's result is not "correct": true. The worktree is removed
+# either way.
+PAIR_DIR = $(CURDIR)/_build/bench-pair
+PAIRS ?= 10
+SEED ?= 1
+
+bench-pair:
+	@test -n "$(BASE)" -a -n "$(WORKLOAD)" || { \
+	  echo "usage: make bench-pair BASE=<rev> WORKLOAD=<name> [PAIRS=N]" \
+	    "[SEED=K]"; exit 2; }
+	rm -rf $(PAIR_DIR)
+	git worktree prune
+	git worktree add --detach $(PAIR_DIR)/tree $(BASE)
+	@status=0; \
+	(cd $(PAIR_DIR)/tree && dune build --root . bench/e2e/e2e.exe) \
+	  || status=1; \
+	test $$status -ne 0 || dune build bench/e2e/e2e.exe bench/pair.exe \
+	  || status=1; \
+	test $$status -ne 0 || $(CURDIR)/_build/default/bench/pair.exe \
+	  --workload $(WORKLOAD) --pairs $(PAIRS) --seed $(SEED) \
+	  $(PAIR_DIR)/tree $(CURDIR) || status=1; \
+	git worktree remove --force $(PAIR_DIR)/tree; \
+	exit $$status
 
 # Format gate: the build image carries no ocamlformat, so the gate enforces
 # the cheap invariants every formatter run would — no tab characters and no

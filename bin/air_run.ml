@@ -153,8 +153,9 @@ let run_fleet path { Air_config.Loader.fleet_cluster = cluster; fleet_domains }
 
 (* Campaign mode: run every (faults (campaign …)) of the document through
    the injection engine, judge containment, and print/export the reports.
-   Each engine run gets a fresh system built by reloading the document, so
-   campaign, baseline and reproducibility runs share no mutable state. *)
+   Every system is built fresh by reloading the document, four per
+   campaign (its target and baseline, then the two targets [reproducible]
+   compares), so no two runs share mutable state. *)
 let run_campaigns path campaign_json ~turbo ~cores =
   match Air_config.Loader.load_campaigns_file path with
   | Error e ->

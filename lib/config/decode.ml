@@ -22,6 +22,15 @@ let tag_of = function
   | Sexp.List (Sexp.Atom a :: rest) -> Ok (a, rest)
   | s -> error "expected a tagged form, got %s" (Sexp.to_string s)
 
+(* Field and keyword names compare with [String.equal]: the polymorphic
+   [List.assoc_opt] and [List.mem] pay a generic [compare] call per name. *)
+let rec lookup name = function
+  | [] -> None
+  | (key, v) :: rest ->
+    if String.equal key name then Some v else lookup name rest
+
+let named name names = List.exists (String.equal name) names
+
 type fields = {
   context : string;
   entries : (string * Sexp.t list) list;
@@ -38,7 +47,7 @@ let fields_of ~context items =
   let rec dup_check seen = function
     | [] -> Ok ()
     | (name, _) :: rest ->
-      if List.mem name seen then
+      if named name seen then
         error "%s: duplicate field %s" context name
       else dup_check (name :: seen) rest
   in
@@ -46,7 +55,7 @@ let fields_of ~context items =
   Ok { context; entries }
 
 let required f name decode =
-  match List.assoc_opt name f.entries with
+  match lookup name f.entries with
   | Some args -> (
     match decode args with
     | Ok v -> Ok v
@@ -54,7 +63,7 @@ let required f name decode =
   | None -> error "%s: missing field %s" f.context name
 
 let optional f name decode =
-  match List.assoc_opt name f.entries with
+  match lookup name f.entries with
   | None -> Ok None
   | Some args -> (
     match decode args with
@@ -65,13 +74,13 @@ let with_default f name decode default =
   let* v = optional f name decode in
   Ok (Option.value ~default v)
 
-let rest_of f name = Option.value ~default:[] (List.assoc_opt name f.entries)
+let rest_of f name = Option.value ~default:[] (lookup name f.entries)
 
 let assert_no_extra f ~known =
   let rec go = function
     | [] -> Ok ()
     | (name, _) :: rest ->
-      if List.mem name known then go rest
+      if named name known then go rest
       else error "%s: unknown field %s" f.context name
   in
   go f.entries
@@ -94,7 +103,7 @@ let int s =
 
 let keyword table s =
   let* a = atom s in
-  match List.assoc_opt a table with
+  match lookup a table with
   | Some v -> Ok v
   | None ->
     error "expected %s, got %s" (String.concat " | " (List.map fst table)) a

@@ -82,8 +82,9 @@ type run = {
 }
 
 val execute : ?turbo:bool -> make:(unit -> target) -> Campaign.spec -> run
-(** [make] must return a fresh, equivalent target on every call (it is
-    called twice: campaign + baseline). A module target advances through
+(** [make] must return a fresh, equivalent target on every call. It is
+    called twice: the campaign target, then the baseline, which runs
+    before the target is fingerprinted. A module target advances through
     {!Air_exec.Engine}: in [Adaptive] (skip-ahead) mode when [turbo]
     (default [false]) is set, in [Per_tick] mode otherwise. Every planned
     injection tick bounds a span, so the faults land on exactly the
@@ -100,5 +101,9 @@ val detection_latencies : run -> Air_obs.Quantile.t
 (** All detection latencies of the run, as a quantile sketch. *)
 
 val reproducible : ?turbo:bool -> make:(unit -> target) -> Campaign.spec -> bool
-(** Execute the spec twice against fresh targets and compare fingerprints —
-    the determinism clause of the AIR invariants. *)
+(** Run the spec's target twice, each from a fresh [make ()] with its
+    injections and detection matching, and compare the two fingerprints —
+    the determinism clause of the AIR invariants. [make] is called twice,
+    once per target; no baseline is built, since a fingerprint covers only
+    the target and the outcomes. When [make]'s targets share no state,
+    each fingerprint equals the one {!execute} reports for the spec. *)

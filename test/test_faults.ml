@@ -283,16 +283,16 @@ let rate_streams_independent () =
     (ticks_of r1.C.template joined)
 
 (* Two runs whose events differ only in time are distinguishable: a
-   factory that hands the first execution a module computing 5 ticks
-   before its log line and the second one computing 6 yields traces of
-   equal length and equal event counts, so a fingerprint of counts alone
-   would call the campaign reproducible. *)
+   factory that hands the first target a module computing 5 ticks before
+   its log line and the second one computing 6 yields traces of equal
+   length and equal event counts, so a fingerprint of counts alone would
+   call the campaign reproducible. *)
 let fingerprint_sees_event_times () =
   let calls = ref 0 in
   let make () =
     incr calls;
-    (* [execute] builds a campaign target and a baseline: two calls. *)
-    let work = if !calls <= 2 then 5 else 6 in
+    (* [reproducible] builds two targets and no baseline: one call each. *)
+    let work = if !calls <= 1 then 5 else 6 in
     let p0 = Ident.Partition_id.make 0 in
     let p =
       Partition.make ~id:p0 ~name:"P" [ Process.spec ~base_priority:1 "t" ]
@@ -317,15 +317,15 @@ let fingerprint_sees_event_times () =
     (E.reproducible ~make spec)
 
 (* Two runs that differ only in a metrics counter are distinguishable: the
-   factory bumps [ipc.overflows] on the modules of the second execution,
-   whose traces, modes and telemetry all match the first. *)
+   factory bumps [ipc.overflows] on the second target, whose trace, modes
+   and telemetry all match the first. *)
 let fingerprint_sees_metrics () =
   let calls = ref 0 in
   let make () =
     incr calls;
     let s = Air_workload.Satellite.make () in
-    (* [execute] builds a campaign target and a baseline: two calls. *)
-    if !calls > 2 then
+    (* [reproducible] builds two targets and no baseline: one call each. *)
+    if !calls > 1 then
       Air_obs.Metrics.incr
         (Air_obs.Metrics.counter (System.metrics s) "ipc.overflows");
     E.Module s
@@ -333,6 +333,26 @@ let fingerprint_sees_metrics () =
   let spec = C.spec ~name:"metrics" ~seed:1 ~horizon:100 () in
   check Alcotest.bool "runs differing only in a metric counter" false
     (E.reproducible ~make spec)
+
+(* The factory protocol: a campaign builds its target and a baseline, a
+   reproducibility check two targets and nothing else, since a fingerprint
+   reads no baseline. *)
+let reproducible_builds_no_baseline () =
+  let calls = ref 0 in
+  let make () =
+    incr calls;
+    make ()
+  in
+  let spec =
+    C.spec ~name:"protocol" ~seed:1 ~horizon:2600
+      ~injections:[ { C.at = 100; fault = runaway } ]
+      ()
+  in
+  ignore (E.execute ~make spec);
+  check Alcotest.int "execute: target and baseline" 2 !calls;
+  calls := 0;
+  check Alcotest.bool "reproducible" true (E.reproducible ~make spec);
+  check Alcotest.int "reproducible: two targets" 2 !calls
 
 (* --- Negative: a misconfigured HM table is flagged ----------------------- *)
 
@@ -434,4 +454,6 @@ let suite =
     Alcotest.test_case "fingerprints see metrics" `Quick
       fingerprint_sees_metrics;
     Alcotest.test_case "the replay credits injected duplicates" `Quick
-      replay_credits_injected_duplicates ]
+      replay_credits_injected_duplicates;
+    Alcotest.test_case "reproducible builds no baseline" `Quick
+      reproducible_builds_no_baseline ]
