@@ -188,7 +188,8 @@ let ipc_tests =
     Staged.stage (fun () ->
         ignore
           (Air_ipc.Router.send_queuing r ~caller:p0 ~port:"Q_OUT" ~now:0 msg);
-        ignore (Air_ipc.Router.receive_queuing r ~caller:p1 ~port:"Q_IN"))
+        ignore
+          (Air_ipc.Router.receive_queuing r ~caller:p1 ~port:"Q_IN" ~now:1))
   in
   Test.make_grouped ~name:"ipc"
     [ Test.make ~name:"sampling write+read (32B)" (sampling_roundtrip ());
@@ -524,7 +525,7 @@ let faults_tests =
     Staged.stage (fun () ->
         ignore
           (Air_ipc.Router.write_sampling r ~caller:p0 ~port:"S_OUT" ~now:0 msg);
-        ignore (Air_ipc.Router.drop_head r ~port:"S_IN"))
+        ignore (Air_ipc.Router.drop_head r ~port:"S_IN" ~now:1))
   in
   (* A whole seeded campaign over one MTF: fresh target + baseline, plan,
      tick-by-tick execution and outcome matching. *)

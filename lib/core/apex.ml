@@ -85,14 +85,12 @@ let periodic_wait env ~process =
   | Error Kernel.Not_periodic -> Done Invalid_mode
   | Error _ -> Done Invalid_param
 
+(* The kernel re-registers the deadline through its [register_deadline]
+   hook, which records the one [deadline-registered] event; a process
+   without a deadline registers nothing. *)
 let replenish env ~process budget =
   match Kernel.replenish env.kernel ~now:(env.now ()) process budget with
-  | Ok () ->
-    env.emit
-      (Event.Deadline_registered
-         { process = Partition.process_id env.partition process;
-           deadline = Kernel.deadline_time env.kernel process });
-    Done No_error
+  | Ok () -> Done No_error
   | Error _ -> Done Invalid_param
 
 (* Process management *)

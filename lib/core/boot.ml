@@ -30,6 +30,56 @@ let action_port router (action : Script.action) =
     Router.resolve router port
   | _ -> -1
 
+(* Every module registers the same [hm.errors.code.*] names: rendered
+   once. *)
+let code_names =
+  List.map
+    (fun code -> (code, Format.asprintf "hm.errors.code.%a" Error.pp_code code))
+    Error.all_codes
+
+(* Every module metric whose fact another structure already holds is a
+   view of that structure, read whenever the registry is read: the per-kind
+   event counts, lane 0's clock, each partition's deadline store, the
+   Health Monitor's occurrence table and the bounded recorders' drop
+   counts. Nothing on the tick path counts these a second time. *)
+let register_views t =
+  let counter = Air_obs.Metrics.counter_view t.metrics in
+  let gauge = Air_obs.Metrics.gauge_view t.metrics in
+  let events label =
+    let rec kind k =
+      if String.equal Event.labels.(k) label then k else kind (k + 1)
+    in
+    let k = kind 0 in
+    fun () -> t.events.(k)
+  in
+  counter "pmk.ticks" (fun () -> Pmk_mc.ticks t.lane + 1);
+  counter "pmk.context_switches" (events "context-switch");
+  counter "pmk.schedule_switches" (events "schedule-switch");
+  counter "pal.deadlines_registered" (events "deadline-registered");
+  counter "pal.deadlines_unregistered" (events "deadline-unregistered");
+  counter "pal.deadline_violations" (events "deadline-violation");
+  Array.iteri
+    (fun i prt ->
+      gauge (Printf.sprintf "pal.store_size.p%d" i) (fun () ->
+          Pal.deadline_count prt.pal))
+    t.partitions;
+  counter "hm.errors.process" (fun () ->
+      Hm.level_count t.hm Error.Process_level);
+  counter "hm.errors.partition" (fun () ->
+      Hm.level_count t.hm Error.Partition_level);
+  counter "hm.errors.module" (fun () -> Hm.level_count t.hm Error.Module_level);
+  List.iter
+    (fun (code, name) -> counter name (fun () -> Hm.code_count t.hm code))
+    code_names;
+  counter "hm.actions_taken" (fun () -> Hm.actions_taken t.hm);
+  Option.iter
+    (fun r -> gauge "recorder.dropped_spans" (fun () -> Air_obs.Span.dropped r))
+    t.cfg.recorder;
+  Option.iter
+    (fun c ->
+      gauge "causal.dropped_records" (fun () -> Air_obs.Causal.dropped c))
+    t.cfg.causal
+
 let create (cfg : config) =
   if cfg.partitions = [] then
     invalid_arg "System.create: at least one partition is required";
@@ -79,7 +129,7 @@ let create (cfg : config) =
         ~budget:(Contention.budget c p) ~co_pressure:0
     done
   | (Some _ | None), (Some _ | None) -> ());
-  let hm = Hm.create ~metrics ~tables:cfg.hm_tables () in
+  let hm = Hm.create ~tables:cfg.hm_tables () in
   let router =
     Router.create ~metrics ?recorder:cfg.recorder ?causal:cfg.causal
       cfg.network
@@ -114,8 +164,8 @@ let create (cfg : config) =
   let make_prt setup =
     let pid = setup.partition.Partition.id in
     let pal =
-      Pal.create ~metrics ?recorder:cfg.recorder ?telemetry
-        ~store:setup.store ~partition:pid ()
+      Pal.create ?recorder:cfg.recorder ?telemetry ~store:setup.store
+        ~partition:pid ()
     in
     let emit_ev ev =
       let t = the_system () in
@@ -203,4 +253,5 @@ let create (cfg : config) =
       contention; partitions; halt_reason = None }
   in
   system_ref := Some t;
+  register_views t;
   t

@@ -33,49 +33,17 @@ type t = {
   tables : tables;
   occurrence : (int * int option * Error.code, int) Hashtbl.t;
       (* (partition index or -1, process, code) → count. *)
-  mutable total : int;
-  m_process_errors : Air_obs.Metrics.counter;
-  m_partition_errors : Air_obs.Metrics.counter;
-  m_module_errors : Air_obs.Metrics.counter;
-  m_actions : Air_obs.Metrics.counter;
+  mutable actions : int;
       (* Resolutions that escalated past the ignore/log-only baseline. *)
-  m_by_code : (Error.code * Air_obs.Metrics.counter) list;
 }
 
-let create ?metrics ?(tables = default_tables) () =
-  let reg =
-    match metrics with
-    | Some reg -> reg
-    | None -> Air_obs.Metrics.create ()
-  in
-  { tables;
-    occurrence = Hashtbl.create 32;
-    total = 0;
-    m_process_errors = Air_obs.Metrics.counter reg "hm.errors.process";
-    m_partition_errors = Air_obs.Metrics.counter reg "hm.errors.partition";
-    m_module_errors = Air_obs.Metrics.counter reg "hm.errors.module";
-    m_actions = Air_obs.Metrics.counter reg "hm.actions_taken";
-    m_by_code =
-      List.map
-        (fun code ->
-          let name =
-            Format.asprintf "hm.errors.code.%a" Error.pp_code code
-          in
-          (code, Air_obs.Metrics.counter reg name))
-        Error.all_codes }
+let create ?(tables = default_tables) () =
+  { tables; occurrence = Hashtbl.create 32; actions = 0 }
 
 let bump t key =
   let n = Option.value ~default:0 (Hashtbl.find_opt t.occurrence key) + 1 in
   Hashtbl.replace t.occurrence key n;
-  t.total <- t.total + 1;
   n
-
-let count_code t code =
-  match
-    List.find_opt (fun (c, _) -> Error.code_equal c code) t.m_by_code
-  with
-  | Some (_, counter) -> Air_obs.Metrics.incr counter
-  | None -> ()
 
 let find_process_action tables ~partition ~code =
   match
@@ -96,8 +64,6 @@ let resolve_process_error t ~partition ~process ~code =
   let occurrences =
     bump t (Partition_id.index partition, Some process, code)
   in
-  Air_obs.Metrics.incr t.m_process_errors;
-  count_code t code;
   let action =
     match find_process_action t.tables ~partition ~code with
     | None -> Error.Ignore_error
@@ -107,7 +73,7 @@ let resolve_process_error t ~partition ~process ~code =
   in
   (match action with
   | Error.Ignore_error -> ()
-  | _ -> Air_obs.Metrics.incr t.m_actions);
+  | _ -> t.actions <- t.actions + 1);
   action
 
 let find_partition_action tables ~partition ~code =
@@ -127,21 +93,17 @@ let find_partition_action tables ~partition ~code =
 
 let resolve_partition_error t ~partition ~code =
   ignore (bump t (Partition_id.index partition, None, code));
-  Air_obs.Metrics.incr t.m_partition_errors;
-  count_code t code;
   let action =
     Option.value ~default:Error.Partition_ignore
       (find_partition_action t.tables ~partition ~code)
   in
   (match action with
   | Error.Partition_ignore -> ()
-  | _ -> Air_obs.Metrics.incr t.m_actions);
+  | _ -> t.actions <- t.actions + 1);
   action
 
 let resolve_module_error t ~code =
   ignore (bump t (-1, None, code));
-  Air_obs.Metrics.incr t.m_module_errors;
-  count_code t code;
   let action =
     Option.value ~default:Error.Module_ignore
       (List.find_map
@@ -150,23 +112,24 @@ let resolve_module_error t ~code =
   in
   (match action with
   | Error.Module_ignore -> ()
-  | _ -> Air_obs.Metrics.incr t.m_actions);
+  | _ -> t.actions <- t.actions + 1);
   action
 
-let error_count t = t.total
+let actions_taken t = t.actions
 
-let count_for t ~partition ~code =
-  let matches (p, _, c) =
-    Error.code_equal c code
-    &&
-    match partition with
-    | None -> true
-    | Some pid -> p = Partition_id.index pid
-  in
+let level_of (partition, process, _) =
+  if partition < 0 then Error.Module_level
+  else if Option.is_some process then Error.Process_level
+  else Error.Partition_level
+
+let count t matches =
   Hashtbl.fold
     (fun key n acc -> if matches key then acc + n else acc)
     t.occurrence 0
 
-let reset_counts t =
-  Hashtbl.reset t.occurrence;
-  t.total <- 0
+let error_count t = count t (fun _ -> true)
+
+let level_count t level =
+  count t (fun key -> Error.level_equal (level_of key) level)
+
+let code_count t code = count t (fun (_, _, c) -> Error.code_equal c code)

@@ -45,11 +45,10 @@ val strict_tables : tables
 
 type t
 
-val create : ?metrics:Air_obs.Metrics.t -> ?tables:tables -> unit -> t
-(** [tables] defaults to {!default_tables}. [metrics] receives the [hm.*]
-    counter series — errors by level and by code (pre-registered for every
-    {!Air_model.Error.code}), plus resolutions that escalated past the
-    ignore/log-only baseline; a private registry is used when omitted. *)
+val create : ?tables:tables -> unit -> t
+(** [tables] defaults to {!default_tables}. The monitor touches no metrics
+    registry: a module's [hm.*] metrics are views of {!level_count},
+    {!code_count} and {!actions_taken}. *)
 
 val resolve_process_error :
   t ->
@@ -69,7 +68,11 @@ val resolve_module_error : t -> code:Error.code -> Error.module_action
 val error_count : t -> int
 (** Total errors resolved so far. *)
 
-val count_for :
-  t -> partition:Partition_id.t option -> code:Error.code -> int
+val level_count : t -> Error.level -> int
+(** Errors resolved so far at this level. *)
 
-val reset_counts : t -> unit
+val code_count : t -> Error.code -> int
+(** Errors resolved so far with this code, at every level. *)
+
+val actions_taken : t -> int
+(** Resolutions that escalated past the ignore/log-only baseline. *)

@@ -3,48 +3,22 @@ open Air_model
 
 type t = {
   store : Deadline_store.t;
-  m_registered : Air_obs.Metrics.counter;
-  m_unregistered : Air_obs.Metrics.counter;
-  m_violations : Air_obs.Metrics.counter;
-  m_store_size : Air_obs.Metrics.gauge;
   recorder : Air_obs.Span.t option;
   telemetry : Air_obs.Telemetry.t option;
   track : int;
 }
 
-let create ?metrics ?recorder ?telemetry
-    ?(store = Deadline_store.Linked_list_impl) ~partition () =
-  let reg =
-    match metrics with
-    | Some reg -> reg
-    | None -> Air_obs.Metrics.create ()
-  in
-  (* The registered/unregistered/violation counters aggregate across every
-     PAL sharing the registry; the store-size gauge is per partition. *)
+let create ?recorder ?telemetry ?(store = Deadline_store.Linked_list_impl)
+    ~partition () =
   { store = Deadline_store.create store;
-    m_registered = Air_obs.Metrics.counter reg "pal.deadlines_registered";
-    m_unregistered = Air_obs.Metrics.counter reg "pal.deadlines_unregistered";
-    m_violations = Air_obs.Metrics.counter reg "pal.deadline_violations";
-    m_store_size =
-      Air_obs.Metrics.gauge reg
-        (Printf.sprintf "pal.store_size.p%d"
-           (Ident.Partition_id.index partition));
     recorder;
     telemetry;
     track = Ident.Partition_id.index partition }
 
-let sync_size t =
-  Air_obs.Metrics.set t.m_store_size (Deadline_store.size t.store)
-
 let register_deadline t ~process deadline =
-  Deadline_store.register t.store ~process deadline;
-  Air_obs.Metrics.incr t.m_registered;
-  sync_size t
+  Deadline_store.register t.store ~process deadline
 
-let unregister_deadline t ~process =
-  Deadline_store.unregister t.store ~process;
-  Air_obs.Metrics.incr t.m_unregistered;
-  sync_size t
+let unregister_deadline t ~process = Deadline_store.unregister t.store ~process
 
 let earliest_deadline t = Deadline_store.earliest t.store
 let min_deadline t = Deadline_store.min_deadline t.store
@@ -53,9 +27,7 @@ let deadline_of t ~process = Deadline_store.find t.store ~process
 
 let deadline_count t = Deadline_store.size t.store
 
-let clear_deadlines t =
-  Deadline_store.clear t.store;
-  sync_size t
+let clear_deadlines t = Deadline_store.clear t.store
 
 type violation = { process : int; deadline : Time.t }
 
@@ -68,7 +40,6 @@ let collect_violations t ~now =
     match Deadline_store.earliest t.store with
     | Some (process, deadline) when Time.(deadline < now) ->
       Deadline_store.remove_earliest t.store;
-      Air_obs.Metrics.incr t.m_violations;
       (match t.telemetry with
       | None -> ()
       | Some tel -> Air_obs.Telemetry.on_deadline_miss tel ~partition:t.track);
@@ -81,9 +52,7 @@ let collect_violations t ~now =
       verify ({ process; deadline } :: acc)
     | Some _ | None -> List.rev acc
   in
-  let violations = verify [] in
-  if violations <> [] then sync_size t;
-  violations
+  verify []
 
 let announce_ticks t ~now ~elapsed ~announce_to_pos =
   (* Algorithm 3, line 1: native POS clock tick announcement, invoked with

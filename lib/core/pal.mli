@@ -16,23 +16,22 @@ open Air_model
 type t
 
 val create :
-  ?metrics:Air_obs.Metrics.t ->
   ?recorder:Air_obs.Span.t ->
   ?telemetry:Air_obs.Telemetry.t ->
   ?store:Deadline_store.impl ->
   partition:Ident.Partition_id.t ->
   unit ->
   t
-(** [store] defaults to the paper's sorted linked list. [metrics] receives
-    the [pal.*] series — registration/violation counters shared across
-    PALs on the same registry, plus a per-partition store-size gauge
-    ([pal.store_size.pN]); a private registry is used when omitted.
-    [recorder], when given, receives a [pal.catch-up] instant whenever a
-    surrogate announcement covers more than one elapsed tick (the wake-up
-    after a preemption gap) and a [pal.deadline-miss] instant (with the
-    process as sub-lane) per detected violation, on the partition's
-    track. [telemetry], when given, receives the same two signals as
-    catch-up depth and deadline-miss samples of the partition's frame. *)
+(** [store] defaults to the paper's sorted linked list. [recorder], when
+    given, receives a [pal.catch-up] instant whenever a surrogate
+    announcement covers more than one elapsed tick (the wake-up after a
+    preemption gap) and a [pal.deadline-miss] instant (with the process as
+    sub-lane) per detected violation, on the partition's track.
+    [telemetry], when given, receives the same two signals as catch-up
+    depth and deadline-miss samples of the partition's frame.
+
+    The PAL counts nothing itself: a module's [pal.*] metrics are views of
+    its event counts and of {!deadline_count}. *)
 
 (** {1 Deadline register/unregister interface (APEX-facing)} *)
 
@@ -47,6 +46,8 @@ val min_deadline : t -> Time.t
 
 val deadline_of : t -> process:int -> Time.t option
 val deadline_count : t -> int
+(** Deadlines currently registered — the [pal.store_size.pN] gauge. *)
+
 val clear_deadlines : t -> unit
 (** Partition shutdown or restart. *)
 

@@ -43,9 +43,6 @@ type t = {
   pending_action : Schedule.change_action option array;
       (* Per partition: ScheduleChangeAction awaiting the first dispatch
          after a schedule switch. *)
-  m_ticks : Air_obs.Metrics.counter;
-  m_schedule_switches : Air_obs.Metrics.counter;
-  m_context_switches : Air_obs.Metrics.counter;
   m_dispatcher_elapsed : Air_obs.Metrics.histogram;
       (* Distribution of elapsed-tick gaps accounted at dispatch — the
          quantity Algorithm 2 hands to the PAL. *)
@@ -146,9 +143,6 @@ let create ?metrics ?recorder ?telemetry ?(frame_owner = true) ?(lane = 0)
     active_partition = None;
     last_tick = Array.make (Int.max 1 partition_count) Time.zero;
     pending_action = Array.make (Int.max 1 partition_count) None;
-    m_ticks = Air_obs.Metrics.counter reg "pmk.ticks";
-    m_schedule_switches = Air_obs.Metrics.counter reg "pmk.schedule_switches";
-    m_context_switches = Air_obs.Metrics.counter reg "pmk.context_switches";
     m_dispatcher_elapsed =
       Air_obs.Metrics.histogram reg "pmk.dispatcher_elapsed";
     recorder;
@@ -205,7 +199,6 @@ let effect_schedule_switch t =
   t.last_schedule_switch <- t.ticks;
   t.table_iterator <- 0;
   rebuild_schedule_cache t;
-  Air_obs.Metrics.incr t.m_schedule_switches;
   (* Module-track instant emitted by the frame owner only: every lane of a
      multicore executive switches at the same boundary, one record
      suffices. *)
@@ -237,7 +230,6 @@ let effect_schedule_switch t =
    boundaries, in particular where a switch becomes effective. *)
 let partition_scheduler t =
   t.ticks <- t.ticks + 1;
-  Air_obs.Metrics.incr t.m_ticks;
   let offset = t.offset + 1 in
   let offset = if offset >= t.cur_mtf then 0 else offset in
   t.offset <- offset;
@@ -343,7 +335,6 @@ let partition_dispatcher t =
         (elapsed, action)
     in
     t.active_partition <- t.heir_partition;
-    Air_obs.Metrics.incr t.m_context_switches;
     out.context_switch <- Some (previous, t.active_partition);
     out.elapsed <- elapsed;
     out.change_action <- change_action
@@ -398,7 +389,6 @@ let skip t ~ticks:n =
        offset cannot wrap past an MTF boundary; the mod merely re-derives
        the running position in one step instead of n increments. *)
     t.offset <- (t.offset + n) mod t.cur_mtf;
-    Air_obs.Metrics.add t.m_ticks n;
     match t.active_partition with
     | Some p -> t.last_tick.(Partition_id.index p) <- t.ticks
     | None -> ()

@@ -32,16 +32,17 @@ val create :
 (** Schedules are indexed by their {!Schedule_id}; ids must be dense
     ([0 .. n-1]) and tables valid per {!Validate.validate_set} — raises
     [Invalid_argument] otherwise. [initial_schedule] defaults to id 0.
-    [metrics] receives the [pmk.*] series (ticks, schedule/context
-    switches, dispatcher elapsed histogram); a private registry is used
-    when omitted. [recorder], when given, receives flight-recorder spans:
-    a [partition-window] span per dispatch interval (on the partition's
-    track), a [schedule-switch] instant on the module track at every
-    effective mode switch, and a [schedule-change-action] instant when a
-    pending action is delivered at first dispatch. [telemetry], when
-    given, is primed with the initial schedule's per-partition window
-    allotments and then fed a dispatch-jitter sample per context switch;
-    its frame is closed at every MTF boundary (see
+    [metrics] receives the [pmk.dispatcher_elapsed] histogram; a private
+    registry is used when omitted. Ticks and switches are not counted
+    here: a module's [pmk.ticks] is a view of lane 0's clock, its switch
+    counts views of its event counts. [recorder], when given, receives
+    flight-recorder spans: a [partition-window] span per dispatch interval
+    (on the partition's track), a [schedule-switch] instant on the module
+    track at every effective mode switch, and a [schedule-change-action]
+    instant when a pending action is delivered at first dispatch.
+    [telemetry], when given, is primed with the initial schedule's
+    per-partition window allotments and then fed a dispatch-jitter sample
+    per context switch; its frame is closed at every MTF boundary (see
     {!tick_outcome.frame_closed}). The scheduler records no busy/idle
     occupancy: the executive driving it ({!System.step}) records one
     sample per global tick, whatever its lane count.
@@ -127,8 +128,8 @@ val skip : t -> ticks:Time.t -> unit
 (** [skip t ~ticks:n] batch-advances the clock by [n] ticks in O(1),
     equivalent to [n] calls of {!tick} across a span the caller has proven
     quiescent: [ticks t + n < next_preemption_tick t] and no
-    partition-level work pending. Updates the tick counter and metrics and
-    the active partition's lastTick bookkeeping; the executive replays the
+    partition-level work pending. Updates the clock and the active
+    partition's lastTick bookkeeping; the executive replays the
     span into the telemetry occupancy accumulator ({!System.skip}). No-op
     for [n <= 0]. *)
 

@@ -48,8 +48,9 @@ let create ?metrics ?recorder ?telemetry ?initial_schedule ~partition_count
     by_id
   in
   let cores =
-    (* Observation convention: metrics follow lane 0 (the primary lane);
-       the recorder is shared by every lane — each tags its
+    (* Observation convention: metrics follow lane 0 (the primary lane),
+       except the module's context-switch count, a view of every lane's
+       events; the recorder is shared by every lane — each tags its
        partition-window spans with its lane index as the sub-lane, and
        only the frame owner records module-track schedule-switch instants.
        The telemetry accumulator is shared by all lanes for

@@ -15,9 +15,11 @@
     lane.
 
     Observation follows lane 0, the primary lane: metrics, module-level
-    schedule state and telemetry frame close. No lane samples busy/idle
-    occupancy; the driving executive records one combined sample per
-    global tick from {!combined_active}. *)
+    schedule state and telemetry frame close. The one exception is a
+    module's [pmk.context_switches], a view of its [context-switch] event
+    count, which covers every lane. No lane samples busy/idle occupancy;
+    the driving executive records one combined sample per global tick from
+    {!combined_active}. *)
 
 open Air_model
 open Ident
@@ -36,7 +38,8 @@ val create :
     {!Air_model.Multicore.validate}, the tables disagree on core count, or
     identifiers are not dense.
 
-    Observation convention: [metrics] follow lane 0; the shared
+    Observation convention: [metrics] (the dispatcher-elapsed histogram)
+    follow lane 0; the shared
     [recorder] receives every lane's partition-window spans, tagged with
     the lane as sub-lane; the shared [telemetry] accumulator receives
     dispatch-jitter samples from every lane and lane 0 closes frames at

@@ -422,24 +422,7 @@ let router t = t.router
 let protection t = t.protection
 let metrics t = t.metrics
 
-(* Bounded-retention drop counts surface as gauges so a snapshot taken
-   from a truncated recorder or flow tracker says so. Refreshed lazily at
-   snapshot time — the instruments are get-or-create and the hot path
-   never touches them. *)
-let metrics_snapshot t =
-  (match t.cfg.recorder with
-  | None -> ()
-  | Some r ->
-    Air_obs.Metrics.set
-      (Air_obs.Metrics.gauge t.metrics "recorder.dropped_spans")
-      (Air_obs.Span.dropped r));
-  (match t.cfg.causal with
-  | None -> ()
-  | Some c ->
-    Air_obs.Metrics.set
-      (Air_obs.Metrics.gauge t.metrics "causal.dropped_records")
-      (Air_obs.Causal.dropped c));
-  Air_obs.Metrics.snapshot t.metrics
+let metrics_snapshot t = Air_obs.Metrics.snapshot t.metrics
 
 let event_counts t =
   Array.to_list (Array.mapi (fun k n -> (Event.labels.(k), n)) t.events)

@@ -228,7 +228,8 @@ val lane : t -> Pmk_mc.t
 
 val pmk : t -> Pmk.t
 (** The primary lane's scheduler (lane 0 under multicore) — the one that
-    owns metrics, recorder spans and telemetry frames. *)
+    owns the dispatcher histogram, the module clock and telemetry
+    frames. *)
 
 val cores : t -> int
 (** Number of processor cores (lanes); 1 for a single-core module. *)
@@ -238,8 +239,13 @@ val router : t -> Router.t
 val protection : t -> Protection.t
 
 val metrics : t -> Air_obs.Metrics.t
-(** The registry shared by every component of the module (scheduler, PALs,
-    health monitor, router, MMU/TLB). *)
+(** The module's registry. The scheduler's dispatcher histogram, the
+    router and the MMU/TLB record into it; every other series is a view,
+    read when the registry is read: [pmk.ticks] of lane 0's clock,
+    [pmk.context_switches], [pmk.schedule_switches] and the three
+    [pal.deadline*] counts of {!event_counts}, [pal.store_size.pN] of each
+    partition's deadline store, [hm.*] of the Health Monitor's occurrence
+    table, and the recorder and causal drop counts. *)
 
 val metrics_snapshot : t -> Air_obs.Metrics.snapshot
 val event_counts : t -> (string * int) list

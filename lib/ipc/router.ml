@@ -52,8 +52,7 @@ type t = {
   stale_reads : Air_obs.Metrics.counter;
       (** Sampling reads whose slot content had outlived its refresh. *)
   delivery_latency : Air_obs.Metrics.histogram;
-      (** Queuing receive latency: ticks between enqueue and receive, for
-          receives that pass the current time ([receive_queuing ~now]). *)
+      (** Queuing receive latency: ticks between enqueue and receive. *)
   mutable on_delivery : (latency:int -> unit) option;
       (** Telemetry observer, invoked with the same latencies. *)
   recorder : Air_obs.Span.t option;
@@ -276,22 +275,18 @@ let send_queuing_id t ~caller ~port ~now msg =
 let send_queuing t ~caller ~port ~now msg =
   by_name t port (fun port -> send_queuing_id t ~caller ~port ~now msg)
 
-let pop_queuing t ?now queue =
+let pop_queuing t ~now queue =
   let msg, sent, cid = Queue.pop queue in
   Air_obs.Metrics.incr t.messages_received;
-  (* Delivery latency: ticks the message spent queued. Only callers
-     passing the current time contribute a sample. *)
-  (match now with
+  (* Delivery latency: ticks the message spent queued. *)
+  let latency = Int.max 0 (now - sent) in
+  Air_obs.Metrics.observe t.delivery_latency latency;
+  (match t.on_delivery with
   | None -> ()
-  | Some now ->
-    let latency = Int.max 0 (now - sent) in
-    Air_obs.Metrics.observe t.delivery_latency latency;
-    (match t.on_delivery with
-    | None -> ()
-    | Some f -> f ~latency));
+  | Some f -> f ~latency);
   (msg, cid)
 
-let receive_queuing_id ?now t ~caller ~port =
+let receive_queuing_id t ~caller ~port ~now =
   match endpoint_for t ~caller ~port Port.Destination with
   | Error _ as err -> err
   | Ok e -> (
@@ -299,18 +294,14 @@ let receive_queuing_id ?now t ~caller ~port =
     | Queuing_buffer { queue; _ } ->
       if Queue.is_empty queue then Ok None
       else begin
-        let msg, cid = pop_queuing t ?now queue in
-        (* Clock-less legacy callers contribute neither a latency sample
-           nor a flow close; every runtime path passes [~now]. *)
-        (match now with
-        | Some now -> note_receive t ~now ~caller cid
-        | None -> ());
+        let msg, cid = pop_queuing t ~now queue in
+        note_receive t ~now ~caller cid;
         Ok (Some msg)
       end
     | Sampling_slot _ | Source_end -> Error (Wrong_mode e.config.Port.name))
 
-let receive_queuing ?now t ~caller ~port =
-  by_name t port (fun port -> receive_queuing_id ?now t ~caller ~port)
+let receive_queuing t ~caller ~port ~now =
+  by_name t port (fun port -> receive_queuing_id t ~caller ~port ~now)
 
 (* The queue behind [port], if it is a queuing destination. *)
 let queue_of t port =
@@ -394,7 +385,7 @@ let dest_endpoint t ~port =
     | { buffer = Source_end; _ } -> None
     | e -> Some e)
 
-let drop_head ?(now = 0) t ~port =
+let drop_head t ~port ~now =
   match dest_endpoint t ~port with
   | None -> Perturb_bad_port
   | Some { buffer = Sampling_slot slot; _ } -> (
@@ -413,7 +404,7 @@ let drop_head ?(now = 0) t ~port =
     end
   | Some { buffer = Source_end; _ } -> Perturb_bad_port
 
-let steal_head ?(now = 0) t ~port =
+let steal_head t ~port ~now =
   match dest_endpoint t ~port with
   | None -> None
   | Some { buffer = Sampling_slot slot; _ } ->
@@ -434,7 +425,7 @@ let steal_head ?(now = 0) t ~port =
     end
   | Some { buffer = Source_end; _ } -> None
 
-let duplicate_head ?(now = 0) t ~port =
+let duplicate_head t ~port ~now =
   match dest_endpoint t ~port with
   | None -> Perturb_bad_port
   | Some { buffer = Sampling_slot slot; _ } ->
@@ -464,7 +455,7 @@ let duplicate_head ?(now = 0) t ~port =
     end
   | Some { buffer = Source_end; _ } -> Perturb_bad_port
 
-let corrupt_head ?(now = 0) t ~port ~byte =
+let corrupt_head t ~port ~byte ~now =
   let flip msg =
     let len = Bytes.length msg in
     if len = 0 then ()
@@ -494,7 +485,7 @@ let corrupt_head ?(now = 0) t ~port ~byte =
     end
   | Some { buffer = Source_end; _ } -> Perturb_bad_port
 
-let reorder_head ?(now = 0) t ~port =
+let reorder_head t ~port ~now =
   match dest_endpoint t ~port with
   | None | Some { buffer = Sampling_slot _; _ } -> Perturb_bad_port
   | Some { buffer = Queuing_buffer { queue; _ }; _ } ->
@@ -507,8 +498,8 @@ let reorder_head ?(now = 0) t ~port =
     end
   | Some { buffer = Source_end; _ } -> Perturb_bad_port
 
-(* Legacy aggregate view, kept as a thin shim over the [ipc.*] registry
-   counters. *)
+(* The [ipc.*] registry counters, read together (the benchmark's layer
+   split and E9 read them without a module around the router). *)
 type stats = {
   messages_sent : int;
   messages_received : int;

@@ -146,17 +146,17 @@ val send_queuing_id :
   (send_outcome, error) result
 
 val receive_queuing_id :
-  ?now:Time.t ->
   t ->
   caller:Partition_id.t ->
   port:port ->
+  now:Time.t ->
   (bytes option, error) result
 (** [Ok None] when the queue is empty (the APEX layer maps it to
-    NOT_AVAILABLE or blocks the caller). FIFO order. When [now] is given,
-    the popped message contributes a delivery-latency sample
-    ([now - enqueue time]) to the [ipc.delivery_latency] histogram and the
-    {!set_delivery_observer} observer, and closes the message's causal
-    flow with a [Receive] record. *)
+    NOT_AVAILABLE or blocks the caller). FIFO order. The popped message
+    contributes a delivery-latency sample ([now - enqueue time]) to the
+    [ipc.delivery_latency] histogram and the {!set_delivery_observer}
+    observer, and closes the message's causal flow with a [Receive]
+    record. *)
 
 val send_queuing :
   t ->
@@ -168,10 +168,10 @@ val send_queuing :
 (** {!send_queuing_id} on the named port. *)
 
 val receive_queuing :
-  ?now:Time.t ->
   t ->
   caller:Partition_id.t ->
   port:Port_name.t ->
+  now:Time.t ->
   (bytes option, error) result
 (** {!receive_queuing_id} on the named port. *)
 
@@ -235,31 +235,28 @@ type perturb_outcome =
       (** Unknown port, a source end, or a mode that cannot express the
           fault (e.g. reorder on a sampling slot). *)
 
-val drop_head : ?now:Time.t -> t -> port:Port_name.t -> perturb_outcome
+val drop_head : t -> port:Port_name.t -> now:Time.t -> perturb_outcome
 (** Message loss: clear a sampling slot / pop the oldest queued message.
-    [now] (here and below, default 0) timestamps the [Perturb] record
-    written to the causal tracker for the struck message's id. *)
+    [now] (here and below) timestamps the [Perturb] record written to the
+    causal tracker for the struck message's id. *)
 
-val duplicate_head : ?now:Time.t -> t -> port:Port_name.t -> perturb_outcome
+val duplicate_head : t -> port:Port_name.t -> now:Time.t -> perturb_outcome
 (** Message duplication: re-enqueue a copy of the queue head at the tail
     (overflowing queues discard the duplicate, counted as an overflow).
     The copy keeps the original's correlation id. Sampling slots absorb
     duplicates by construction. *)
 
 val corrupt_head :
-  ?now:Time.t -> t -> port:Port_name.t -> byte:int -> perturb_outcome
+  t -> port:Port_name.t -> byte:int -> now:Time.t -> perturb_outcome
 (** Payload corruption: invert all bits of byte [byte mod length] of the
     slot content / queue head. *)
 
-val reorder_head : ?now:Time.t -> t -> port:Port_name.t -> perturb_outcome
+val reorder_head : t -> port:Port_name.t -> now:Time.t -> perturb_outcome
 (** Reordering: rotate the queue head to the tail ([No_message] unless at
     least two messages are queued; meaningless for sampling ports). *)
 
 val steal_head :
-  ?now:Time.t ->
-  t ->
-  port:Port_name.t ->
-  (bytes * Air_obs.Causal.id) option
+  t -> port:Port_name.t -> now:Time.t -> (bytes * Air_obs.Causal.id) option
 (** Remove and return the slot content / queue head without any accounting;
     the campaign engine uses this to model delay faults by re-injecting the
     stolen payload later through {!inject} (passing the returned id as

@@ -1,18 +1,18 @@
-(* Metrics registry: monotonic counters, gauges and fixed-bucket
-   histograms over integers.
+(* Metrics registry: monotonic counters and fixed-bucket histograms over
+   integers, plus views — counters and gauges whose value a closure
+   supplies when the registry is read.
 
    Design constraints (DESIGN.md §Observability):
    - recording is O(1) and float-free — the PMK clock-tick path records
      into these from inside the simulated ISR;
    - handles are obtained once, at component construction, so the hot
      path never touches the registry's hash table;
-   - [counter]/[gauge]/[histogram] are get-or-create: asking for an
-     already-registered name returns the existing instrument, letting
-     several instances of a component (e.g. one PAL per partition)
-     aggregate into shared series. *)
+   - [counter]/[histogram] are get-or-create: asking for an
+     already-registered name returns the existing instrument;
+   - a fact some other structure already holds (an event count, a clock,
+     a store's size) is a view of that structure, never a second count. *)
 
 type counter = { mutable count : int }
-type gauge = { mutable level : int }
 
 type histogram = {
   bounds : int array;  (* inclusive upper bounds, strictly increasing *)
@@ -24,8 +24,9 @@ type histogram = {
 
 type instrument =
   | Counter of counter
-  | Gauge of gauge
   | Histogram of histogram
+  | Counter_view of (unit -> int)
+  | Gauge_view of (unit -> int)
 
 type t = {
   instruments : (string, instrument) Hashtbl.t;
@@ -45,17 +46,9 @@ let register t name instrument =
 let counter t name =
   match register t name (Counter { count = 0 }) with
   | Counter c -> c
-  | Gauge _ | Histogram _ ->
+  | Histogram _ | Counter_view _ | Gauge_view _ ->
     invalid_arg
       (Printf.sprintf "Metrics.counter: %S already registered as another kind"
-         name)
-
-let gauge t name =
-  match register t name (Gauge { level = 0 }) with
-  | Gauge g -> g
-  | Counter _ | Histogram _ ->
-    invalid_arg
-      (Printf.sprintf "Metrics.gauge: %S already registered as another kind"
          name)
 
 (* Powers-of-two buckets cover tick-latency measurements well: most
@@ -73,21 +66,27 @@ let histogram t name =
   in
   match register t name fresh with
   | Histogram h -> h
-  | Counter _ | Gauge _ ->
+  | Counter _ | Counter_view _ | Gauge_view _ ->
     invalid_arg
       (Printf.sprintf
          "Metrics.histogram: %S already registered as another kind" name)
+
+(* A view has one source: registering its name twice is an error, not a
+   get. *)
+let view fn t name instrument =
+  if Hashtbl.mem t.instruments name then
+    invalid_arg (Printf.sprintf "Metrics.%s: %S already registered" fn name);
+  Hashtbl.add t.instruments name instrument;
+  t.names <- name :: t.names
+
+let counter_view t name read = view "counter_view" t name (Counter_view read)
+let gauge_view t name read = view "gauge_view" t name (Gauge_view read)
 
 (* --- Recording (hot path) ----------------------------------------------- *)
 
 let incr c = c.count <- c.count + 1
 let add c n = if n > 0 then c.count <- c.count + n
 let value c = c.count
-
-let set g v = g.level <- v
-let gauge_incr g = g.level <- g.level + 1
-let gauge_decr g = g.level <- g.level - 1
-let level g = g.level
 
 let observe h x =
   let n = Array.length h.bounds in
@@ -115,38 +114,25 @@ type value =
 
 type snapshot = (string * value) list
 
+let read = function
+  | Counter c -> Counter_value c.count
+  | Counter_view read -> Counter_value (read ())
+  | Gauge_view read -> Gauge_value (read ())
+  | Histogram h ->
+    Histogram_value
+      { view_bounds = Array.copy h.bounds;
+        view_buckets = Array.copy h.buckets;
+        view_observations = h.observations;
+        view_total = h.total;
+        view_peak = h.peak }
+
 let snapshot t : snapshot =
   List.rev_map
-    (fun name ->
-      let v =
-        match Hashtbl.find t.instruments name with
-        | Counter c -> Counter_value c.count
-        | Gauge g -> Gauge_value g.level
-        | Histogram h ->
-          Histogram_value
-            { view_bounds = Array.copy h.bounds;
-              view_buckets = Array.copy h.buckets;
-              view_observations = h.observations;
-              view_total = h.total;
-              view_peak = h.peak }
-      in
-      (name, v))
+    (fun name -> (name, read (Hashtbl.find t.instruments name)))
     t.names
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
-let find t name =
-  match Hashtbl.find_opt t.instruments name with
-  | None -> None
-  | Some (Counter c) -> Some (Counter_value c.count)
-  | Some (Gauge g) -> Some (Gauge_value g.level)
-  | Some (Histogram h) ->
-    Some
-      (Histogram_value
-         { view_bounds = Array.copy h.bounds;
-           view_buckets = Array.copy h.buckets;
-           view_observations = h.observations;
-           view_total = h.total;
-           view_peak = h.peak })
+let find t name = Option.map read (Hashtbl.find_opt t.instruments name)
 
 (* Percentile estimate from the fixed buckets: the bucket holding the rank
    ceil(observations * num / den) answers with its inclusive upper bound;

@@ -1,16 +1,18 @@
-(** Metrics registry: monotonic counters, gauges and fixed-bucket
-    histograms over integers.
+(** Metrics registry: monotonic counters and fixed-bucket histograms over
+    integers, plus views.
 
     Recording is O(1) and float-free — the PMK clock-tick path records into
     these from inside the simulated ISR. Handles are obtained once, at
     component construction, so the hot path never touches the registry's
-    hash table. The instrument constructors are get-or-create: asking for
-    an already-registered name returns the existing instrument, letting
-    several instances of a component (e.g. one PAL per partition) aggregate
-    into shared series. *)
+    hash table. {!counter} and {!histogram} are get-or-create: asking for
+    an already-registered name returns the existing instrument.
+
+    A view is a counter or gauge that nothing records into: its value is
+    read from the structure that already holds the fact (an event count, a
+    clock, a store's size) whenever the registry is read, so one fact is
+    counted once. *)
 
 type counter
-type gauge
 type histogram
 
 type t
@@ -24,12 +26,24 @@ val create : unit -> t
     different kind of instrument. *)
 
 val counter : t -> string -> counter
-val gauge : t -> string -> gauge
 
 val histogram : t -> string -> histogram
 (** Buckets bounded above, inclusively, by 0 and the powers of two up to
     1024, which cover tick-latency measurements well; observations above
     1024 land in an implicit +inf bucket. *)
+
+(** {1 Views}
+
+    Each raises [Invalid_argument] when the name is already registered:
+    a view has exactly one source. *)
+
+val counter_view : t -> string -> (unit -> int) -> unit
+(** [counter_view reg name read]: a counter whose value [read ()] supplies
+    at every {!snapshot} and {!find}; [read] must never decrease. *)
+
+val gauge_view : t -> string -> (unit -> int) -> unit
+(** [gauge_view reg name read]: a gauge whose level [read ()] supplies at
+    every {!snapshot} and {!find}. *)
 
 (** {1 Recording (hot path)} *)
 
@@ -38,11 +52,6 @@ val add : counter -> int -> unit
 (** Counters are monotonic: non-positive increments are ignored. *)
 
 val value : counter -> int
-
-val set : gauge -> int -> unit
-val gauge_incr : gauge -> unit
-val gauge_decr : gauge -> unit
-val level : gauge -> int
 
 val observe : histogram -> int -> unit
 
@@ -64,7 +73,8 @@ type value =
 type snapshot = (string * value) list
 
 val snapshot : t -> snapshot
-(** Every instrument's current value, sorted by name. *)
+(** Every instrument's current value, sorted by name; each view is read
+    once. *)
 
 val find : t -> string -> value option
 

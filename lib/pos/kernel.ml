@@ -106,7 +106,6 @@ let status t q =
     current_priority = p.current_priority;
     state = p.state }
 
-let deadline_time t q = (pcb t q).deadline_time
 let activations t q = (pcb t q).activations
 
 let take_timed_out t q =

@@ -63,7 +63,6 @@ val state : t -> int -> Process.state
 val status : t -> int -> Process.status
 (** The S(t) tuple of eq. (12). *)
 
-val deadline_time : t -> int -> Time.t
 val activations : t -> int -> int
 
 val take_timed_out : t -> int -> bool

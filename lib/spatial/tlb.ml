@@ -12,7 +12,6 @@ type t = {
   mutable next : int;  (* FIFO replacement cursor *)
   hits : Metrics.counter;
   misses : Metrics.counter;
-  flushes : Metrics.counter;
 }
 
 let create ?metrics ?(capacity = 32) () =
@@ -23,8 +22,7 @@ let create ?metrics ?(capacity = 32) () =
   { slots = Array.make capacity None;
     next = 0;
     hits = Metrics.counter reg "tlb.hits";
-    misses = Metrics.counter reg "tlb.misses";
-    flushes = Metrics.counter reg "tlb.flushes" }
+    misses = Metrics.counter reg "tlb.misses" }
 
 let lookup t ~context ~vpn =
   let n = Array.length t.slots in
@@ -57,22 +55,9 @@ let insert t entry =
     t.slots.(t.next) <- Some entry;
     t.next <- (t.next + 1) mod n
 
-let flush_context t ~context =
-  Array.iteri
-    (fun i -> function
-      | Some e when e.context = context -> t.slots.(i) <- None
-      | Some _ | None -> ())
-    t.slots;
-  Metrics.incr t.flushes
-
-(* Legacy stats interface, kept as a thin shim over the metrics registry
-   series (tlb.hits / tlb.misses / tlb.flushes). *)
-type stats = { hits : int; misses : int; flushes : int }
+type stats = { hits : int; misses : int }
 
 let stats (t : t) =
-  { hits = Metrics.value t.hits;
-    misses = Metrics.value t.misses;
-    flushes = Metrics.value t.flushes }
+  { hits = Metrics.value t.hits; misses = Metrics.value t.misses }
 
-let pp_stats ppf s =
-  Format.fprintf ppf "hits=%d misses=%d flushes=%d" s.hits s.misses s.flushes
+let pp_stats ppf s = Format.fprintf ppf "hits=%d misses=%d" s.hits s.misses

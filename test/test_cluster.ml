@@ -496,7 +496,7 @@ let bus_reorder_swaps_deliveries () =
     (Cluster.stats cluster).Cluster.transferred;
   let router = System.router deaf in
   let pop () =
-    match Router.steal_head router ~port:"TM_IN" with
+    match Router.steal_head router ~port:"TM_IN" ~now:(System.now deaf) with
     | Some (b, _cid) -> Bytes.to_string b
     | None -> Alcotest.fail "destination queue shorter than expected"
   in

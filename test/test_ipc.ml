@@ -143,13 +143,13 @@ let queuing_fifo_and_overflow () =
     (names o3.Router.overflowed);
   check Alcotest.int "pending" 2
     (Router.pending r ~port:(Router.resolve r "Q_IN"));
-  (match Router.receive_queuing r ~caller:(pid 1) ~port:"Q_IN" with
+  (match Router.receive_queuing r ~caller:(pid 1) ~port:"Q_IN" ~now:1 with
   | Ok (Some m) -> check Alcotest.string "fifo" "one" (Bytes.to_string m)
   | _ -> Alcotest.fail "expected message");
-  (match Router.receive_queuing r ~caller:(pid 1) ~port:"Q_IN" with
+  (match Router.receive_queuing r ~caller:(pid 1) ~port:"Q_IN" ~now:1 with
   | Ok (Some m) -> check Alcotest.string "fifo" "two" (Bytes.to_string m)
   | _ -> Alcotest.fail "expected message");
-  (match Router.receive_queuing r ~caller:(pid 1) ~port:"Q_IN" with
+  (match Router.receive_queuing r ~caller:(pid 1) ~port:"Q_IN" ~now:1 with
   | Ok None -> ()
   | _ -> Alcotest.fail "expected empty");
   let stats = Router.stats r in

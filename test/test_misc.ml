@@ -123,12 +123,16 @@ let hm_counting () =
   ignore (Hm.resolve_partition_error hm ~partition:(pid 1) ~code:Error.Memory_violation);
   ignore (Hm.resolve_module_error hm ~code:Error.Power_failure);
   check Alcotest.int "total" 4 (Hm.error_count hm);
-  check Alcotest.int "per partition+code" 2
-    (Hm.count_for hm ~partition:(Some (pid 0)) ~code:Error.Deadline_missed);
+  check Alcotest.int "per code" 2 (Hm.code_count hm Error.Deadline_missed);
   check Alcotest.int "any partition" 1
-    (Hm.count_for hm ~partition:None ~code:Error.Memory_violation);
-  Hm.reset_counts hm;
-  check Alcotest.int "reset" 0 (Hm.error_count hm)
+    (Hm.code_count hm Error.Memory_violation);
+  check Alcotest.int "process level" 2
+    (Hm.level_count hm Error.Process_level);
+  check Alcotest.int "partition level" 1
+    (Hm.level_count hm Error.Partition_level);
+  check Alcotest.int "module level" 1 (Hm.level_count hm Error.Module_level);
+  check Alcotest.int "no escalation under the default tables" 0
+    (Hm.actions_taken hm)
 
 let hm_strict_tables () =
   let hm = Hm.create ~tables:Hm.strict_tables () in
@@ -221,7 +225,8 @@ let sporadic_release_cadence () =
            ~base_priority:5 "burst" |]
   in
   ignore (Kernel.start k ~now:0 0);
-  check Alcotest.int "deadline armed" 40 (Kernel.deadline_time k 0);
+  check Alcotest.int "deadline armed" 40
+    (Kernel.status k 0).Process.deadline_time;
   (* A sporadic process uses PERIODIC_WAIT with its minimum inter-arrival
      bound as the release separation. *)
   (match Kernel.periodic_wait k ~now:10 0 with

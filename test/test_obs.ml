@@ -32,14 +32,25 @@ let counter_basics () =
   Metrics.incr c';
   check Alcotest.int "shared by name" 6 (Metrics.value c)
 
+(* A gauge is a view: its level is read from its source whenever the
+   registry is read, never stored. *)
 let gauge_basics () =
   let reg = Metrics.create () in
-  let g = Metrics.gauge reg "x.level" in
-  Metrics.set g 7;
-  Metrics.gauge_incr g;
-  Metrics.gauge_decr g;
-  Metrics.gauge_decr g;
-  check Alcotest.int "tracks level" 6 (Metrics.level g)
+  let level = ref 7 in
+  Metrics.gauge_view reg "x.level" (fun () -> !level);
+  let read () =
+    match Metrics.find reg "x.level" with
+    | Some (Metrics.Gauge_value n) -> n
+    | Some _ | None -> Alcotest.fail "expected a gauge"
+  in
+  check Alcotest.int "reads its source" 7 (read ());
+  decr level;
+  check Alcotest.int "tracks level" 6 (read ());
+  check Alcotest.bool "snapshot reads it too" true
+    (List.mem ("x.level", Metrics.Gauge_value 6) (Metrics.snapshot reg));
+  Alcotest.check_raises "one source per view"
+    (Invalid_argument "Metrics.gauge_view: \"x.level\" already registered")
+    (fun () -> Metrics.gauge_view reg "x.level" (fun () -> 0))
 
 let histogram_basics () =
   let reg = Metrics.create () in
@@ -82,15 +93,21 @@ let empty_view_quantile_is_zero () =
 
 let kind_mismatch_rejected () =
   let reg = Metrics.create () in
-  ignore (Metrics.counter reg "x");
-  Alcotest.check_raises "gauge over counter"
-    (Invalid_argument "Metrics.gauge: \"x\" already registered as another kind")
-    (fun () -> ignore (Metrics.gauge reg "x"))
+  ignore (Metrics.histogram reg "x");
+  Alcotest.check_raises "counter over histogram"
+    (Invalid_argument
+       "Metrics.counter: \"x\" already registered as another kind")
+    (fun () -> ignore (Metrics.counter reg "x"));
+  Metrics.counter_view reg "v" (fun () -> 0);
+  Alcotest.check_raises "counter over view"
+    (Invalid_argument
+       "Metrics.counter: \"v\" already registered as another kind")
+    (fun () -> ignore (Metrics.counter reg "v"))
 
 let snapshot_is_sorted () =
   let reg = Metrics.create () in
   ignore (Metrics.counter reg "b");
-  ignore (Metrics.gauge reg "a");
+  Metrics.gauge_view reg "a" (fun () -> 0);
   ignore (Metrics.counter reg "c");
   let names = List.map fst (Metrics.snapshot reg) in
   check Alcotest.(list string) "sorted by name" [ "a"; "b"; "c" ] names
@@ -100,7 +117,7 @@ let snapshot_is_sorted () =
 let report_renders_all_kinds () =
   let reg = Metrics.create () in
   Metrics.incr (Metrics.counter reg "c");
-  Metrics.set (Metrics.gauge reg "g") 2;
+  Metrics.gauge_view reg "g" (fun () -> 2);
   Metrics.observe (Metrics.histogram reg "h") 3;
   let snapshot = Metrics.snapshot reg in
   let events = [ ("tick", 4) ] in

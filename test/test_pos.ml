@@ -97,7 +97,7 @@ let delayed_start_releases_later () =
   Kernel.announce_ticks k ~now:10;
   state_is k 0 Process.Ready;
   (* Deadline armed at release: 10 + 30. *)
-  check Alcotest.int "deadline" 40 (Kernel.deadline_time k 0)
+  check Alcotest.int "deadline" 40 (Kernel.status k 0).Process.deadline_time
 
 let periodic_wait_and_release () =
   let registered = ref [] in
@@ -118,7 +118,7 @@ let periodic_wait_and_release () =
   Kernel.announce_ticks k ~now:50;
   state_is k 0 Process.Ready;
   check Alcotest.int "second deadline = release + capacity" 70
-    (Kernel.deadline_time k 0);
+    (Kernel.status k 0).Process.deadline_time;
   check Alcotest.int "activations" 2 (Kernel.activations k 0)
 
 let overrun_keeps_missed_release () =
@@ -130,7 +130,8 @@ let overrun_keeps_missed_release () =
   ignore (Kernel.periodic_wait k ~now:80 0);
   Kernel.announce_ticks k ~now:80;
   state_is k 0 Process.Ready;
-  check Alcotest.int "past deadline armed" 70 (Kernel.deadline_time k 0)
+  check Alcotest.int "past deadline armed" 70
+    (Kernel.status k 0).Process.deadline_time
 
 let periodic_wait_rejected_for_aperiodic () =
   let k = make_kernel [ aperiodic "a" ] in
@@ -179,10 +180,10 @@ let suspend_timeout_sets_flag () =
 let replenish_updates_deadline () =
   let k = make_kernel [ periodic ~period:100 ~capacity:30 "p" ] in
   ignore (Kernel.start k ~now:0 0);
-  check Alcotest.int "initial" 30 (Kernel.deadline_time k 0);
+  check Alcotest.int "initial" 30 (Kernel.status k 0).Process.deadline_time;
   ignore (Kernel.replenish k ~now:25 0 50);
   (* Paper Fig. 6: new deadline = current instant + budget. *)
-  check Alcotest.int "replenished" 75 (Kernel.deadline_time k 0)
+  check Alcotest.int "replenished" 75 (Kernel.status k 0).Process.deadline_time
 
 let stop_all_clears () =
   let unregistered = ref 0 in
@@ -256,7 +257,8 @@ let no_lost_activations_across_blackouts () =
   check Alcotest.int "third activation" 3 (Kernel.activations k 0);
   (* Its deadline is the missed release + capacity, already in the past —
      the PAL will catch it, which is the correct overload signal. *)
-  check Alcotest.int "deadline of missed release" 150 (Kernel.deadline_time k 0)
+  check Alcotest.int "deadline of missed release" 150
+    (Kernel.status k 0).Process.deadline_time
 
 let find_by_name_works () =
   let k = make_kernel [ aperiodic "alpha"; aperiodic "beta" ] in

@@ -540,6 +540,52 @@ let replenish_prevents_violation () =
   System.run s ~ticks:900;
   check Alcotest.int "no violation" 0 (List.length (System.violations s))
 
+(* The Fig. 6 worker (START, then one REPLENISH 50 ticks in) beside an
+   aperiodic helper without a deadline that replenishes once at boot. *)
+let replenish_system () =
+  let p =
+    Partition.make ~id:(pid 0) ~name:"FIG6"
+      [ Process.spec ~periodicity:(Process.Periodic 1000) ~time_capacity:100
+          ~wcet:500 ~base_priority:5 "worker";
+        Process.spec ~base_priority:1 "helper" ]
+  in
+  let schedule =
+    Schedule.make ~id:(sid 0) ~name:"all" ~mtf:1000
+      ~requirements:[ q (pid 0) 1000 1000 ]
+      [ w (pid 0) 0 1000 ]
+  in
+  System.create
+    (System.config
+       ~partitions:
+         [ System.partition_setup p
+             [ Script.make
+                 [ Script.Compute 50; Script.Replenish 200;
+                   Script.Compute 500 ];
+               Script.make [ Script.Replenish 100; Script.Timed_wait 10_000 ]
+             ] ]
+       ~schedules:[ schedule ] ())
+
+(* REPLENISH re-registers a deadline through the kernel's PAL hook, which
+   records the event: one [deadline-registered] per REPLENISH of a process
+   with a deadline, none for a process without one. *)
+let replenish_registers_once () =
+  let s = replenish_system () in
+  System.run s ~ticks:400;
+  let registrations q =
+    count_events
+      (function
+        | Event.Deadline_registered { process; _ } ->
+          Process_id.index process = q
+        | _ -> false)
+      s
+  in
+  check Alcotest.int "worker: START and one REPLENISH" 2 (registrations 0);
+  check Alcotest.int "helper: no deadline, no registration" 0
+    (registrations 1);
+  check Alcotest.bool "counter reads the events" true
+    (Air_obs.Metrics.find (System.metrics s) "pal.deadlines_registered"
+    = Some (Air_obs.Metrics.Counter_value 2))
+
 let suite =
   [ Alcotest.test_case "prototype: clean run has no violations" `Quick
       prototype_clean_run;
@@ -576,4 +622,6 @@ let suite =
     Alcotest.test_case "paper Fig. 6: START/REPLENISH/violation" `Quick
       figure_6_scenario;
     Alcotest.test_case "paper Fig. 6: replenish prevents violation" `Quick
-      replenish_prevents_violation ]
+      replenish_prevents_violation;
+    Alcotest.test_case "paper Fig. 6: one registration per REPLENISH" `Quick
+      replenish_registers_once ]

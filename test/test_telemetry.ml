@@ -368,8 +368,7 @@ let schedule_switch_starts_fresh_frame () =
      (trivial) default, S1's frames by the strict override — three closed
      S1 frames, three module-level temporal-degradation errors. *)
   check Alcotest.int "breaches only under S1" 3
-    (Air.Hm.count_for (Air.System.hm s) ~partition:None
-       ~code:Error.Temporal_degradation)
+    (Air.Hm.code_count (Air.System.hm s) Error.Temporal_degradation)
 
 let watchdog_raises_hm_once_per_frame () =
   (* Under S0 each partition is preempted for 10 ticks every MTF, so the
@@ -392,8 +391,14 @@ let watchdog_raises_hm_once_per_frame () =
   check Alcotest.int "three frames closed" 3
     (List.length (Air.System.telemetry_frames s));
   let count partition =
-    Air.Hm.count_for (Air.System.hm s) ~partition
-      ~code:Error.Temporal_degradation
+    Air_sim.Trace.count
+      (fun ev ->
+        match ev with
+        | Air_model.Event.Hm_error
+            { partition = Some p; code = Error.Temporal_degradation; _ } ->
+          Ident.Partition_id.equal p partition
+        | _ -> false)
+      (Air.System.trace s)
   in
   let module_errors =
     Air_sim.Trace.count
@@ -414,11 +419,12 @@ let watchdog_raises_hm_once_per_frame () =
      while P1's initial 10-tick gap makes it offend in all three. *)
   check Alcotest.int "module level, once per frame" 3 module_errors;
   check Alcotest.int "partition 0, once per offending frame" 2
-    (count (Some (pid 0)));
+    (count (pid 0));
   check Alcotest.int "partition 1, once per offending frame" 3
-    (count (Some (pid 1)));
-  (* [count_for ~partition:None] sums every level's occurrences. *)
-  check Alcotest.int "no spurious extra errors" 8 (count None);
+    (count (pid 1));
+  (* [code_count] sums every level's occurrences. *)
+  check Alcotest.int "no spurious extra errors" 8
+    (Air.Hm.code_count (Air.System.hm s) Error.Temporal_degradation);
   (* The configured recovery action actually ran, once per error. *)
   let restarts =
     Air_sim.Trace.count
@@ -436,8 +442,7 @@ let no_watchdog_no_hm_errors () =
   let s = telemetry_system () in
   Air.System.run_mtfs s 4;
   check Alcotest.int "trivial watchdogs stay silent" 0
-    (Air.Hm.count_for (Air.System.hm s) ~partition:None
-       ~code:Error.Temporal_degradation)
+    (Air.Hm.code_count (Air.System.hm s) Error.Temporal_degradation)
 
 (* --- Exports ----------------------------------------------------------------- *)
 
