@@ -181,12 +181,14 @@ interference-smoke:
 # its per-tick or sequential-cluster fingerprint (campaigns: contained
 # and reproducible). Fails unless every result line reads
 # "correct": true, and unless the round's peak_rss_mb stays under the
-# memory ceiling of leo (40 MB) and constellation (80 MB). Those two keep
-# their whole event traces; packed entries hold them near 30 and 56 MB,
-# where a queue of boxed tuples took 61 and 137 MB.
+# memory ceiling of leo (20 MB), leo-observed-2core (20 MB) and
+# constellation (30 MB). These keep their whole event traces; byte-stream
+# chunks hold them near 16, 15 and 23 MB, where three ints per entry in
+# int-array chunks took 30, 24 and 56 MB and a queue of boxed tuples 61,
+# 41 and 137 MB.
 e2e-smoke:
 	dune build bench/e2e/e2e.exe
-	@for w in leo:40 leo-observed-2core constellation:80 campaign-sweep; do \
+	@for w in leo:20 leo-observed-2core:20 constellation:30 campaign-sweep; do \
 	  ceiling=$${w#*:}; w=$${w%:*}; \
 	  line=$$(dune exec --display=quiet bench/e2e/e2e.exe -- \
 	    --workload $$w --seconds 0 | tail -n 1); \

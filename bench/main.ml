@@ -16,6 +16,8 @@
      (target + baseline + oracle bookkeeping).
    - exec/*      : the skip-ahead executive against per-tick execution over
      whole horizons — sparse vs dense workloads, single vs multicore.
+   - trace/*     : the packed event log — recording leo_satellite.air's
+     event mix, and listing and digesting the trace one observation reads.
 
    Run with: dune exec bench/main.exe *)
 
@@ -697,6 +699,26 @@ let profiler_tests =
         (advance ~profiled:true ());
       Test.make ~name:"note_batch" (note ()) ]
 
+(* The shipped leo_satellite.air, resolved from the directory holding
+   dune-project so a row measures the same workload wherever the benchmark
+   is started below the repository root. *)
+let leo_config group =
+  let rec root dir =
+    if Sys.file_exists (Filename.concat dir "dune-project") then dir
+    else
+      let parent = Filename.dirname dir in
+      if parent = dir then
+        failwith (group ^ "/leo_satellite: no dune-project above the cwd")
+      else root parent
+  in
+  let path =
+    List.fold_left Filename.concat (root (Sys.getcwd ()))
+      [ "examples"; "configs"; "leo_satellite.air" ]
+  in
+  match Air_config.Loader.load_file path with
+  | Ok config -> config
+  | Error e -> failwith (group ^ "/leo_satellite: " ^ e)
+
 let exec_tests =
   (* One process owning the whole MTF. *)
   let solo_config ~mtf spec script =
@@ -779,26 +801,7 @@ let exec_tests =
   in
   let sparse, sparse_mtf = taskgen_config ~utilization:0.1 7 in
   let dense, dense_mtf = taskgen_config ~utilization:0.9 7 in
-  (* The shipped document, resolved from the directory holding
-     dune-project so the row measures the same workload wherever the
-     benchmark is started below the repository root. *)
-  let leo =
-    let rec root dir =
-      if Sys.file_exists (Filename.concat dir "dune-project") then dir
-      else
-        let parent = Filename.dirname dir in
-        if parent = dir then
-          failwith "exec/leo_satellite: no dune-project above the cwd"
-        else root parent
-    in
-    let path =
-      List.fold_left Filename.concat (root (Sys.getcwd ()))
-        [ "examples"; "configs"; "leo_satellite.air" ]
-    in
-    match Air_config.Loader.load_file path with
-    | Ok config -> config
-    | Error e -> failwith ("exec/leo_satellite: " ^ e)
-  in
+  let leo = leo_config "exec" in
   let fig8 =
     { (Air_workload.Satellite.config ()) with Air.System.cores = Some 2 }
   in
@@ -901,6 +904,47 @@ let fleet_tests =
       Test.make ~name:"ring 256, 2 domains, 10 MTFs" (fleet 2 ());
       Test.make ~name:"ring 256, 4 domains, 10 MTFs" (fleet 4 ()) ]
 
+(* --- trace/* : the packed event log ------------------------------------------ *)
+
+let trace_tests =
+  (* leo_satellite.air after 10 MTFs: 612 events, the trace one
+     observation digests and one campaign lists. *)
+  let leo_trace () =
+    let sys = Air.System.create (leo_config "trace") in
+    Air_exec.Engine.advance (Air_exec.Engine.create sys) ~ticks:20_000;
+    Air.System.trace sys
+  in
+  (* That event mix, replayed with rising times into a bounded ring two
+     laps warm, so no chunk is allocated while measuring. *)
+  let record () =
+    let mix = Array.of_list (Air_sim.Trace.to_list (leo_trace ())) in
+    let ring =
+      Air_sim.Trace.create ~codec:Air_model.Event.codec ~capacity:4096 ()
+    in
+    let next = ref 0 and lap = ref 0 in
+    let record () =
+      let time, ev = mix.(!next) in
+      Air_sim.Trace.record ring (!lap + time) ev;
+      incr next;
+      if !next = Array.length mix then begin
+        next := 0;
+        lap := !lap + 20_000
+      end
+    in
+    for _ = 1 to 2 * 4096 do
+      record ()
+    done;
+    Staged.stage record
+  in
+  let read f =
+    let trace = leo_trace () in
+    Staged.stage (fun () -> ignore (Sys.opaque_identity (f trace)))
+  in
+  Test.make_grouped ~name:"trace"
+    [ Test.make ~name:"record" (record ());
+      Test.make ~name:"to_list" (read Air_sim.Trace.to_list);
+      Test.make ~name:"digest" (read Air_sim.Trace.digest) ]
+
 (* --- harness ---------------------------------------------------------------- *)
 
 let benchmark ~quota ~dry_run tests =
@@ -988,7 +1032,7 @@ let () =
     [ scheduler_tests; store_tests; pal_tests; ipc_tests; mmu_tests;
       contention_tests; analysis_tests; system_tests; recorder_tests;
       telemetry_tests; faults_tests; extension_tests; exec_tests;
-      causal_tests; profiler_tests; fleet_tests ]
+      causal_tests; profiler_tests; fleet_tests; trace_tests ]
   in
   let all_rows =
     List.concat_map

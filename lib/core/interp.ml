@@ -107,14 +107,10 @@ let exec_action t prt q ~port (action : Script.action) : Apex.outcome =
     | Error _ -> Apex.Done Apex.No_action)
   | Script.Disable_interrupts ->
     (* Paravirtualization (paper Sect. 2.5): the PMK traps attempts to
-       disable or divert system clock interrupts; the guest continues. *)
-    emit t
-      (Event.Hm_error
-         { level = Error.Process_level;
-           code = Error.Illegal_request;
-           partition = Some prt.setup.partition.Partition.id;
-           process = Some (Partition.process_id prt.setup.partition q);
-           detail = "clock interrupt disable attempt trapped (paravirtualized)" });
+       disable or divert system clock interrupts and reports them to the
+       Health Monitor, whose tables decide what becomes of the guest. *)
+    report_process_error t prt ~process:q Error.Illegal_request
+      ~detail:"clock interrupt disable attempt trapped (paravirtualized)";
     Apex.Done Apex.Invalid_mode
 
 (* One call of [run_task_tick] = one tick of CPU. A Compute action consumes

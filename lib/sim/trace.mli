@@ -1,17 +1,23 @@
 (** Time-stamped event logs, packed.
 
-    A ['a Trace.t] collects [(time, 'a)] pairs in arrival order. Each entry
-    is kept as three ints — the time, a header and a wide payload — in
-    [int array] chunks of at most 256 entries, so growth never copies a kept
-    entry. A chunk gets a string column only once it holds an entry with
-    text, and a column of boxed values only once it holds an entry the codec
-    keeps whole. The codec given to {!create} maps values to and from that
-    form; reads decode fresh values.
+    A ['a Trace.t] collects [(time, 'a)] pairs in arrival order, in chunks
+    of at most 256 entries, so growth never copies a kept entry. A chunk is
+    one [Bytes] buffer, which the garbage collector never scans: each entry
+    is base-128 varints of its time less the previous entry's, its header
+    and its wide payload, then the text of an entry that has one, inline.
+    That is the stream {!digest} hashes. A chunk gets a column of boxed
+    values only once it holds an entry the codec keeps whole. A new chunk's
+    buffer is sized from the previous chunk's final length, so steady
+    recording allocates once per chunk.
+
+    The codec given to {!create} maps values to and from that form. A read
+    decodes each chunk in sequence into values of its own; equal entries
+    may share one value within a read.
 
     Recording can be bounded: the trace then keeps the most recent
     [capacity] events (the prototype's VITRAL windows behave the same way),
-    as a ring over the same chunks in which nothing kept for an entry
-    outlives its slot. *)
+    as a ring over ceil(capacity / 256) + 1 chunk slots, in which a boxed
+    value dies with its entry's eviction. *)
 
 type 'a codec = {
   header : 'a -> int;
@@ -25,7 +31,8 @@ type 'a codec = {
   blank : 'a;  (** Fills a boxed column where no boxed entry is. *)
 }
 (** [header], [wide] and [text] run on every {!record} and should not
-    allocate. *)
+    allocate; [decode] should be pure, since a read may return one decoded
+    value for equal entries. *)
 
 val text : int
 (** Header flag: the entry carries [codec.text v]. *)
@@ -54,7 +61,7 @@ val to_list : 'a t -> (Time.t * 'a) list
 val events : 'a t -> 'a list
 
 val iter : (Time.t -> 'a -> unit) -> 'a t -> unit
-(** Oldest first; allocates nothing per entry but the decoded value. So do
+(** Oldest first; allocates per entry at most the decoded value. So do
     {!fold} and {!count}. *)
 
 val fold : ('acc -> Time.t -> 'a -> 'acc) -> 'acc -> 'a t -> 'acc
@@ -74,7 +81,11 @@ val find_first : ('a -> bool) -> 'a t -> (Time.t * 'a) option
 val find_last : ('a -> bool) -> 'a t -> (Time.t * 'a) option
 
 val digest : 'a t -> Digest.t
-(** Digest of the retained entries as stored, oldest first: each entry's
-    three ints, its text and the [Marshal] image of its boxed value (which
-    must hold no closure). Equal retained traces under one codec digest
-    alike; nothing is decoded. *)
+(** Digest of the retained entries' stream, oldest first: each entry's time
+    less the previous one's (the first's less 0), header and wide payload
+    (0 when boxed) as varints, then its text, length first, or the
+    [Marshal] image of its boxed value (which must hold no closure). The
+    stream is cut into pieces after the entry that brings one to 64 KB,
+    and the pieces' digests are digested. The chunks store that stream, so
+    nothing is decoded. Equal retained traces under one codec digest
+    alike. *)

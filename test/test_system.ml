@@ -448,6 +448,61 @@ let application_error_reaches_hm () =
        s
     > 0)
 
+(* A trapped clock-interrupt disable is a process error the Health Monitor
+   counts and answers, like any other: one probe process traps once per
+   100-tick activation. *)
+let interrupt_trap_reaches_hm () =
+  let probe hm =
+    let doc =
+      Printf.sprintf
+        {|(air-system
+  (partitions
+    (partition (name P)
+      (processes
+        (process (name guest) (priority 5)
+          (script (compute 10) (disable-interrupts) (timed-wait 90))))))
+  (schedules
+    (schedule (name only) (mtf 100)
+      (requirements (req (partition P) (cycle 100) (duration 100)))
+      (windows (window (partition P) (offset 0) (duration 100)))))
+  %s)|}
+        hm
+    in
+    match Air_config.Loader.load doc with
+    | Error e -> Alcotest.fail e
+    | Ok cfg ->
+      let s = System.create cfg in
+      System.run s ~ticks:1000;
+      let errors =
+        match Air_obs.Metrics.find (System.metrics s) "hm.errors.process" with
+        | Some (Air_obs.Metrics.Counter_value n) -> n
+        | _ -> Alcotest.fail "no hm.errors.process counter"
+      in
+      let trapped =
+        count_events
+          (function
+            | Event.Hm_error { code = Error.Illegal_request; _ } -> true
+            | _ -> false)
+          s
+      in
+      (s, errors, trapped)
+  in
+  let s, errors, trapped = probe "" in
+  check Alcotest.int "one trap per activation" 11 trapped;
+  check Alcotest.int "every trap counted" trapped errors;
+  check Alcotest.bool "ignored by default" true
+    (not
+       (Process.state_equal (Kernel.state (System.kernel_of s (pid 0)) 0)
+          Process.Dormant));
+  let s, errors, trapped =
+    probe "(hm (process-errors (P illegal-request stop-process)))"
+  in
+  check Alcotest.int "stopped at the first trap" 1 trapped;
+  check Alcotest.int "that trap counted" 1 errors;
+  check Alcotest.bool "stopped" true
+    (Process.state_equal (Kernel.state (System.kernel_of s (pid 0)) 0)
+       Process.Dormant)
+
 let operator_stop_and_restart_partition () =
   let s = simple_system ~capacity:1000 () in
   System.run s ~ticks:50;
@@ -617,6 +672,8 @@ let suite =
       unauthorized_schedule_request_rejected;
     Alcotest.test_case "apex: application error reaches HM" `Quick
       application_error_reaches_hm;
+    Alcotest.test_case "paravirtualization: interrupt trap reaches HM" `Quick
+      interrupt_trap_reaches_hm;
     Alcotest.test_case "operator: stop and restart partition" `Quick
       operator_stop_and_restart_partition;
     Alcotest.test_case "paper Fig. 6: START/REPLENISH/violation" `Quick

@@ -689,6 +689,48 @@ let print_entries entries =
 
 let rec drop n = function _ :: rest when n > 0 -> drop (n - 1) rest | l -> l
 
+(* The digest as documented, from the entries alone: each entry's time less
+   the previous one's (the first's less 0), header and payload (0 when
+   boxed) as base-128 varints, then its text, length first, or its boxed
+   value's [Marshal] image; the stream is cut into pieces after the entry
+   that brings a piece to 64 KB, and the pieces' digests are digested. *)
+let reference_digest entries =
+  let codec = Event.codec in
+  let pieces = Buffer.create 64 and b = Buffer.create 4096 in
+  let rec varint v =
+    if v lsr 7 = 0 then Buffer.add_uint8 b v
+    else begin
+      Buffer.add_uint8 b (v land 127 lor 128);
+      varint (v lsr 7)
+    end
+  in
+  let last = ref 0 in
+  List.iter
+    (fun (time, ev) ->
+      let h = codec.Trace.header ev in
+      varint (time - !last);
+      last := time;
+      varint h;
+      if h land Trace.boxed <> 0 then begin
+        varint 0;
+        Buffer.add_string b (Marshal.to_string ev [ Marshal.No_sharing ])
+      end
+      else begin
+        varint (codec.Trace.wide ev);
+        if h land Trace.text <> 0 then begin
+          let text = codec.Trace.text ev in
+          varint (String.length text);
+          Buffer.add_string b text
+        end
+      end;
+      if Buffer.length b >= 65536 then begin
+        Buffer.add_string pieces (Digest.string (Buffer.contents b));
+        Buffer.clear b
+      end)
+    entries;
+  Buffer.add_string pieces (Digest.string (Buffer.contents b));
+  Digest.string (Buffer.contents pieces)
+
 (* One trace of [capacity] against the plain list of what it should keep. *)
 let agrees_with_model entries capacity =
   let tr = Trace.create ~codec:Event.codec ?capacity () in
@@ -704,8 +746,6 @@ let agrees_with_model entries capacity =
     [ Event.is_hm_error; (fun ev -> Event.kind ev mod 3 = 0); (fun _ -> false) ]
   in
   let last = match List.rev entries with (t, _) :: _ -> t | [] -> 0 in
-  let refill = Trace.create ~codec:Event.codec () in
-  List.iter (fun (time, ev) -> Trace.record refill time ev) kept;
   Trace.to_list tr = kept
   && printed (Trace.to_list tr) = printed kept
   && List.rev (Trace.fold (fun acc t ev -> (t, ev) :: acc) [] tr) = kept
@@ -723,7 +763,7 @@ let agrees_with_model entries capacity =
          Trace.between tr from until
          = List.filter (fun (t, _) -> from <= t && t < until) kept)
        [ (0, last + 1); (last / 3, last / 2); (last / 2, last / 2); (last, 0) ]
-  && Trace.digest tr = Trace.digest refill
+  && Trace.digest tr = reference_digest kept
 
 let qcheck_packed_log =
   QCheck.Test.make ~count:40
@@ -732,6 +772,43 @@ let qcheck_packed_log =
     (fun entries ->
       List.for_all (agrees_with_model entries)
         [ None; Some 1; Some 255; Some 256; Some 257; Some 775 ])
+
+(* A ring whose oldest kept entry sits mid-chunk, over a stream long enough
+   to be digested in several pieces, with boxed entries in some chunks and
+   a first entry whose time enters the digest as is. *)
+let packed_log_mid_chunk_ring () =
+  let entries =
+    List.init 40_000 (fun i ->
+        let line = Printf.sprintf "sample %d" (i mod 97) in
+        ( (3 * i) + 7,
+          match i mod 500 with
+          | 0 -> Event.Fault_injected { label = line }
+          | k when k mod 3 = 0 ->
+            Event.Application_output { partition = pid (k mod 4); line }
+          | k when k mod 3 = 1 ->
+            Event.Deadline_registered
+              { process = proc (k mod 4) (k mod 7); deadline = 1000 * i }
+          | k ->
+            Event.Context_switch { from = Some (pid (k mod 5)); to_ = None } ))
+  in
+  List.iter
+    (fun capacity ->
+      let tr = Trace.create ~codec:Event.codec ~capacity () in
+      List.iter (fun (time, ev) -> Trace.record tr time ev) entries;
+      let kept = drop (List.length entries - capacity) entries in
+      let first_at = (List.length entries - capacity) mod 256 in
+      let what =
+        Printf.sprintf "capacity %d (first at index %d)" capacity first_at
+      in
+      check Alcotest.bool (what ^ ": oldest entry mid-chunk") true
+        (first_at <> 0);
+      check Alcotest.bool (what ^ ": entries") true (Trace.to_list tr = kept);
+      check Alcotest.bool (what ^ ": first") true
+        (Trace.find_first (fun _ -> true) tr = List.nth_opt kept 0);
+      check Alcotest.string (what ^ ": digest")
+        (Digest.to_hex (reference_digest kept))
+        (Digest.to_hex (Trace.digest tr)))
+    [ 300; 7_001; 39_999 ]
 
 (* Recording stores ints and pointers only: once a ring's chunks and
    columns exist, ten thousand events (plain, text and boxed) leave the
@@ -763,9 +840,9 @@ let packed_log_record_is_allocation_free () =
 
 let leo_path = "../examples/configs/leo_satellite.air"
 
-(* The unbounded trace of a shipped module costs at most 5 words per kept
-   event, strings and chunk tables included (a queue of boxed tuples took
-   10.8). *)
+(* The unbounded trace of a shipped module costs at most 2 words per kept
+   event, buffers and chunk tables included (a queue of boxed tuples took
+   10.8, three ints per entry in int-array chunks 4.2). *)
 let packed_log_words_per_event () =
   let cfg =
     match Air_config.Loader.load_file leo_path with
@@ -780,7 +857,7 @@ let packed_log_words_per_event () =
   check Alcotest.bool
     (Printf.sprintf "%.2f words per event (%d events)" per_event
        (Trace.length trace))
-    true (per_event <= 5.)
+    true (per_event <= 2.)
 
 (* A ring keeps nothing of what it evicted: a million fresh strings later
    it is no bigger than after two laps. *)
@@ -863,7 +940,7 @@ let suite =
     QCheck_alcotest.to_alcotest qcheck_packed_log;
     Alcotest.test_case "packed log: recording is allocation-free" `Quick
       packed_log_record_is_allocation_free;
-    Alcotest.test_case "packed log: at most 5 words per event" `Quick
+    Alcotest.test_case "packed log: at most 2 words per event" `Quick
       packed_log_words_per_event;
     Alcotest.test_case "packed log: a ring forgets what it evicts" `Quick
       packed_log_ring_forgets;
@@ -871,4 +948,6 @@ let suite =
       checker_credits_duplicates;
     Alcotest.test_case "check: a bounded trace is not replayed" `Quick
       checker_refuses_a_dropped_head;
-    QCheck_alcotest.to_alcotest qcheck_window_scan ]
+    QCheck_alcotest.to_alcotest qcheck_window_scan;
+    Alcotest.test_case "packed log: a ring kept from mid-chunk" `Quick
+      packed_log_mid_chunk_ring ]
