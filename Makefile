@@ -41,22 +41,23 @@ bench-diff:
 	  echo "bench-diff: truncated artifact refused: $$(cat $(TRUNCATED).out)"
 
 # Paired end-to-end runs against an earlier revision:
-#   make bench-pair BASE=<rev> WORKLOAD=<name> [PAIRS=10] [SEED=1]
+#   make bench-pair BASE=<rev> [WORKLOAD=<name>] [PAIRS=10] [SEED=1]
 # checks BASE out in a git worktree under _build (as artifacts-diff does),
 # builds bench/e2e/e2e.exe there and here, and runs PAIRS alternating pairs
-# of `e2e.exe --workload WORKLOAD --seed SEED` for BENCHMARK.json's
-# run_seconds, swapping which side goes first every pair (bench/pair.ml).
-# It prints each end-to-end metric's median and Q1-Q3 on both sides and
-# the pairs the change won, then the attempted and failed totals, and
-# fails if a run's result is not "correct": true. The worktree is removed
-# either way.
+# of `e2e.exe --workload W --seed SEED` for BENCHMARK.json's run_seconds,
+# swapping which side goes first every pair (bench/pair.ml), for W the
+# named WORKLOAD or, without one, every workload BENCHMARK.json lists, in
+# turn. Per workload it prints each end-to-end metric's median and Q1-Q3
+# on both sides and the pairs the change won, then the attempted and
+# failed totals, and it fails if any run's result is not "correct": true.
+# The worktree is removed either way.
 PAIR_DIR = $(CURDIR)/_build/bench-pair
 PAIRS ?= 10
 SEED ?= 1
 
 bench-pair:
-	@test -n "$(BASE)" -a -n "$(WORKLOAD)" || { \
-	  echo "usage: make bench-pair BASE=<rev> WORKLOAD=<name> [PAIRS=N]" \
+	@test -n "$(BASE)" || { \
+	  echo "usage: make bench-pair BASE=<rev> [WORKLOAD=<name>] [PAIRS=N]" \
 	    "[SEED=K]"; exit 2; }
 	rm -rf $(PAIR_DIR)
 	git worktree prune
@@ -67,7 +68,7 @@ bench-pair:
 	test $$status -ne 0 || dune build bench/e2e/e2e.exe bench/pair.exe \
 	  || status=1; \
 	test $$status -ne 0 || $(CURDIR)/_build/default/bench/pair.exe \
-	  --workload $(WORKLOAD) --pairs $(PAIRS) --seed $(SEED) \
+	  $(if $(WORKLOAD),--workload $(WORKLOAD)) --pairs $(PAIRS) --seed $(SEED) \
 	  $(PAIR_DIR)/tree $(CURDIR) || status=1; \
 	git worktree remove --force $(PAIR_DIR)/tree; \
 	exit $$status
@@ -181,14 +182,15 @@ interference-smoke:
 # its per-tick or sequential-cluster fingerprint (campaigns: contained
 # and reproducible). Fails unless every result line reads
 # "correct": true, and unless the round's peak_rss_mb stays under the
-# memory ceiling of leo (20 MB), leo-observed-2core (20 MB) and
-# constellation (30 MB). These keep their whole event traces; byte-stream
-# chunks hold them near 16, 15 and 23 MB, where three ints per entry in
-# int-array chunks took 30, 24 and 56 MB and a queue of boxed tuples 61,
-# 41 and 137 MB.
+# memory ceiling of leo (12 MB), leo-observed-2core (14 MB) and
+# constellation (13 MB). Each module keeps the newest 16 384 events, the
+# default retention, which holds them near 9.1, 11 and 10.7 MB; a return
+# to whole traces by default fails here, since they took 16, 15 and 23 MB
+# in byte-stream chunks (30, 24 and 56 MB as three ints per entry in
+# int-array chunks, 61, 41 and 137 MB as a queue of boxed tuples).
 e2e-smoke:
 	dune build bench/e2e/e2e.exe
-	@for w in leo:20 leo-observed-2core:20 constellation:30 campaign-sweep; do \
+	@for w in leo:12 leo-observed-2core:14 constellation:13 campaign-sweep; do \
 	  ceiling=$${w#*:}; w=$${w%:*}; \
 	  line=$$(dune exec --display=quiet bench/e2e/e2e.exe -- \
 	    --workload $$w --seconds 0 | tail -n 1); \

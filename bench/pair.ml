@@ -1,6 +1,6 @@
 (* Paired end-to-end runs of two checkouts of this repository.
 
-   Usage: pair.exe --workload NAME [--pairs N] [--seed K] BASE_DIR
+   Usage: pair.exe [--workload NAME] [--pairs N] [--seed K] BASE_DIR
             CHANGE_DIR
 
    Each directory is a checkout whose bench/e2e/e2e.exe is already built
@@ -16,7 +16,8 @@
    the tool prints each side's median and quartiles, the ratio of the
    medians and in how many pairs the change was better in the metric's
    direction (a tie counts for neither side), then each side's attempted
-   and failed operation totals.
+   and failed operation totals. Without --workload it pairs every workload
+   BENCHMARK.json lists, in turn, with one summary each.
 
    Exit status: 0 when every run's result reads "correct": true, 1 when
    one does not or a run printed no result line, 2 on usage errors. *)
@@ -31,24 +32,28 @@ type result = {
 }
 
 let usage =
-  "pair.exe --workload NAME [--pairs N] [--seed K] BASE_DIR CHANGE_DIR"
+  "pair.exe [--workload NAME] [--pairs N] [--seed K] BASE_DIR CHANGE_DIR"
 
 (* --- BENCHMARK.json and result lines ------------------------------------ *)
 
-(* The run length and the end-to-end metrics. *)
+(* The run length, the end-to-end metrics and the workloads' names. *)
 let benchmark dir =
   let path = Filename.concat dir "BENCHMARK.json" in
   let doc = Smoke.parse path (Smoke.read_file path) in
+  let text v key = Smoke.field path Json_lint.string v [ key ] in
   let metrics =
     List.map
       (fun m ->
-        let text key = Smoke.field path Json_lint.string m [ key ] in
-        { name = text "name";
-          unit = text "unit";
-          higher_is_better = String.equal (text "better") "higher" })
+        { name = text m "name";
+          unit = text m "unit";
+          higher_is_better = String.equal (text m "better") "higher" })
       (Smoke.field path Json_lint.list doc [ "end_to_end" ])
   in
-  (Smoke.field path Json_lint.float doc [ "run_seconds" ], metrics)
+  ( Smoke.field path Json_lint.float doc [ "run_seconds" ],
+    metrics,
+    List.map
+      (fun w -> text w "name")
+      (Smoke.field path Json_lint.list doc [ "workloads" ]) )
 
 let last_line text =
   match
@@ -123,30 +128,15 @@ let better m ~change ~base =
 
 (* --- Pairs -------------------------------------------------------------- *)
 
-let () =
-  let workload = ref "" and pairs = ref 10 and seed = ref 1 and dirs = ref [] in
-  Arg.parse
-    [ ("--workload", Arg.Set_string workload, "NAME  a workload");
-      ("--pairs", Arg.Set_int pairs, "N  pairs of runs (default 10)");
-      ("--seed", Arg.Set_int seed, "K  each run's --seed (default 1)") ]
-    (fun d -> dirs := !dirs @ [ d ])
-    usage;
-  let absolute d =
-    if Filename.is_relative d then Filename.concat (Sys.getcwd ()) d else d
-  in
-  let base_dir, change_dir =
-    match !dirs with
-    | [ b; c ] when !workload <> "" && !pairs > 0 -> (absolute b, absolute c)
-    | _ ->
-      prerr_endline ("usage: " ^ usage);
-      exit 2
-  in
-  let seconds, metrics = benchmark change_dir in
-  let run dir = run_e2e ~workload:!workload ~seconds ~seed:!seed metrics dir in
-  Printf.printf "bench-pair: %s, %d pairs of %g s runs, seed %d\n%!" !workload
-    !pairs seconds !seed;
+(* [pairs] alternating pairs of one workload and their summary; whether
+   every run read "correct": true. *)
+let pair_workload ~workload ~pairs ~seed ~seconds metrics base_dir change_dir
+    =
+  let run dir = run_e2e ~workload ~seconds ~seed metrics dir in
+  Printf.printf "bench-pair: %s, %d pairs of %g s runs, seed %d\n%!" workload
+    pairs seconds seed;
   let results =
-    List.init !pairs (fun i ->
+    List.init pairs (fun i ->
         let base_first = i mod 2 = 0 in
         let base, change =
           if base_first then
@@ -156,7 +146,7 @@ let () =
             let change = run change_dir in
             (run base_dir, change)
         in
-        Printf.printf "pair %d/%d (%s first), base -> change:" (i + 1) !pairs
+        Printf.printf "pair %d/%d (%s first), base -> change:" (i + 1) pairs
           (if base_first then "base" else "change");
         List.iter
           (fun m ->
@@ -186,7 +176,7 @@ let () =
       Printf.printf "%-12s %-8s %34s %34s %6.3f %2d/%d\n" m.name m.unit
         (summary base) (summary change)
         (quantile 0.5 change /. quantile 0.5 base)
-        wins !pairs)
+        wins pairs)
     metrics;
   let totals f =
     let sum g = List.fold_left (fun acc r -> acc + g r) 0 (side f) in
@@ -201,8 +191,43 @@ let () =
     List.length
       (List.filter (fun (b, c) -> not (b.correct && c.correct)) results)
   in
-  if incorrect > 0 then begin
-    Printf.printf "bench-pair: %d pair(s) with a run not \"correct\": true\n"
-      incorrect;
-    exit 1
-  end
+  if incorrect > 0 then
+    Printf.printf
+      "bench-pair: %s: %d pair(s) with a run not \"correct\": true\n"
+      workload incorrect;
+  incorrect = 0
+
+let () =
+  let workload = ref "" and pairs = ref 10 and seed = ref 1 and dirs = ref [] in
+  Arg.parse
+    [ ( "--workload",
+        Arg.Set_string workload,
+        "NAME  one workload (default: every one)" );
+      ("--pairs", Arg.Set_int pairs, "N  pairs of runs (default 10)");
+      ("--seed", Arg.Set_int seed, "K  each run's --seed (default 1)") ]
+    (fun d -> dirs := !dirs @ [ d ])
+    usage;
+  let absolute d =
+    if Filename.is_relative d then Filename.concat (Sys.getcwd ()) d else d
+  in
+  let base_dir, change_dir =
+    match !dirs with
+    | [ b; c ] when !pairs > 0 -> (absolute b, absolute c)
+    | _ ->
+      prerr_endline ("usage: " ^ usage);
+      exit 2
+  in
+  let seconds, metrics, workloads = benchmark change_dir in
+  let workloads = if !workload = "" then workloads else [ !workload ] in
+  let correct =
+    List.map
+      (fun workload ->
+        let ok =
+          pair_workload ~workload ~pairs:!pairs ~seed:!seed ~seconds metrics
+            base_dir change_dir
+        in
+        print_newline ();
+        ok)
+      workloads
+  in
+  if not (List.for_all Fun.id correct) then exit 1

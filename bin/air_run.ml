@@ -58,9 +58,16 @@ let with_causal (cfg : Air.System.config) =
   if cfg.Air.System.causal <> None then cfg
   else { cfg with Air.System.causal = Some (Air_obs.Causal.create ()) }
 
-(* Observability exports of a cluster or fleet need every module
-   instrumented with both. *)
-let instrument _ cfg = with_causal (with_recorder cfg)
+(* A run reports on all of itself: every module keeps its whole trace,
+   which the default configuration bounds. *)
+let whole_run (cfg : Air.System.config) =
+  { cfg with Air.System.trace_capacity = None }
+
+(* Every module of a cluster or fleet keeps its whole trace; observability
+   exports need each one instrumented with a recorder and a tracker too. *)
+let instrument ~observed _ cfg =
+  let cfg = whole_run cfg in
+  if observed then with_causal (with_recorder cfg) else cfg
 
 let halted_note system =
   match Air.System.halted system with
@@ -155,7 +162,8 @@ let run_fleet path { Air_config.Loader.fleet_cluster = cluster; fleet_domains }
    the injection engine, judge containment, and print/export the reports.
    Every system is built fresh by reloading the document, four per
    campaign (its target and baseline, then the two targets [reproducible]
-   compares), so no two runs share mutable state. *)
+   compares), so no two runs share mutable state. Each keeps its whole
+   trace, which the oracle replays from tick 0. *)
 let run_campaigns path campaign_json ~turbo ~cores =
   match Air_config.Loader.load_campaigns_file path with
   | Error e ->
@@ -168,6 +176,7 @@ let run_campaigns path campaign_json ~turbo ~cores =
     let make () =
       match Air_config.Loader.load_file path with
       | Ok cfg ->
+        let cfg = whole_run cfg in
         let cfg =
           match cores with
           | Some n -> { cfg with Air.System.cores = Some n }
@@ -240,10 +249,8 @@ let run_file path ticks show_trace show_gantt export metrics_json trace_json
       (String.concat ", " flags);
     1
   in
-  let instrument =
-    if trace_json <> None || flows then Some instrument else None
-  in
-  match Air_config.Loader.load_document ?instrument path with
+  let instrument = instrument ~observed:(trace_json <> None || flows) in
+  match Air_config.Loader.load_document ~instrument path with
   | Error e ->
     Format.eprintf "%s: %s@." path e;
     1
@@ -264,6 +271,7 @@ let run_file path ticks show_trace show_gantt export metrics_json trace_json
   | Ok (Cluster cluster) -> run_cluster cluster ticks trace_json flows
   | Ok (Module cfg) ->
     (* The flight recorder is only attached when some output needs it. *)
+    let cfg = whole_run cfg in
     let cfg =
       if trace_json <> None || timeline then with_recorder cfg else cfg
     in

@@ -99,8 +99,8 @@ type config = {
 }
 
 let config ?initial_schedule ?(network = { Port.ports = []; channels = [] })
-    ?(hm_tables = Hm.default_tables) ?trace_capacity ?recorder ?telemetry
-    ?causal ?cores ?contention ~partitions ~schedules () =
+    ?(hm_tables = Hm.default_tables) ?(trace_capacity = Some 16_384)
+    ?recorder ?telemetry ?causal ?cores ?contention ~partitions ~schedules () =
   (match cores with
   | Some n when n <= 0 ->
     invalid_arg "System.config: core count must be positive"

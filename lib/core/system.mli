@@ -87,6 +87,13 @@ type config = Runtime.config = {
   network : Port.network;
   hm_tables : Hm.tables;
   trace_capacity : int option;
+      (** Events the trace retains: the newest [n] with [Some n], the whole
+          run with [None]. {!violations} and {!activity} read what is
+          retained; {!event_counts} and the trace's digest
+          ({!Air_sim.Trace.digest}) cover the whole run either way. An
+          observation ({!Observe}) records the retained count too, so
+          fingerprints compare only at equal capacity, and a fault
+          campaign is judged only on a trace that kept its head. *)
   recorder : Air_obs.Span.t option;
       (** Flight recorder receiving spans from the PMK scheduler and
           dispatcher (partition windows, schedule switches, change
@@ -133,7 +140,7 @@ val config :
   ?initial_schedule:Schedule_id.t ->
   ?network:Port.network ->
   ?hm_tables:Hm.tables ->
-  ?trace_capacity:int ->
+  ?trace_capacity:int option ->
   ?recorder:Air_obs.Span.t ->
   ?telemetry:Air_obs.Telemetry.config ->
   ?causal:Air_obs.Causal.t ->
@@ -143,7 +150,9 @@ val config :
   schedules:Schedule.t list ->
   unit ->
   config
-(** Raises [Invalid_argument] when [cores] is non-positive. *)
+(** [trace_capacity] defaults to [Some 16_384]: 64 chunks, about 140 KB of
+    a typical event mix. Pass [None] to keep the whole run. Raises
+    [Invalid_argument] when [cores] is non-positive. *)
 
 type t = Runtime.t
 
@@ -221,6 +230,8 @@ val skip : t -> ticks:int -> unit
 (** {1 Observation} *)
 
 val trace : t -> Event.t Trace.t
+(** The module's event log: the newest [trace_capacity] events, or the
+    whole run. *)
 
 val lane : t -> Pmk_mc.t
 (** The PMK lanes driving the module: one per processor core, a single
@@ -249,7 +260,8 @@ val metrics : t -> Air_obs.Metrics.t
 
 val metrics_snapshot : t -> Air_obs.Metrics.snapshot
 val event_counts : t -> (string * int) list
-(** Per-kind totals of every event emitted to the trace so far. *)
+(** Per-kind totals of every event emitted to the trace so far, evicted
+    ones included. *)
 
 val metrics_report : t -> string
 (** Human-readable metrics + event-count table
@@ -333,11 +345,14 @@ val regions_of : t -> Partition_id.t -> Memory.region list
     outside the partition's whole footprint. *)
 
 val violations : t -> (Time.t * Process_id.t * Time.t) list
-(** All deadline violations detected so far: (detection time, process,
-    violated deadline). *)
+(** The deadline violations in the retained trace: (detection time,
+    process, violated deadline). Every violation of the run when
+    [trace_capacity] is [None]; the [deadline-violation] count of
+    {!event_counts} totals them either way. *)
 
 val activity : t -> (Time.t * Partition_id.t option) list
-(** Context-switch history: (tick, partition granted the processor). *)
+(** Context-switch history in the retained trace: (tick, partition granted
+    the processor). *)
 
 (** {1 Operator interventions (the prototype's keyboard, Sect. 6)} *)
 

@@ -235,9 +235,15 @@ let expected_detection (fault : Fault.t) =
 
 (* Match each (applied) injection to the first not-yet-consumed HM error of
    the expected code in the right blame scope, at or after the injection
-   instant; then render the action event that answered it. *)
+   instant; then render the action event that answered it. A trace that
+   dropped its head matches nothing: a detection it evicted would read as
+   a miss. *)
 let match_detections sys working =
-  let events = Array.of_list (Trace.to_list (Air.System.trace sys)) in
+  let trace = Air.System.trace sys in
+  let events =
+    if Trace.length trace < Trace.total trace then [||]
+    else Array.of_list (Trace.to_list trace)
+  in
   let consumed = Array.make (Array.length events) false in
   let find_action ~from ~level =
     let rec go i =

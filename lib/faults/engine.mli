@@ -6,7 +6,8 @@
     the target from one due injection to the next, applying each through
     the fault hooks of [Air.System] / [Ipc.Router] / [Air.Cluster],
     re-inject delayed messages when their delay expires, and finally match
-    every injection against the Health Monitor record in the trace.
+    every injection against the Health Monitor record in the trace, which
+    must hold the whole run for a detection to be matched.
 
     A fault-free {e baseline} of the same target is run over the same
     horizon; the containment oracle uses it as the reference for mode and
@@ -55,7 +56,10 @@ type outcome = {
   detected_at : Time.t option;
       (** Trace time of the first Health Monitor error matching this fault
           (same code, same blame scope), each HM record consumed at most
-          once across the campaign. *)
+          once across the campaign. [None] for every fault when the
+          target's trace dropped its head (a bounded trace that evicted
+          events), which {!Oracle.check} then reports instead of judging
+          the campaign. *)
   latency : int option;  (** [detected_at - injection instant]. *)
   action : string option;
       (** Rendered HM action event that answered the detection. *)

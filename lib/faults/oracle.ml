@@ -286,30 +286,30 @@ let replay_close ~fail ~count r ~until =
            Time.pp time Process_id.pp process))
     (List.rev r.misses)
 
-(* The replay rebuilds state from tick 0: a bounded trace that dropped its
-   head would yield spurious findings, so it gets one finding instead. *)
-let replayable ~fail cfg outcomes trace =
-  let dropped = Trace.total trace - Trace.length trace in
-  if dropped > 0 then begin
-    fail "replay"
-      (Printf.sprintf
-         "bounded trace dropped %d events; the replay needs the full trace \
-          from tick 0"
-         dropped);
-    None
-  end
-  else Some (replay_start cfg outcomes)
+(* The finding that stands in for judging [trace] when it is bounded and
+   dropped its head: whatever rebuilds a run from tick 0 would blame the
+   dropped events' effects on what is left. *)
+let headless ~what ~needs trace =
+  match Trace.total trace - Trace.length trace with
+  | 0 -> None
+  | n ->
+    Some
+      { check = "replay";
+        detail =
+          Printf.sprintf "%s trace dropped %d events; %s from tick 0" what n
+            needs }
 
 let replay cfg ~until ~outcomes trace =
-  let findings = ref [] in
-  let fail check detail = findings := { check; detail } :: !findings in
-  let count () = () in
-  (match replayable ~fail cfg outcomes trace with
-  | Some r ->
-    Trace.iter (replay_event ~fail ~count r) trace;
-    replay_close ~fail ~count r ~until
-  | None -> ());
-  List.rev !findings
+  let needs = "the replay needs the full trace" in
+  match headless ~what:"bounded" ~needs trace with
+  | Some f -> [ f ]
+  | None ->
+    let findings = ref [] in
+    let fail check detail = findings := { check; detail } :: !findings in
+    let r = replay_start cfg outcomes in
+    Trace.iter (replay_event ~fail ~count:ignore r) trace;
+    replay_close ~fail ~count:ignore r ~until;
+    List.rev !findings
 
 (* --- Containment ---------------------------------------------------------- *)
 
@@ -392,9 +392,8 @@ let match_action ~fail hm ~time ~code ~partition ~process (action : Event.t) =
       (Format.asprintf "at %a: %a error carries no blamed partition/process"
          Time.pp time Error.pp_code code)
 
-let check (run : Engine.run) =
-  let sys = Engine.system run in
-  let base = Engine.baseline_system run in
+(* A campaign whose target and baseline traces are whole. *)
+let judge (run : Engine.run) sys base =
   let cfg = Air.System.configuration sys in
   let trace = Air.System.trace sys in
   let findings = ref [] in
@@ -403,7 +402,7 @@ let check (run : Engine.run) =
   let count () = incr checks in
   let scoped, module_scope = blame_of run cfg.Air.System.network in
   let excused p = module_scope || Hashtbl.mem scoped p in
-  let replay = replayable ~fail cfg run.Engine.outcomes trace in
+  let replay = replay_start cfg run.Engine.outcomes in
   let hm = Air.Hm.create ~tables:cfg.Air.System.hm_tables () in
   (* The last HM error no action has answered yet; one left unanswered
      past its instant is a log-only trap (no resolution happened), skipped
@@ -459,13 +458,9 @@ let check (run : Engine.run) =
         | Some _ | None -> ())
       | Event.Application_output _ -> count_output got ev
       | _ -> ());
-      match replay with
-      | Some r -> replay_event ~fail ~count r time ev
-      | None -> ())
+      replay_event ~fail ~count replay time ev)
     trace;
-  (match replay with
-  | Some r -> replay_close ~fail ~count r ~until:(Air.System.now sys + 1)
-  | None -> ());
+  replay_close ~fail ~count replay ~until:(Air.System.now sys + 1);
   (* Mode containment against the baseline. *)
   if not module_scope then
     List.iter
@@ -563,3 +558,17 @@ let check (run : Engine.run) =
       | _ -> ())
     run.Engine.outcomes;
   { findings = List.rev !findings; checks = !checks }
+
+(* [judge] reads the campaign and baseline traces from tick 0, and the
+   engine matches no detection on a trace that dropped its head: a
+   campaign with such a trace is judged on nothing but that, in one
+   finding. *)
+let check (run : Engine.run) =
+  let sys = Engine.system run and base = Engine.baseline_system run in
+  let headless (what, s) =
+    headless ~what ~needs:"a campaign is judged on full traces"
+      (Air.System.trace s)
+  in
+  match List.find_map headless [ ("campaign", sys); ("baseline", base) ] with
+  | Some f -> { findings = [ f ]; checks = 0 }
+  | None -> judge run sys base

@@ -53,7 +53,11 @@
       hogs) were caught.
 
     The replay rebuilds its state from tick 0: a bounded trace that has
-    dropped events yields one [replay] finding instead. *)
+    dropped events yields one [replay] finding instead. So does a campaign
+    whose target or baseline trace has ({!check} then judges nothing else:
+    its walks read both traces from tick 0, and the engine matched no
+    detection), so a campaign that outgrows its module's trace capacity
+    needs [trace_capacity = None] to be judged. *)
 
 open Air_sim
 open Air_model

@@ -113,7 +113,8 @@ let value_at t ~num ~den =
         else walk (i + 1) seen
       end
     in
-    walk 0 0
+    (* No value lies below the minimum's bucket. *)
+    walk (index_of t.min_v) 0
   end
 
 let p50 t = value_at t ~num:1 ~den:2
@@ -137,8 +138,10 @@ let merge ~into t =
     into.total <- into.total + t.total
   end
 
+(* Every recorded value, merged ones included, lies in a bucket up to the
+   maximum's. *)
 let clear t =
-  Array.fill t.counts 0 bucket_count 0;
+  if t.count > 0 then Array.fill t.counts 0 (index_of t.max_v + 1) 0;
   t.count <- 0;
   t.total <- 0;
   t.min_v <- 0;

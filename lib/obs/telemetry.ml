@@ -284,14 +284,16 @@ let close_frame t ~now ~next_schedule ~next_allotted =
   t.cur_catch_up_max <- 0;
   t.cur_deadline_misses <- 0;
   t.cur_hm_errors <- 0;
-  Array.fill t.window_ticks 0 (Array.length t.window_ticks) 0;
-  Array.fill t.dispatches 0 (Array.length t.dispatches) 0;
-  Array.fill t.jitter_max 0 (Array.length t.jitter_max) 0;
-  Array.fill t.catch_up_max 0 (Array.length t.catch_up_max) 0;
-  Array.fill t.deadline_misses 0 (Array.length t.deadline_misses) 0;
-  Array.fill t.hm_errors 0 (Array.length t.hm_errors) 0;
-  Array.fill t.mem_demand 0 (Array.length t.mem_demand) 0;
-  Array.fill t.throttled 0 (Array.length t.throttled) 0;
+  for i = 0 to Array.length t.window_ticks - 1 do
+    t.window_ticks.(i) <- 0;
+    t.dispatches.(i) <- 0;
+    t.jitter_max.(i) <- 0;
+    t.catch_up_max.(i) <- 0;
+    t.deadline_misses.(i) <- 0;
+    t.hm_errors.(i) <- 0;
+    t.mem_demand.(i) <- 0;
+    t.throttled.(i) <- 0
+  done;
   Quantile.clear t.jitter;
   Quantile.clear t.ipc;
   Array.iteri

@@ -28,6 +28,96 @@ let min_buffer = 2048
    (time, header, wide payload, text length). *)
 let entry_room = 36
 
+(* --- Walking the stream -----------------------------------------------
+
+   Every read and the digest walk the varints {!record} writes. *)
+
+(* Where the last varint longer than a byte ended. *)
+type cursor = { mutable at : int }
+
+(* Reads stay inside [0, lens), where {!record} wrote whole entries, so
+   they skip the bounds checks. *)
+let[@inline] byte b p = Char.code (Bytes.unsafe_get b p)
+
+(* The rest of the varint at [p], its low [shift] bits being [acc]; sets
+   [r.at] past it. *)
+let rec long b p shift acc r =
+  let x = byte b p in
+  let acc = acc lor ((x land 127) lsl shift) in
+  if x < 128 then begin
+    r.at <- p + 1;
+    acc
+  end
+  else long b (p + 1) (shift + 7) acc r
+
+(* The varint at [p]. One longer than a byte decodes to at least 128 (or
+   to a negative int), and [long] leaves [r.at] past it, so [after] finds
+   its end with the position kept in a local. *)
+let[@inline] varint b p r =
+  let x = byte b p in
+  if x < 128 then x else long b (p + 1) 7 (x land 127) r
+
+let[@inline] after v p r = if v lsr 7 = 0 then p + 1 else r.at
+
+(* Past the entry at [p], its time already read. *)
+let past b p r =
+  let h = varint b p r in
+  let p = after h p r in
+  let wide = varint b p r in
+  let p = after wide p r in
+  if h land (boxed lor text) = text then begin
+    let n = varint b p r in
+    after n p r + n
+  end
+  else p
+
+(* --- Digest sink ---------------------------------------------------------
+
+   {!digest} hashes the stream in pieces cut after the first entry that
+   brings a piece to 64 KB, so a long trace needs no image of its own; the
+   digests of the pieces are digested in turn. A sink holds the piece being
+   filled and the digests of the pieces before it. *)
+
+let piece_bytes = 65536
+
+type sink = {
+  mutable piece : Bytes.t;
+  mutable fill : int;
+  pieces : Buffer.t;
+  walk : cursor;  (** For the varints of the entries walked. *)
+}
+
+let sink ~piece ~pieces =
+  { piece = Bytes.create piece;
+    fill = 0;
+    pieces = Buffer.create pieces;
+    walk = { at = 0 } }
+
+let reserve k n =
+  if k.fill + n > Bytes.length k.piece then begin
+    let p = Bytes.create (Int.max (2 * Bytes.length k.piece) (k.fill + n)) in
+    Bytes.blit k.piece 0 p 0 k.fill;
+    k.piece <- p
+  end
+
+let add k b off n =
+  reserve k n;
+  Bytes.blit b off k.piece k.fill n;
+  k.fill <- k.fill + n
+
+(* The [Marshal] image of [v], written into the piece itself. *)
+let rec add_image k v room =
+  reserve k room;
+  match Marshal.to_buffer k.piece k.fill room v [ Marshal.No_sharing ] with
+  | n -> k.fill <- k.fill + n
+  | exception Failure _ -> add_image k v (2 * room)
+
+let cut k =
+  if k.fill >= piece_bytes then begin
+    Buffer.add_string k.pieces (Digest.subbytes k.piece 0 k.fill);
+    k.fill <- 0
+  end
+
 type 'a t = {
   codec : 'a codec;
   ring : int;  (** Entries kept: the capacity, or [max_int] when unbounded. *)
@@ -44,6 +134,11 @@ type 'a t = {
   mutable cur : int;  (** Slot of the chunk being filled. *)
   mutable total : int;
   mutable last : Time.t;  (** Time of the newest entry, 0 before any. *)
+  mutable sink : sink option;
+      (** The stream of the entries before [sunk]: [None] until the ring
+          first evicts. *)
+  mutable sunk : int;  (** Entries in [sink]. *)
+  mutable sunk_at : int;  (** Where entry [sunk] starts in its chunk. *)
 }
 
 let create ~codec ?capacity () =
@@ -64,7 +159,10 @@ let create ~codec ?capacity () =
     columns = false;
     cur = 0;
     total = 0;
-    last = 0 }
+    last = 0;
+    sink = None;
+    sunk = 0;
+    sunk_at = 0 }
 
 let length t = Int.min t.total t.ring
 let total t = t.total
@@ -134,11 +232,58 @@ let forget t i =
   let col = t.boxes.(slot t (i lsr chunk_bits)) in
   if Array.length col > 0 then col.(i land mask) <- t.codec.blank
 
+(* Entries of chunk [c] from [s], which starts at byte [p], to byte [stop],
+   one by one into [k]: each as stored, a boxed one followed by its value's
+   [Marshal] image, cutting a piece wherever one is full. *)
+let rec entries t k b c s p stop =
+  if p < stop then begin
+    let r = k.walk in
+    let q = after (varint b p r) p r in
+    let next = past b q r in
+    add k b p (next - p);
+    if varint b q r land boxed <> 0 then add_image k t.boxes.(c).(s) 256;
+    cut k;
+    entries t k b c (s + 1) next stop
+  end
+
+(* Chunk [c] from entry [s], at byte [p], to its newest entry. The chunk
+   holds the stream but for the boxed images, so a chunk with no boxed
+   column goes in whole when the piece cannot fill before its end. *)
+let feed t k c s p =
+  let b = t.bufs.(c) and stop = t.lens.(c) in
+  if Array.length t.boxes.(c) = 0 && k.fill + stop - p < piece_bytes then
+    add k b p (stop - p)
+  else entries t k b c s p stop
+
+(* Entry [e], the oldest not yet hashed, is about to leave the ring: first
+   its chunk, up to the newest entry, goes to the sink, boxed values
+   included. The sink is made at the first eviction, so a trace that never
+   evicts has none. *)
+let settle t e =
+  let k =
+    match t.sink with
+    | Some k -> k
+    | None ->
+      (* Both buffers are born in the major heap. *)
+      let k = sink ~piece:(piece_bytes + 4096) ~pieces:min_buffer in
+      t.sink <- Some k;
+      k
+  in
+  let c = slot t (e lsr chunk_bits) in
+  feed t k c (e land mask) t.sunk_at;
+  let upto = Int.min t.total ((e lor mask) + 1) in
+  t.sunk <- upto;
+  t.sunk_at <- (if upto land mask = 0 then 0 else t.lens.(c))
+
 let record t time v =
   let i = t.total in
   let s = i land mask in
   if s = 0 then open_chunk t (slot t (i lsr chunk_bits));
-  if i >= t.ring && t.columns then forget t (i - t.ring);
+  if i >= t.ring then begin
+    let e = i - t.ring in
+    if e = t.sunk then settle t e;
+    if t.columns then forget t e
+  end;
   let c = t.cur in
   let h = t.codec.header v and p = t.lens.(c) in
   if h land boxed <> 0 then begin
@@ -176,45 +321,6 @@ let record t time v =
    the entries from there in either direction, so a list consed newest
    first comes out oldest first. Nothing of a read lives in the trace, so
    domains recording other traces share no decoder state. *)
-
-(* Where the last varint longer than a byte ended. *)
-type cursor = { mutable at : int }
-
-(* Reads stay inside [0, lens), where {!record} wrote whole entries, so
-   they skip the bounds checks. *)
-let[@inline] byte b p = Char.code (Bytes.unsafe_get b p)
-
-(* The rest of the varint at [p], its low [shift] bits being [acc]; sets
-   [r.at] past it. *)
-let rec long b p shift acc r =
-  let x = byte b p in
-  let acc = acc lor ((x land 127) lsl shift) in
-  if x < 128 then begin
-    r.at <- p + 1;
-    acc
-  end
-  else long b (p + 1) (shift + 7) acc r
-
-(* The varint at [p]. One longer than a byte decodes to at least 128 (or
-   to a negative int), and [long] leaves [r.at] past it, so [after] finds
-   its end with the position kept in a local. *)
-let[@inline] varint b p r =
-  let x = byte b p in
-  if x < 128 then x else long b (p + 1) 7 (x land 127) r
-
-let[@inline] after v p r = if v lsr 7 = 0 then p + 1 else r.at
-
-(* Past the entry at [p], its time already read. *)
-let past b p r =
-  let h = varint b p r in
-  let p = after h p r in
-  let wide = varint b p r in
-  let p = after wide p r in
-  if h land (boxed lor text) = text then begin
-    let n = varint b p r in
-    after n p r + n
-  end
-  else p
 
 (* Values are shared by equal entries: a read keeps the last value it
    decoded in each of [memo] slots, hashed by header and payload, with the
@@ -441,84 +547,28 @@ let between t from until =
 
 (* --- Digest ------------------------------------------------------------------
 
-   The stream is digested in pieces cut after the first entry that brings a
-   piece to 64 KB, so a long trace needs no image of its own; the digests
-   of the pieces are digested in turn. *)
+   What the sink holds, then the chunks from the first entry not in it. *)
 
-let piece_bytes = 65536
-
-type sink = { mutable piece : Bytes.t; mutable fill : int; pieces : Buffer.t }
-
-let reserve k n =
-  if k.fill + n > Bytes.length k.piece then begin
-    let p = Bytes.create (Int.max (2 * Bytes.length k.piece) (k.fill + n)) in
-    Bytes.blit k.piece 0 p 0 k.fill;
-    k.piece <- p
-  end
-
-let add k b off n =
-  reserve k n;
-  Bytes.blit b off k.piece k.fill n;
-  k.fill <- k.fill + n
-
-let cut k =
-  if k.fill >= piece_bytes then begin
-    Buffer.add_string k.pieces (Digest.subbytes k.piece 0 k.fill);
-    k.fill <- 0
-  end
-
-(* Entries [s .. s1] of chunk [c] one by one from [p], each as stored and
-   a boxed one followed by its value's [Marshal] image, cutting a piece
-   wherever one is full. With [timed], [p] is already past entry [s]'s
-   time. *)
-let rec entries t k b r c p s s1 ~timed =
-  if s <= s1 then begin
-    let q = if timed then p else after (varint b p r) p r in
-    let next = past b q r in
-    add k b p (next - p);
-    if varint b q r land boxed <> 0 then begin
-      let image = Marshal.to_bytes t.boxes.(c).(s) [ Marshal.No_sharing ] in
-      add k image 0 (Bytes.length image)
-    end;
-    cut k;
-    entries t k b r c next (s + 1) s1 ~timed:false
-  end
-
-(* The stored chunks are the stream, but for the boxed images and the first
-   retained entry's time, which enters less 0 rather than less an evicted
-   entry's. So a chunk with no boxed column goes in whole when the piece
-   cannot fill before its end; nothing is decoded but the first entry's
-   time. *)
 let digest t =
-  let size = fold_chunks t (fun c _ _ size -> size + t.lens.(c)) 64 in
   let k =
-    { piece = Bytes.create (Int.min size (piece_bytes + 4096));
-      fill = 0;
-      pieces = Buffer.create 64 }
+    match t.sink with
+    | Some k ->
+      let pieces = Buffer.create (Buffer.length k.pieces + 16) in
+      Buffer.add_buffer pieces k.pieces;
+      { piece = Bytes.copy k.piece;
+        fill = k.fill;
+        pieces;
+        walk = { at = 0 } }
+    | None ->
+      let size = fold_chunks t (fun c _ _ size -> size + t.lens.(c)) 64 in
+      sink ~piece:(Int.min size (piece_bytes + 4096)) ~pieces:64
   in
-  let r = { at = 0 } in
-  let (_ : bool) =
-    fold_chunks t
-      (fun c s0 s1 oldest ->
-        let b = t.bufs.(c) and p = ref 0 in
-        if oldest then begin
-          let time = ref t.bases.(c) in
-          for _ = 1 to s0 do
-            let dt = varint b !p r in
-            time := !time + dt;
-            p := past b (after dt !p r) r
-          done;
-          let dt = varint b !p r in
-          reserve k 9;
-          k.fill <- put k.piece k.fill (!time + dt);
-          p := after dt !p r
-        end;
-        let rest = t.lens.(c) - !p in
-        if Array.length t.boxes.(c) = 0 && k.fill + rest < piece_bytes then
-          add k b !p rest
-        else entries t k b r c !p s0 s1 ~timed:oldest;
-        false)
-      true
-  in
+  if t.sunk < t.total then begin
+    let g0 = t.sunk lsr chunk_bits and g1 = (t.total - 1) lsr chunk_bits in
+    feed t k (slot t g0) (t.sunk land mask) t.sunk_at;
+    for g = g0 + 1 to g1 do
+      feed t k (slot t g) 0 0
+    done
+  end;
   Buffer.add_string k.pieces (Digest.subbytes k.piece 0 k.fill);
   Digest.string (Buffer.contents k.pieces)

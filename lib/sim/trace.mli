@@ -17,7 +17,12 @@
     Recording can be bounded: the trace then keeps the most recent
     [capacity] events (the prototype's VITRAL windows behave the same way),
     as a ring over ceil(capacity / 256) + 1 chunk slots, in which a boxed
-    value dies with its entry's eviction. *)
+    value dies with its entry's eviction. Before a ring evicts the first
+    entry of a chunk, it hashes that chunk (boxed values included) into a
+    digest sink of its own, so {!digest} still covers every entry ever
+    recorded. The sink holds the 64 KB piece being filled and 16 bytes for
+    each piece before it; it is made at the first eviction, so a trace that
+    never evicts has none. *)
 
 type 'a codec = {
   header : 'a -> int;
@@ -47,7 +52,8 @@ val create : codec:'a codec -> ?capacity:int -> unit -> 'a t
     no chunk: the first {!record} does. *)
 
 val record : 'a t -> Time.t -> 'a -> unit
-(** Allocates nothing but chunk storage. *)
+(** Allocates nothing but chunk storage and, on a ring that evicts, the
+    digest sink and the 16-byte digest of each 64 KB piece it completes. *)
 
 val length : 'a t -> int
 (** Number of events currently retained. *)
@@ -81,11 +87,12 @@ val find_first : ('a -> bool) -> 'a t -> (Time.t * 'a) option
 val find_last : ('a -> bool) -> 'a t -> (Time.t * 'a) option
 
 val digest : 'a t -> Digest.t
-(** Digest of the retained entries' stream, oldest first: each entry's time
-    less the previous one's (the first's less 0), header and wide payload
-    (0 when boxed) as varints, then its text, length first, or the
-    [Marshal] image of its boxed value (which must hold no closure). The
-    stream is cut into pieces after the entry that brings one to 64 KB,
-    and the pieces' digests are digested. The chunks store that stream, so
-    nothing is decoded. Equal retained traces under one codec digest
-    alike. *)
+(** Digest of the stream of every entry ever recorded, evicted ones
+    included, oldest first: each entry's time less the previous one's (the
+    first's less 0), header and wide payload (0 when boxed) as varints,
+    then its text, length first, or the [Marshal] image of its boxed value
+    (which must hold no closure). The stream is cut into pieces after the
+    entry that brings one to 64 KB, and the pieces' digests are digested.
+    The chunks store that stream and a ring's sink holds what it evicted,
+    so nothing is decoded. Traces that recorded equal entries under one
+    codec digest alike, whatever their capacity. *)

@@ -430,6 +430,51 @@ let replay_credits_injected_duplicates () =
          if f.O.check = "ipc-conservation" then Some f.O.detail else None)
        (O.check doctored).O.findings)
 
+(* A campaign is judged on whole traces: spatial-sweep's three faults,
+   and again 590 000 ticks later, over 600 000 ticks of the shipped module
+   (about 18 600 events). Under the default retention the first three
+   detections are evicted and the last three kept, yet the engine matches
+   none (the first three faults would claim the last three's), and the
+   oracle gives the one [replay] finding, judging nothing else; keeping
+   the whole trace, every fault is detected and the campaign passes. *)
+let bounded_campaign_trace_is_not_judged () =
+  let cfg =
+    match Air_config.Loader.load_file leo_path with
+    | Ok cfg -> cfg
+    | Error e -> Alcotest.fail e
+  in
+  let spec =
+    match Air_config.Loader.load_campaigns_file leo_path with
+    | Ok specs ->
+      let sweep = List.find (fun s -> s.C.name = "spatial-sweep") specs in
+      let again (i : C.injection) = { i with C.at = i.C.at + 590_000 } in
+      { sweep with
+        C.horizon = 600_000;
+        injections = sweep.C.injections @ List.map again sweep.C.injections }
+    | Error e -> Alcotest.fail e
+  in
+  let execute cfg =
+    E.execute ~turbo:true ~make:(fun () -> E.Module (System.create cfg)) spec
+  in
+  let detected run =
+    List.map (fun o -> o.E.detected_at <> None) run.E.outcomes
+  in
+  let bounded = execute cfg
+  and whole = execute { cfg with System.trace_capacity = None } in
+  check
+    Alcotest.(list string)
+    "bounded: one replay finding" [ "replay" ]
+    (List.map (fun f -> f.O.check) (O.check bounded).O.findings);
+  check
+    Alcotest.(list bool)
+    "bounded: nothing matched" (List.init 6 (fun _ -> false))
+    (detected bounded);
+  check Alcotest.bool "whole run: passed" true (O.passed (O.check whole));
+  check
+    Alcotest.(list bool)
+    "whole run: every fault detected" (List.init 6 (fun _ -> true))
+    (detected whole)
+
 let suite =
   [ qcheck containment_campaign;
     qcheck campaign_deterministic;
@@ -456,4 +501,6 @@ let suite =
     Alcotest.test_case "the replay credits injected duplicates" `Quick
       replay_credits_injected_duplicates;
     Alcotest.test_case "reproducible builds no baseline" `Quick
-      reproducible_builds_no_baseline ]
+      reproducible_builds_no_baseline;
+    Alcotest.test_case "a bounded campaign trace is not judged" `Quick
+      bounded_campaign_trace_is_not_judged ]

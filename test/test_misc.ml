@@ -254,7 +254,7 @@ let bounded_trace () =
   in
   let s =
     System.create
-      (System.config ~trace_capacity:50
+      (System.config ~trace_capacity:(Some 50)
          ~partitions:
            [ System.partition_setup p
                [ Script.periodic_body [ Script.Compute 2; Script.Log "x" ] ] ]

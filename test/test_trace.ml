@@ -689,14 +689,14 @@ let print_entries entries =
 
 let rec drop n = function _ :: rest when n > 0 -> drop (n - 1) rest | l -> l
 
-(* The digest as documented, from the entries alone: each entry's time less
+(* The stream as documented, from the entries alone: each entry's time less
    the previous one's (the first's less 0), header and payload (0 when
    boxed) as base-128 varints, then its text, length first, or its boxed
-   value's [Marshal] image; the stream is cut into pieces after the entry
-   that brings a piece to 64 KB, and the pieces' digests are digested. *)
-let reference_digest entries =
+   value's [Marshal] image; cut into pieces after the entry that brings a
+   piece to 64 KB. The last piece may be short or empty. *)
+let reference_pieces entries =
   let codec = Event.codec in
-  let pieces = Buffer.create 64 and b = Buffer.create 4096 in
+  let pieces = ref [] and b = Buffer.create 4096 in
   let rec varint v =
     if v lsr 7 = 0 then Buffer.add_uint8 b v
     else begin
@@ -724,14 +724,19 @@ let reference_digest entries =
         end
       end;
       if Buffer.length b >= 65536 then begin
-        Buffer.add_string pieces (Digest.string (Buffer.contents b));
+        pieces := Buffer.contents b :: !pieces;
         Buffer.clear b
       end)
     entries;
-  Buffer.add_string pieces (Digest.string (Buffer.contents b));
-  Digest.string (Buffer.contents pieces)
+  List.rev (Buffer.contents b :: !pieces)
 
-(* One trace of [capacity] against the plain list of what it should keep. *)
+(* The digest as documented: the pieces' digests, digested. *)
+let reference_digest entries =
+  Digest.string
+    (String.concat "" (List.map Digest.string (reference_pieces entries)))
+
+(* One trace of [capacity] against the plain list of what it should keep,
+   and its digest against that of every entry recorded. *)
 let agrees_with_model entries capacity =
   let tr = Trace.create ~codec:Event.codec ?capacity () in
   List.iter (fun (time, ev) -> Trace.record tr time ev) entries;
@@ -763,7 +768,7 @@ let agrees_with_model entries capacity =
          Trace.between tr from until
          = List.filter (fun (t, _) -> from <= t && t < until) kept)
        [ (0, last + 1); (last / 3, last / 2); (last / 2, last / 2); (last, 0) ]
-  && Trace.digest tr = reference_digest kept
+  && Trace.digest tr = reference_digest entries
 
 let qcheck_packed_log =
   QCheck.Test.make ~count:40
@@ -774,8 +779,8 @@ let qcheck_packed_log =
         [ None; Some 1; Some 255; Some 256; Some 257; Some 775 ])
 
 (* A ring whose oldest kept entry sits mid-chunk, over a stream long enough
-   to be digested in several pieces, with boxed entries in some chunks and
-   a first entry whose time enters the digest as is. *)
+   to be digested in several pieces, with boxed entries in some chunks: it
+   keeps the newest entries and digests every entry it recorded. *)
 let packed_log_mid_chunk_ring () =
   let entries =
     List.init 40_000 (fun i ->
@@ -805,14 +810,39 @@ let packed_log_mid_chunk_ring () =
       check Alcotest.bool (what ^ ": entries") true (Trace.to_list tr = kept);
       check Alcotest.bool (what ^ ": first") true
         (Trace.find_first (fun _ -> true) tr = List.nth_opt kept 0);
-      check Alcotest.string (what ^ ": digest")
-        (Digest.to_hex (reference_digest kept))
+      check Alcotest.string (what ^ ": digest of every entry")
+        (Digest.to_hex (reference_digest entries))
         (Digest.to_hex (Trace.digest tr)))
     [ 300; 7_001; 39_999 ]
 
+(* The digest covers what a ring evicted: two rings that differ only in
+   their first entry keep the same entries and digest differently. *)
+let packed_log_digest_covers_evicted () =
+  let ring first =
+    let tr = Trace.create ~codec:Event.codec ~capacity:300 () in
+    Trace.record tr 0 first;
+    for i = 1 to 999 do
+      Trace.record tr i
+        (Event.Process_dispatched { process = proc 1 (i mod 5) })
+    done;
+    tr
+  in
+  let a = ring (Event.Process_dispatched { process = proc 0 0 })
+  and b = ring (Event.Process_dispatched { process = proc 0 1 }) in
+  check Alcotest.bool "same entries kept" true
+    (Trace.to_list a = Trace.to_list b);
+  check Alcotest.int "300 kept" 300 (Trace.length a);
+  check Alcotest.bool "digests differ" false
+    (String.equal (Trace.digest a) (Trace.digest b))
+
 (* Recording stores ints and pointers only: once a ring's chunks and
    columns exist, ten thousand events (plain, text and boxed) leave the
-   minor heap untouched ([Gc.minor_words] itself boxes a float). *)
+   minor heap untouched ([Gc.minor_words] itself boxes a float) but for
+   the digest of each 64 KB piece the ring's digest sink completes: a
+   fresh 16-byte string from the standard library's MD5, 4 words. A
+   1024-entry ring hashes chunk [k] (entries [256k] on) just before it
+   records entry [256k + 1024], so the pieces completed in the window are
+   counted exactly from the reference stream of what it hashed. *)
 let packed_log_record_is_allocation_free () =
   let events =
     [| Event.Process_dispatched { process = proc 1 2 };
@@ -835,7 +865,20 @@ let packed_log_record_is_allocation_free () =
   let before = Gc.minor_words () in
   feed 10_000;
   let after = Gc.minor_words () in
-  check (Alcotest.float 0.) "minor words across 10000 records" calibration
+  (* Entry [k] as recorded, and the pieces completed once [n] are. *)
+  let recorded k =
+    let i = if k < 2048 then k else k - 2048 in
+    (i, events.(i land 3))
+  in
+  let pieces n =
+    let hashed = if n <= 1024 then 0 else 256 * ((n - 1024 + 255) / 256) in
+    List.length (reference_pieces (List.init hashed recorded)) - 1
+  in
+  let cut = pieces 12_048 - pieces 2048 in
+  check Alcotest.bool "the window completes a piece" true (cut > 0);
+  check (Alcotest.float 0.)
+    (Printf.sprintf "minor words across 10000 records (%d pieces)" cut)
+    (calibration +. float_of_int (4 * cut))
     (after -. before)
 
 let leo_path = "../examples/configs/leo_satellite.air"
@@ -858,6 +901,39 @@ let packed_log_words_per_event () =
     (Printf.sprintf "%.2f words per event (%d events)" per_event
        (Trace.length trace))
     true (per_event <= 2.)
+
+(* Default retention keeps the newest 16 384 events of a long run and
+   digests them all: 600 000 ticks of the shipped module (about 18 600
+   events) read the same digest, total and per-kind counts as the run that
+   keeps its whole trace. *)
+let packed_log_default_retention () =
+  let cfg =
+    match Air_config.Loader.load_file leo_path with
+    | Ok cfg -> cfg
+    | Error e -> Alcotest.fail e
+  in
+  let run cfg =
+    let sys = Air.System.create cfg in
+    Air_exec.Engine.advance (Air_exec.Engine.create sys) ~ticks:600_000;
+    sys
+  in
+  let bounded = run cfg
+  and whole = run { cfg with Air.System.trace_capacity = None } in
+  let tb = Air.System.trace bounded and tw = Air.System.trace whole in
+  check Alcotest.int "kept" 16_384 (Trace.length tb);
+  check Alcotest.bool
+    (Printf.sprintf "%d events recorded" (Trace.total tw))
+    true
+    (Trace.total tw > 16_384 && Trace.length tw = Trace.total tw);
+  check Alcotest.int "total" (Trace.total tw) (Trace.total tb);
+  check Alcotest.string "digest"
+    (Digest.to_hex (Trace.digest tw))
+    (Digest.to_hex (Trace.digest tb));
+  check
+    Alcotest.(list (pair string int))
+    "event counts"
+    (Air.System.event_counts whole)
+    (Air.System.event_counts bounded)
 
 (* A ring keeps nothing of what it evicted: a million fresh strings later
    it is no bigger than after two laps. *)
@@ -950,4 +1026,8 @@ let suite =
       checker_refuses_a_dropped_head;
     QCheck_alcotest.to_alcotest qcheck_window_scan;
     Alcotest.test_case "packed log: a ring kept from mid-chunk" `Quick
-      packed_log_mid_chunk_ring ]
+      packed_log_mid_chunk_ring;
+    Alcotest.test_case "packed log: the digest covers evicted entries" `Quick
+      packed_log_digest_covers_evicted;
+    Alcotest.test_case "packed log: default retention digests the whole run"
+      `Quick packed_log_default_retention ]
