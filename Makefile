@@ -182,15 +182,18 @@ interference-smoke:
 # its per-tick or sequential-cluster fingerprint (campaigns: contained
 # and reproducible). Fails unless every result line reads
 # "correct": true, and unless the round's peak_rss_mb stays under the
-# memory ceiling of leo (12 MB), leo-observed-2core (14 MB) and
+# memory ceiling of leo (12 MB), leo-observed-2core (10 MB) and
 # constellation (13 MB). Each module keeps the newest 16 384 events, the
-# default retention, which holds them near 9.1, 11 and 10.7 MB; a return
+# default retention, and its telemetry frames, spans and causal hops in
+# flat int columns, which holds them near 7.9, 8.6 and 10.7 MB; a return
 # to whole traces by default fails here, since they took 16, 15 and 23 MB
 # in byte-stream chunks (30, 24 and 56 MB as three ints per entry in
-# int-array chunks, 61, 41 and 137 MB as a queue of boxed tuples).
+# int-array chunks, 61, 41 and 137 MB as a queue of boxed tuples), and so
+# does a return to queue-backed sinks, which held leo-observed-2core near
+# 11.1 MB.
 e2e-smoke:
 	dune build bench/e2e/e2e.exe
-	@for w in leo:12 leo-observed-2core:14 constellation:13 campaign-sweep; do \
+	@for w in leo:12 leo-observed-2core:10 constellation:13 campaign-sweep; do \
 	  ceiling=$${w#*:}; w=$${w%:*}; \
 	  line=$$(dune exec --display=quiet bench/e2e/e2e.exe -- \
 	    --workload $$w --seconds 0 | tail -n 1); \

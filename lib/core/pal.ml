@@ -46,9 +46,8 @@ let collect_violations t ~now =
       (match t.recorder with
       | None -> ()
       | Some r ->
-        Air_obs.Span.instant r ~now ~track:t.track ~sub:process
-          ~detail:(Printf.sprintf "deadline=%d" deadline)
-          "pal.deadline-miss");
+        Air_obs.Span.instant_value r ~now ~track:t.track ~sub:process
+          ~key:"deadline" deadline "pal.deadline-miss");
       verify ({ process; deadline } :: acc)
     | Some _ | None -> List.rev acc
   in
@@ -59,16 +58,13 @@ let announce_ticks t ~now ~elapsed ~announce_to_pos =
      the number of ticks elapsed since the partition last held the
      processing resources. *)
   announce_to_pos ~now ~elapsed;
-  (* Flight recorder: one supervision instant per announcement. The
-     common case (elapsed = 1, the partition kept the processor) records
-     with an empty detail to stay allocation-light on the tick path. *)
-  (* Per-tick announcements would swamp the recorder; only the surrogate
-     catch-up after a preemption gap (elapsed > 1, Algorithm 3 run with a
-     multi-tick argument) is worth a mark. *)
+  (* Flight recorder: per-tick announcements would swamp the recorder;
+     only the surrogate catch-up after a preemption gap (elapsed > 1,
+     Algorithm 3 run with a multi-tick argument) is worth a mark. *)
   (match t.recorder with
   | Some r when elapsed > 1 ->
-    Air_obs.Span.instant r ~now ~track:t.track "pal.catch-up"
-      ~detail:(Printf.sprintf "elapsed=%d" elapsed)
+    Air_obs.Span.instant_value r ~now ~track:t.track ~key:"elapsed" elapsed
+      "pal.catch-up"
   | Some _ | None -> ());
   (match t.telemetry with
   | Some tel when elapsed > 1 ->

@@ -49,6 +49,11 @@ type t = {
   recorder : Air_obs.Span.t option;
       (* Flight recorder: partition-window spans opened/closed by the
          dispatcher, schedule-switch and change-action instants. *)
+  switch_details : string array array;
+      (* ["FROM -> TO"] per pair of schedule indices: the detail of the
+         schedule-switch instant the frame owner records, built at boot
+         ([[||]] without a recorder or on another lane) so recording
+         formats nothing. *)
   telemetry : Air_obs.Telemetry.t option;
       (* Telemetry accumulator: fed a dispatch-jitter sample per context
          switch; its frame is closed at every MTF boundary. Busy/idle
@@ -146,6 +151,16 @@ let create ?metrics ?recorder ?telemetry ?(frame_owner = true) ?(lane = 0)
     m_dispatcher_elapsed =
       Air_obs.Metrics.histogram reg "pmk.dispatcher_elapsed";
     recorder;
+    switch_details =
+      (match recorder with
+      | Some _ when frame_owner ->
+        Array.map
+          (fun (a : Schedule.t) ->
+            Array.map
+              (fun (b : Schedule.t) -> a.name ^ " -> " ^ b.name)
+              schedules)
+          schedules
+      | Some _ | None -> [||]);
     telemetry;
     allotted;
     frame_owner;
@@ -207,10 +222,7 @@ let effect_schedule_switch t =
   | Some _ when not t.frame_owner -> ()
   | Some r ->
     Air_obs.Span.instant r ~now:t.ticks ~track:(-1) "schedule-switch"
-      ~detail:
-        (Printf.sprintf "%s -> %s"
-           (t.schedules.(Schedule_id.index from)).Schedule.name
-           (t.schedules.(t.current_schedule)).Schedule.name));
+      ~detail:t.switch_details.(Schedule_id.index from).(t.current_schedule));
   (* Arm each partition's ScheduleChangeAction, applied at its first
      dispatch under the new schedule (Sect. 4.3). *)
   let s = t.schedules.(t.current_schedule) in
@@ -326,8 +338,7 @@ let partition_dispatcher t =
             | None -> ()
             | Some r ->
               Air_obs.Span.instant r ~now:t.ticks ~track:hi
-                ~detail:
-                  (Format.asprintf "%a" Schedule.pp_change_action a)
+                ~detail:(Schedule.change_action_label a)
                 "schedule-change-action");
             Some (h, a)
           | None -> None

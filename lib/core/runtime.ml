@@ -169,8 +169,7 @@ let with_hm_span t ~track ~code name f =
   | None -> f ()
   | Some r ->
     Air_obs.Span.begin_span r ~now:(now t) ~track
-      ~detail:(Format.asprintf "%a" Error.pp_code code)
-      name;
+      ~detail:(Error.code_label code) name;
     let result = f () in
     Air_obs.Span.end_span r ~now:(now t) ~track;
     result

@@ -34,19 +34,19 @@ let code_equal a b =
       _ ) ->
     false
 
-let pp_code ppf c =
-  Format.pp_print_string ppf
-    (match c with
-    | Deadline_missed -> "deadline-missed"
-    | Application_error -> "application-error"
-    | Numeric_error -> "numeric-error"
-    | Illegal_request -> "illegal-request"
-    | Stack_overflow -> "stack-overflow"
-    | Memory_violation -> "memory-violation"
-    | Hardware_fault -> "hardware-fault"
-    | Power_failure -> "power-failure"
-    | Configuration_error -> "configuration-error"
-    | Temporal_degradation -> "temporal-degradation")
+let code_label = function
+  | Deadline_missed -> "deadline-missed"
+  | Application_error -> "application-error"
+  | Numeric_error -> "numeric-error"
+  | Illegal_request -> "illegal-request"
+  | Stack_overflow -> "stack-overflow"
+  | Memory_violation -> "memory-violation"
+  | Hardware_fault -> "hardware-fault"
+  | Power_failure -> "power-failure"
+  | Configuration_error -> "configuration-error"
+  | Temporal_degradation -> "temporal-degradation"
+
+let pp_code ppf c = Format.pp_print_string ppf (code_label c)
 
 type level = Process_level | Partition_level | Module_level
 

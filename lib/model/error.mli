@@ -22,6 +22,9 @@ type code =
           detected before or alongside a hard fault. *)
 
 val code_equal : code -> code -> bool
+val code_label : code -> string
+(** The code's keyword (["deadline-missed"], …), a literal. *)
+
 val pp_code : Format.formatter -> code -> unit
 val all_codes : code list
 

@@ -15,12 +15,13 @@ type window = {
 
 type change_action = No_action | Warm_restart_partition | Cold_restart_partition
 
+let change_action_label = function
+  | No_action -> "no-action"
+  | Warm_restart_partition -> "warm-restart"
+  | Cold_restart_partition -> "cold-restart"
+
 let pp_change_action ppf a =
-  Format.pp_print_string ppf
-    (match a with
-    | No_action -> "no-action"
-    | Warm_restart_partition -> "warm-restart"
-    | Cold_restart_partition -> "cold-restart")
+  Format.pp_print_string ppf (change_action_label a)
 
 type t = {
   id : Schedule_id.t;

@@ -31,6 +31,9 @@ type change_action =
   | Warm_restart_partition
   | Cold_restart_partition
 
+val change_action_label : change_action -> string
+(** The action's keyword (["warm-restart"], …), a literal. *)
+
 val pp_change_action : Format.formatter -> change_action -> unit
 
 type t = {

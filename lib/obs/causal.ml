@@ -1,6 +1,6 @@
 (* Causal correlation ids: int-packed origin coordinates + sequence,
-   recorded into a preallocated ring of mutable cells so stamping and
-   hop recording never allocate. *)
+   recorded into a [Ring] of flat int columns so stamping and hop
+   recording never allocate. *)
 
 type id = int
 
@@ -74,7 +74,7 @@ type kind = Send | Receive | Forward | Perturb of perturbation
 
 type entry = { kind : kind; id : id; time : int; track : int }
 
-(* Cell kind codes: 0 send, 1 receive, 2 forward, 3 + perturbation. *)
+(* Kind codes: 0 send, 1 receive, 2 forward, 3 + perturbation. *)
 let code_send = 0
 let code_receive = 1
 let code_forward = 2
@@ -104,97 +104,79 @@ let perturbation_of_code = function
   | 8 -> Bus_reorder
   | _ -> Bus_delay
 
-type cell = {
-  mutable c_kind : int;
-  mutable c_note : int;
-  mutable c_id : int;
-  mutable c_time : int;
-  mutable c_track : int;
-}
+(* A hop is one slot of four ints: code, id, time, track. *)
+let hop_ints = 4
 
 type t = {
-  ring_capacity : int;
-  cells : cell array;
+  hops : Ring.t;
   mutable origin : int;
   mutable seq : int;
-  mutable len : int;
-  mutable head : int;  (* next write position *)
-  mutable total_recorded : int;
 }
 
 let create ?(capacity = 16384) ?(module_id = 0) () =
   if capacity <= 0 then invalid_arg "Causal.create: capacity must be positive";
-  { ring_capacity = capacity;
-    cells =
-      Array.init capacity (fun _ ->
-          { c_kind = 0; c_note = 0; c_id = 0; c_time = 0; c_track = 0 });
+  { hops = Ring.create ~bound:capacity ~ints:hop_ints ~strings:0 ();
     origin = module_id land module_mask;
-    seq = 0;
-    len = 0;
-    head = 0;
-    total_recorded = 0 }
+    seq = 0 }
 
 let set_module_id t m = t.origin <- m land module_mask
 let module_id t = t.origin
 
-let record t ~kind ~note ~id ~time ~track =
-  let c = t.cells.(t.head) in
-  c.c_kind <- kind;
-  c.c_note <- note;
-  c.c_id <- id;
-  c.c_time <- time;
-  c.c_track <- track;
-  t.head <- t.head + 1;
-  if t.head = t.ring_capacity then t.head <- 0;
-  if t.len < t.ring_capacity then t.len <- t.len + 1;
-  t.total_recorded <- t.total_recorded + 1
+let record t ~code ~id ~time ~track =
+  let i = Ring.push t.hops * hop_ints in
+  let col = t.hops.int_col in
+  col.(i) <- code;
+  col.(i + 1) <- id;
+  col.(i + 2) <- time;
+  col.(i + 3) <- track
 
 let stamp t ~now ~partition ~port =
   let seq = t.seq land seq_mask in
   t.seq <- t.seq + 1;
   let id = pack ~module_id:t.origin ~partition ~port ~seq in
-  record t ~kind:code_send ~note:0 ~id ~time:now ~track:partition;
+  record t ~code:code_send ~id ~time:now ~track:partition;
   id
 
 let receive t ~now ~track id =
   if id <> none then
-    record t ~kind:code_receive ~note:0 ~id ~time:now ~track
+    record t ~code:code_receive ~id ~time:now ~track
 
 let forward t ~now id =
   if id <> none then
-    record t ~kind:code_forward ~note:0 ~id ~time:now ~track:(-1)
+    record t ~code:code_forward ~id ~time:now ~track:(-1)
 
 let perturb t ~now ~what id =
   if id <> none then
-    record t ~kind:code_perturb ~note:(perturbation_code what) ~id ~time:now
+    record t ~code:(code_perturb + perturbation_code what) ~id ~time:now
       ~track:(-1)
 
-let entry_of_cell c =
-  let kind =
-    if c.c_kind = code_send then Send
-    else if c.c_kind = code_receive then Receive
-    else if c.c_kind = code_forward then Forward
-    else Perturb (perturbation_of_code c.c_note)
-  in
-  { kind; id = c.c_id; time = c.c_time; track = c.c_track }
+(* The [n]-th oldest retained hop's first int. *)
+let hop t n = Ring.slot t.hops n * hop_ints
 
-(* Oldest retained cell sits at [head - len] (mod capacity). *)
 let entries t =
-  let start = (t.head - t.len + t.ring_capacity) mod t.ring_capacity in
-  List.init t.len (fun i ->
-      entry_of_cell t.cells.((start + i) mod t.ring_capacity))
+  let col = t.hops.int_col in
+  List.init (Ring.length t.hops) (fun n ->
+      let i = hop t n in
+      let code = col.(i) in
+      let kind =
+        if code = code_send then Send
+        else if code = code_receive then Receive
+        else if code = code_forward then Forward
+        else Perturb (perturbation_of_code (code - code_perturb))
+      in
+      { kind; id = col.(i + 1); time = col.(i + 2); track = col.(i + 3) })
 
 let last_perturbed t =
-  let rec scan i =
-    if i >= t.len then none
+  let col = t.hops.int_col in
+  let rec scan n =
+    if n < 0 then none
     else
-      let idx = (t.head - 1 - i + (2 * t.ring_capacity)) mod t.ring_capacity in
-      let c = t.cells.(idx) in
-      if c.c_kind = code_perturb then c.c_id else scan (i + 1)
+      let i = hop t n in
+      if col.(i) >= code_perturb then col.(i + 1) else scan (n - 1)
   in
-  scan 0
+  scan (Ring.length t.hops - 1)
 
-let length t = t.len
-let total t = t.total_recorded
-let dropped t = t.total_recorded - t.len
-let capacity t = t.ring_capacity
+let length t = Ring.length t.hops
+let total t = Ring.total t.hops
+let dropped t = Ring.dropped t.hops
+let capacity t = t.hops.bound

@@ -5,7 +5,7 @@
     the origin module, partition and port indices plus a monotone sequence
     number into one OCaml [int] — allocation-free on the hot path. The id
     travels with the message through router buffers, gateway drains and bus
-    transfers, and every hop appends a fixed-size record to a preallocated
+    transfers, and every hop appends a fixed-size record to a bounded
     ring, so a Chrome trace can draw flow arrows between the send and the
     final receive even when they happen in different modules, and
     {!Air_vitral.Flows} can report end-to-end latency per flow.
@@ -17,8 +17,16 @@
     - bits 50–57: origin module index (8 bits);
     - bit 58: validity flag, so no packed id collides with {!none}.
 
-    Recording is O(1), float-free and allocation-free: the ring holds
-    mutable fixed-field cells written in place. Like {!Span}, retention is
+    Recording is O(1), float-free and allocation-free once the ring has
+    reached its bound. The ring is a {!Ring} of flat int columns, one slot
+    per hop: kind code (0 send, 1 receive, 2 forward, 3 + perturbation),
+    id, time and track. No ring holds boxed records: a queue of entries
+    would link each new cell from the previous one, promoting every hop
+    recorded between two minor collections, and a ring of preallocated
+    mutable cells costs [capacity] boxed cells at creation whether or not
+    a hop ever arrives. The columns start empty and double up to
+    [capacity], so creating a tracker allocates no column. An {!entry} is
+    built only when {!entries} reads the ring. Like {!Span}, retention is
     bounded — the tracker keeps the most recent [capacity] records while
     {!total} keeps counting, and {!dropped} exposes the evicted count. *)
 
@@ -80,8 +88,9 @@ type entry = {
 type t
 
 val create : ?capacity:int -> ?module_id:int -> unit -> t
-(** Preallocates the record ring ([capacity] defaults to 16384, must be
-    positive). [module_id] (default 0) seeds the origin-module field of
+(** An empty tracker keeping the newest [capacity] hop records (default
+    16384, must be positive); the ring's columns grow to [capacity] as
+    hops arrive. [module_id] (default 0) seeds the origin-module field of
     every id this tracker stamps. *)
 
 val set_module_id : t -> int -> unit

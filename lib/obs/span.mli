@@ -8,12 +8,24 @@
     module itself, track [i ≥ 0] is partition [i]) and carry an optional
     {e sub}-lane (a process index within the partition).
 
-    Recording is O(1) and allocation-light: one stack push per
-    [begin_span], one ring store per completed span. Like {!Sim.Trace},
-    retention of completed spans can be bounded — the recorder then keeps
-    the most recent [capacity] spans while [total] keeps counting. The
-    per-track open-span stacks are never evicted: a span that is still
-    running cannot fall out of the recorder. *)
+    Recording is O(1): one stack push per [begin_span], one ring store per
+    completed span. Completed spans live in a {!Ring} of flat columns, one
+    slot per span: six ints (track, sub, start, stop, kind and the value
+    of an {!instant_value}) and two strings (name and detail). No ring
+    holds boxed records: a queue of [span] records links each new cell
+    from the previous one, so every span recorded between two minor
+    collections was promoted to the major heap, evicted or not. The
+    columns start empty and double up to [capacity], so creating a
+    recorder allocates no column. A {!span} record is built only when
+    {!spans} reads the ring. Names and details should be strings the
+    caller already owns (literals, configured names): a detail formatted
+    per record is promoted with its slot; {!instant_value} records a
+    number instead and renders it when read.
+
+    Like {!Sim.Trace}, retention of completed spans can be bounded — the
+    recorder then keeps the most recent [capacity] spans while [total]
+    keeps counting. The per-track open-span stacks are never evicted: a
+    span that is still running cannot fall out of the recorder. *)
 
 (** How the interval ended (or didn't). *)
 type phase =
@@ -49,6 +61,11 @@ val end_span : t -> now:int -> track:int -> unit
 val instant :
   t -> now:int -> track:int -> ?sub:int -> ?detail:string -> string -> unit
 (** Record a point event ([phase = Instant], [stop = start = now]). *)
+
+val instant_value :
+  t -> now:int -> track:int -> ?sub:int -> key:string -> int -> string -> unit
+(** [instant_value t ~now ~track ~key v name]: {!instant} whose detail
+    reads [key=v], stored as the number [v] and rendered by {!spans}. *)
 
 val spans : t -> span list
 (** Retained completed and instant spans, in completion order (oldest

@@ -4,10 +4,11 @@
    dispatch jitter), the PAL (catch-up depth, deadline misses), the Health
    Monitor (error invocations) and the IPC router (delivery latency). The
    PMK closes the frame at each MTF boundary; closing extracts percentiles
-   from the live quantile histograms, snapshots the per-partition counters
-   into an immutable [frame], pushes it onto a bounded ring (same retention
-   discipline as [Sim.Trace] / [Obs.Span]) and resets the accumulator for
-   the next frame. *)
+   from the live quantile histograms, writes them with the per-partition
+   counters into one slot of a bounded [Ring] of int columns (same
+   retention discipline as [Sim.Trace] / [Obs.Span]) and resets the
+   accumulator for the next frame. [frame] records are built from slots
+   when read. *)
 
 (* --- Watchdog configuration -------------------------------------------- *)
 
@@ -98,8 +99,7 @@ let frame_utilization_permille pf =
 type t = {
   cfg : config;
   partition_count : int;
-  closed : frame Queue.t;
-  mutable total_frames : int;
+  closed : Ring.t;
   mutable cur_schedule : int;
   mutable cur_start : int;
   mutable cur_busy : int;
@@ -125,14 +125,22 @@ type t = {
   co_pressure : int array;
 }
 
+(* Slot layout: [frame_fields] ints in [f_index] … [f_ipc_max] order, then
+   [f_interference] (0 or 1), then [partition_fields] ints per partition
+   in [pf_window_ticks] … [pf_co_pressure] order. *)
+let frame_fields = 20
+let partition_fields = 11
+
 let create ?(config = default_config) ~partition_count () =
   if partition_count < 0 then
     invalid_arg "Telemetry.create: negative partition count";
   let n = Int.max 1 partition_count in
   { cfg = config;
     partition_count;
-    closed = Queue.create ();
-    total_frames = 0;
+    closed =
+      Ring.create ?bound:config.retention
+        ~ints:(frame_fields + (partition_fields * partition_count))
+        ~strings:0 ();
     cur_schedule = 0;
     cur_start = 0;
     cur_busy = 0;
@@ -157,7 +165,7 @@ let create ?(config = default_config) ~partition_count () =
 
 let frame_start t = t.cur_start
 let current_schedule t = t.cur_schedule
-let total_frames t = t.total_frames
+let total_frames t = Ring.total t.closed
 let ticks_accumulated t = t.cur_busy + t.cur_idle
 
 let prime t ~schedule ~allotted =
@@ -226,56 +234,86 @@ let set_interference_window t ~partition ~budget ~co_pressure =
 
 (* --- Frame close -------------------------------------------------------- *)
 
-let push_frame t frame =
-  Queue.push frame t.closed;
-  (match t.cfg.retention with
-  | Some cap ->
-    while Queue.length t.closed > cap do
-      ignore (Queue.pop t.closed)
-    done
-  | None -> ());
-  t.total_frames <- t.total_frames + 1
+let frame_at t s =
+  let col = t.closed.int_col and base = s * t.closed.ints in
+  let get field = col.(base + field) in
+  { f_index = get 0;
+    f_schedule = get 1;
+    f_start = get 2;
+    f_stop = get 3;
+    f_busy = get 4;
+    f_slack = get 5;
+    f_catch_up_max = get 6;
+    f_deadline_misses = get 7;
+    f_hm_errors = get 8;
+    f_jitter_count = get 9;
+    f_jitter_p50 = get 10;
+    f_jitter_p90 = get 11;
+    f_jitter_p99 = get 12;
+    f_jitter_max = get 13;
+    f_ipc_count = get 14;
+    f_ipc_p50 = get 15;
+    f_ipc_p90 = get 16;
+    f_ipc_p99 = get 17;
+    f_ipc_max = get 18;
+    f_interference = get 19 = 1;
+    f_partitions =
+      Array.init t.partition_count (fun i ->
+          let get field = get (frame_fields + (i * partition_fields) + field) in
+          { pf_partition = i;
+            pf_window_ticks = get 0;
+            pf_allotted = get 1;
+            pf_dispatches = get 2;
+            pf_jitter_max = get 3;
+            pf_catch_up_max = get 4;
+            pf_deadline_misses = get 5;
+            pf_hm_errors = get 6;
+            pf_mem_demand = get 7;
+            pf_mem_budget = get 8;
+            pf_throttled = get 9;
+            pf_co_pressure = get 10 }) }
 
+(* Write the open frame into a ring slot; the returned [frame] is built
+   from that slot, so nothing the ring keeps points into the minor heap. *)
 let close_frame t ~now ~next_schedule ~next_allotted =
-  let partitions =
-    Array.init t.partition_count (fun i ->
-        { pf_partition = i;
-          pf_window_ticks = t.window_ticks.(i);
-          pf_allotted = t.allotted.(i);
-          pf_dispatches = t.dispatches.(i);
-          pf_jitter_max = t.jitter_max.(i);
-          pf_catch_up_max = t.catch_up_max.(i);
-          pf_deadline_misses = t.deadline_misses.(i);
-          pf_hm_errors = t.hm_errors.(i);
-          pf_mem_demand = t.mem_demand.(i);
-          pf_mem_budget = t.mem_budget.(i);
-          pf_throttled = t.throttled.(i);
-          pf_co_pressure = t.co_pressure.(i) })
-  in
-  let frame =
-    { f_index = t.total_frames;
-      f_schedule = t.cur_schedule;
-      f_start = t.cur_start;
-      f_stop = now;
-      f_busy = t.cur_busy;
-      f_slack = t.cur_idle;
-      f_catch_up_max = t.cur_catch_up_max;
-      f_deadline_misses = t.cur_deadline_misses;
-      f_hm_errors = t.cur_hm_errors;
-      f_jitter_count = Quantile.count t.jitter;
-      f_jitter_p50 = Quantile.p50 t.jitter;
-      f_jitter_p90 = Quantile.p90 t.jitter;
-      f_jitter_p99 = Quantile.p99 t.jitter;
-      f_jitter_max = Quantile.max_value t.jitter;
-      f_ipc_count = Quantile.count t.ipc;
-      f_ipc_p50 = Quantile.p50 t.ipc;
-      f_ipc_p90 = Quantile.p90 t.ipc;
-      f_ipc_p99 = Quantile.p99 t.ipc;
-      f_ipc_max = Quantile.max_value t.ipc;
-      f_interference = t.interference;
-      f_partitions = partitions }
-  in
-  push_frame t frame;
+  let index = Ring.total t.closed in
+  let s = Ring.push t.closed in
+  let col = t.closed.int_col and base = s * t.closed.ints in
+  col.(base) <- index;
+  col.(base + 1) <- t.cur_schedule;
+  col.(base + 2) <- t.cur_start;
+  col.(base + 3) <- now;
+  col.(base + 4) <- t.cur_busy;
+  col.(base + 5) <- t.cur_idle;
+  col.(base + 6) <- t.cur_catch_up_max;
+  col.(base + 7) <- t.cur_deadline_misses;
+  col.(base + 8) <- t.cur_hm_errors;
+  col.(base + 9) <- Quantile.count t.jitter;
+  col.(base + 10) <- Quantile.p50 t.jitter;
+  col.(base + 11) <- Quantile.p90 t.jitter;
+  col.(base + 12) <- Quantile.p99 t.jitter;
+  col.(base + 13) <- Quantile.max_value t.jitter;
+  col.(base + 14) <- Quantile.count t.ipc;
+  col.(base + 15) <- Quantile.p50 t.ipc;
+  col.(base + 16) <- Quantile.p90 t.ipc;
+  col.(base + 17) <- Quantile.p99 t.ipc;
+  col.(base + 18) <- Quantile.max_value t.ipc;
+  col.(base + 19) <- Bool.to_int t.interference;
+  for p = 0 to t.partition_count - 1 do
+    let i = base + frame_fields + (p * partition_fields) in
+    col.(i) <- t.window_ticks.(p);
+    col.(i + 1) <- t.allotted.(p);
+    col.(i + 2) <- t.dispatches.(p);
+    col.(i + 3) <- t.jitter_max.(p);
+    col.(i + 4) <- t.catch_up_max.(p);
+    col.(i + 5) <- t.deadline_misses.(p);
+    col.(i + 6) <- t.hm_errors.(p);
+    col.(i + 7) <- t.mem_demand.(p);
+    col.(i + 8) <- t.mem_budget.(p);
+    col.(i + 9) <- t.throttled.(p);
+    col.(i + 10) <- t.co_pressure.(p)
+  done;
+  let frame = frame_at t s in
   (* Reset the accumulator for the next frame. *)
   t.cur_schedule <- next_schedule;
   t.cur_start <- now;
@@ -308,8 +346,10 @@ let flush t ~now =
       (close_frame t ~now ~next_schedule:t.cur_schedule
          ~next_allotted:(Array.copy t.allotted))
 
-let frames t = List.of_seq (Queue.to_seq t.closed)
-let retained t = Queue.length t.closed
+let frames t =
+  List.init (Ring.length t.closed) (fun i -> frame_at t (Ring.slot t.closed i))
+
+let retained t = Ring.length t.closed
 
 (* --- Watchdogs ---------------------------------------------------------- *)
 

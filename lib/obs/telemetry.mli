@@ -9,6 +9,17 @@
     histograms, and is retained on a bounded ring (same discipline as
     [Sim.Trace] / {!Span}).
 
+    The ring is a {!Ring} of one flat int column: a closed frame is one
+    slot of 20 ints ([f_index] … [f_ipc_max], then [f_interference] as 0
+    or 1) followed by 11 ints per partition ([pf_window_ticks] …
+    [pf_co_pressure]). The column starts empty and doubles up to the
+    retention bound, so creating an accumulator allocates no frame
+    storage. {!frame} records are built only when read ({!frames}, the
+    exports) and for the caller of {!close_frame}, from the slot just
+    written. No ring holds boxed frames: a queue of them links each new
+    cell from the previous one, so every frame closed between two minor
+    collections was promoted to the major heap, evicted or not.
+
     Watchdogs express temporal-health thresholds evaluated against each
     closed frame; the system layer maps {!breaches} to Health Monitor
     errors so degradation trends are handled by the configured recovery
@@ -180,9 +191,11 @@ val set_interference_window : t -> partition:int -> budget:int -> co_pressure:in
 
 val close_frame :
   t -> now:int -> next_schedule:int -> next_allotted:int array -> frame
-(** Snapshot the accumulated frame ending (exclusively) at [now], push it
-    onto the retention ring, and reset the accumulator for a frame running
-    under [next_schedule]/[next_allotted]. *)
+(** Snapshot the accumulated frame ending (exclusively) at [now] into a
+    slot of the retention ring, and reset the accumulator for a frame
+    running under [next_schedule]/[next_allotted]. The returned frame is
+    built from the slot (for the watchdogs); the ring keeps no pointer to
+    it. *)
 
 val flush : t -> now:int -> frame option
 (** Close a final partial frame at the end of a run; [None] if no tick was
@@ -193,7 +206,7 @@ val ticks_accumulated : t -> int
 (** Ticks accumulated in the open frame so far. *)
 
 val frames : t -> frame list
-(** Retained closed frames, oldest first. *)
+(** Retained closed frames, oldest first, built from the ring's slots. *)
 
 val retained : t -> int
 val total_frames : t -> int

@@ -27,4 +27,5 @@ let () =
       ("exec", Test_exec.suite);
       ("causal", Test_causal.suite);
       ("json", Test_json.suite);
-      ("observe", Test_observe.suite) ]
+      ("observe", Test_observe.suite);
+      ("rings", Test_rings.suite) ]
